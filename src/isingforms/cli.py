@@ -60,6 +60,14 @@ def _parse_fraction(text: str) -> Fraction:
         raise _Usage(f"cannot parse rational {text!r}") from None
 
 
+def _max_level(text: str) -> int:
+    """argparse type for --max-level: a negative level would check nothing."""
+    level = int(text)
+    if level < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {level}")
+    return level
+
+
 def _workers_from_env() -> int:
     raw = os.environ.get("ISINGFORMS_WORKERS")
     if raw is None:
@@ -404,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dims = vir_sub.add_parser("dims", parents=[shared],
                                 help="graded dimensions of one factor")
     p_dims.add_argument("--h", required=True, help="0, 1/2 or 1/16")
-    p_dims.add_argument("--max-level", type=int, default=4)
+    p_dims.add_argument("--max-level", type=_max_level, default=4)
     p_dims.set_defaults(func=_cmd_vir_dims)
 
     p_form = sub.add_parser("form", help="lattice verification")
@@ -414,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--code", required=True)
     p_verify.add_argument("--H", required=True, help="comma separated weights")
     p_verify.add_argument("--power", type=int)
-    p_verify.add_argument("--max-level", type=int, default=4)
+    p_verify.add_argument("--max-level", type=_max_level, default=4)
     p_verify.set_defaults(func=_cmd_form_verify)
     p_gen = form_sub.add_parser("generated", parents=[shared],
                                 help="saturate a generated form")
@@ -442,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_corr.add_argument("--H3", required=True)
     p_corr.add_argument("--code", required=True)
     p_corr.add_argument("--c", required=True, help="lowest coefficient")
-    p_corr.add_argument("--max-level", type=int, default=4)
+    p_corr.add_argument("--max-level", type=_max_level, default=4)
     p_corr.set_defaults(func=_cmd_corr)
 
     p_e8 = sub.add_parser("e8", help="dimension counts")

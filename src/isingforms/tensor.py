@@ -28,9 +28,10 @@ from .virasoro import (
     reduce_vector,
 )
 
-# A factor state is sid = 64 * level + pivot index. Per-level dimensions of
-# the three Ising modules stay far below 64, which basis() asserts.
-_SID_STRIDE = 64
+# A factor state is sid = _SID_STRIDE * level + pivot index, so sids are small
+# ints ordered by (level, index). basis() rejects a level with more states
+# than the stride holds.
+_SID_STRIDE = 1 << 16
 
 
 def _sid(level: int, idx: int) -> int:
@@ -111,8 +112,10 @@ class _Factor:
 
     def basis(self, level: int) -> GradedBasis:
         b = irreducible_basis(self.params, level)
-        if b.dimension >= _SID_STRIDE:
-            raise AssertionError(f"level {level} dimension overflows sid packing")
+        if b.dimension > _SID_STRIDE:
+            raise ValueError(
+                f"weight {self.h} level {level} has {b.dimension} states; "
+                f"factor states are limited to {_SID_STRIDE} per level")
         return b
 
     def dim(self, level: int) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .intmat import frac_det, frac_solve
+from .intmat import frac_solve
 
 Monomial = tuple[int, ...]
 
@@ -146,8 +146,10 @@ class VermaVector:
 class GradedBasis:
     """Pivot monomials of one graded piece of an irreducible quotient.
 
-    pivots are chosen greedily in descending lexicographic order so that the
-    Gram matrix on them stays invertible; gram is that matrix.
+    pivots are chosen greedily in descending lexicographic order: a monomial
+    is kept when its Schur complement against the Gram block of the monomials
+    already kept is nonzero, which keeps that block invertible. gram is the
+    block on the final pivots.
     """
 
     params: CentralParams
@@ -167,7 +169,6 @@ class _Engine:
         self.params = params
         self._apply_cache: dict[tuple[int, Monomial], dict[Monomial, Fraction]] = {}
         self._pair_cache: dict[tuple[Monomial, Monomial], Fraction] = {}
-        self._gram_cache: dict[int, list[list[Fraction]]] = {}
         self._basis_cache: dict[int, GradedBasis] = {}
 
     def apply_monomial(self, n: int, modes: Monomial) -> dict[Monomial, Fraction]:
@@ -239,32 +240,41 @@ class _Engine:
                     out += ca * cb * self.pairing_monomials(ma, mb)
         return out
 
-    def gram(self, level: int) -> list[list[Fraction]]:
-        hit = self._gram_cache.get(level)
-        if hit is not None:
-            return hit
-        monos = partitions(level)
-        mat = [[self.pairing_monomials(a, b) for b in monos] for a in monos]
-        self._gram_cache[level] = mat
-        return mat
-
     def basis(self, level: int) -> GradedBasis:
         hit = self._basis_cache.get(level)
         if hit is not None:
             return hit
         monos = partitions(level)
-        full = self.gram(level)
         kept: list[int] = []
-        for idx in range(len(monos)):
-            trial = kept + [idx]
-            sub = [[full[i][j] for j in trial] for i in trial]
-            if frac_det(sub):
-                kept.append(idx)
+        rows: list[list[Fraction]] = []  # rows[i][j] = <kept i, kept j> for j <= i
+        inv: list[list[Fraction]] = []  # inverse of the Gram block on kept
+        for idx, mono in enumerate(monos):
+            g = [self.pairing_monomials(monos[j], mono) for j in kept]
+            d = self.pairing_monomials(mono, mono)
+            u = [sum((a * b for a, b in zip(row, g) if b), Fraction(0)) for row in inv]
+            # det(block on kept + idx) = det(block on kept) * s, and the block
+            # on kept is invertible, so the principal minor rule keeps idx
+            # exactly when this Schur complement s is nonzero.
+            s = d - sum((a * b for a, b in zip(g, u) if a), Fraction(0))
+            if not s:
+                continue
+            # Bordered inverse of a symmetric block:
+            # [[inv + u u^T / s, -u / s], [-u^T / s, 1 / s]].
+            w = [x / s for x in u]
+            for row, wi in zip(inv, w):
+                if wi:
+                    for j, uj in enumerate(u):
+                        row[j] += wi * uj
+                row.append(-wi)
+            inv.append([-x for x in w] + [1 / s])
+            kept.append(idx)
+            rows.append(g + [d])
         basis = GradedBasis(
             params=self.params,
             level=level,
             pivots=tuple(monos[i] for i in kept),
-            gram=tuple(tuple(full[i][j] for j in kept) for i in kept),
+            gram=tuple(tuple(rows[max(i, j)][min(i, j)] for j in range(len(kept)))
+                       for i in range(len(kept))),
         )
         self._basis_cache[level] = basis
         return basis
@@ -299,7 +309,9 @@ def shapovalov_gram(params: CentralParams, level: int) -> list[list[Fraction]]:
     Rows and columns follow partitions(level). Every entry is computed
     independently; symmetry is a verified property, not an input assumption.
     """
-    return [row[:] for row in _engine(params).gram(level)]
+    eng = _engine(params)
+    monos = partitions(level)
+    return [[eng.pairing_monomials(a, b) for b in monos] for a in monos]
 
 
 def irreducible_basis(params: CentralParams, level: int) -> GradedBasis:

@@ -50,6 +50,18 @@ class TestExitCodes:
     def test_bad_h_for_dims(self, capsys):
         assert main(["vir", "dims", "--h", "1/3"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["vir", "dims", "--h", "0"],
+        ["form", "verify", "--code", "even:4", "--H", "0,0,0,0"],
+        ["corr", "--H1", "1/2,1/2,0,0", "--H2", "1/2,1/2,0,0",
+         "--H3", "0,0,0,0", "--code", "even:4", "--c", "1"],
+    ])
+    def test_negative_max_level_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-level", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestDeterminism:
     def test_json_twice_byte_identical(self, tmp_path):

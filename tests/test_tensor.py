@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isingforms import tensor
 from isingforms.codes import BinaryCode, Word, even_code
 from isingforms.tensor import (
     CommutatorTerms,
@@ -94,6 +95,20 @@ class TestSpaceEnumeration:
 
     def test_negative_level_is_empty(self):
         assert dimension_at_level(H4_VAC, -1) == 0
+
+    def test_sid_packing_round_trips_past_64_states(self):
+        for level in (0, 20, 21, 40):
+            for idx in (0, 63, 64, 1000):
+                sid = tensor._sid(level, idx)
+                assert tensor._sid_level(sid) == level
+                assert sid % tensor._SID_STRIDE == idx
+
+    def test_level_overflowing_sid_packing_is_a_clean_error(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_SID_STRIDE", 2)
+        factor = tensor._Factor(SIXTEENTH)
+        assert factor.basis(4).dimension == 2
+        with pytest.raises(ValueError, match="limited to 2 per level"):
+            factor.basis(5)
 
 
 class TestModeActions:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isingforms.intmat import frac_det
 from isingforms.virasoro import (
     CentralParams,
     VermaVector,
@@ -186,7 +187,46 @@ class TestShapovalov:
         assert pairing(a, b) == 0
 
 
+def fermion_product(exponents, length):
+    """Coefficients of prod (1 + t^e) over the exponents, for t^0 .. t^(length-1)."""
+    coeffs = [1] + [0] * (length - 1)
+    for e in exponents:
+        for k in range(length - 1, e - 1, -1):
+            coeffs[k] += coeffs[k - e]
+    return coeffs
+
+
+def principal_minor_basis(params, level):
+    """Reference pivot rule: keep idx when the minor on kept + [idx] is nonzero."""
+    full = shapovalov_gram(params, level)
+    kept = []
+    for idx in range(len(full)):
+        trial = kept + [idx]
+        if frac_det([[full[i][j] for j in trial] for i in trial]):
+            kept.append(idx)
+    monos = partitions(level)
+    return (tuple(monos[i] for i in kept),
+            tuple(tuple(full[i][j] for j in kept) for i in kept))
+
+
 class TestIrreducibleBasis:
+    def test_dimensions_match_free_fermion_characters(self):
+        # chi_0 + chi_{1/2} ~ prod_{r in N - 1/2} (1 + q^r); with t = q^{1/2} the
+        # even and odd powers of t, 1/2 (prod (1 + q^r) +- prod (1 - q^r)), give
+        # h = 0 and h = 1/2. chi_{1/16} ~ prod_{n >= 1} (1 + q^n).
+        top = 12
+        ns = fermion_product(range(1, 2 * top + 2, 2), 2 * top + 2)
+        assert graded_dimensions(ising_params(0), top) == ns[0::2]
+        assert graded_dimensions(ising_params(F(1, 2)), top) == ns[1::2]
+        ramond = fermion_product(range(1, top + 1), top + 1)
+        assert graded_dimensions(ising_params(F(1, 16)), top) == ramond
+
+    def test_pivots_and_gram_match_principal_minor_rule(self):
+        for p in ISING_PARAMS:
+            for level in range(10):
+                basis = irreducible_basis(p, level)
+                assert (basis.pivots, basis.gram) == principal_minor_basis(p, level)
+
     def test_dimensions_match_frozen_oracle_values(self):
         for h, dims in ORACLE_DIMS.items():
             assert graded_dimensions(ising_params(h), 8) == dims
