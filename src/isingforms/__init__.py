@@ -23,7 +23,6 @@ from .lattices import (
     contains,
     eigenvalue_table,
     graded_dual,
-    graded_lattice,
     gram_matrix,
     lattice_at_level,
     saturate_generated_form,
@@ -67,7 +66,6 @@ __all__ = [
     "goodform_conditions",
     "graded_dimensions",
     "graded_dual",
-    "graded_lattice",
     "gram_matrix",
     "hamming8",
     "integrality_verdict",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -22,7 +21,6 @@ from .lattices import (
     compare,
     contains,
     eigenvalue_table,
-    gram_matrix,
     graded_dual,
     lattice_at_level,
     saturate_generated_form,
@@ -61,24 +59,11 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _max_level(text: str) -> int:
-    """argparse type for --max-level: a negative level would check nothing."""
+    """argparse type for --max-level and --level: levels start at 0."""
     level = int(text)
     if level < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {level}")
     return level
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("ISINGFORMS_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _Usage(f"ISINGFORMS_WORKERS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise _Usage("ISINGFORMS_WORKERS must be positive")
-    return value
 
 
 def _jsonable(value):
@@ -128,17 +113,13 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _code_name(spec: str) -> str:
-    return spec
-
-
 def _cmd_codes_check(args) -> tuple[dict, bool]:
     code = _resolve_code(args.code)
     report = codes_mod.goodform_conditions(code)
     dist = sorted(code.weight_distribution().items())
     out = {
         "code": {
-            "source": _code_name(args.code),
+            "source": args.code,
             "length": code.n,
             "dimension": code.dimension,
             "words": len(code),
@@ -197,7 +178,7 @@ def _cmd_form_verify(args) -> tuple[dict, bool]:
     ok, reason = admissible_weights(code, weights)
     goodform = codes_mod.goodform_conditions(code).passed
     out: dict = {
-        "code": _code_name(args.code),
+        "code": args.code,
         "weights": str(weights),
         "goodform": goodform,
         "admissible": ok,
@@ -251,8 +232,8 @@ def _cmd_form_generated(args) -> tuple[dict, bool]:
         scale = int(head) if head else 1
     except ValueError:
         raise _Usage(f"generator spec {text!r} not understood") from None
-    gen = scale * omega_total(args.power)
     try:
+        gen = scale * omega_total(args.power)
         report = saturate_generated_form(
             [gen], args.max_level, args.mode_budget, max_rounds=args.rounds)
     except ValueError as exc:
@@ -289,7 +270,7 @@ def _cmd_dual(args) -> tuple[dict, bool]:
     entry = lattice_at_level(code, weights, args.level)
     rep = graded_dual(entry)
     out = {
-        "code": _code_name(args.code),
+        "code": args.code,
         "weights": str(weights),
         "level": args.level,
         "conformal_weight": weights.total + args.level,
@@ -327,8 +308,8 @@ def _cmd_corr(args) -> tuple[dict, bool]:
     except ValueError as exc:
         raise _Usage(str(exc)) from None
     corr = build_correlation(spec, args.max_level)
-    wd = check_well_defined(spec, args.max_level)
-    verdict = integrality_verdict(spec, args.max_level)
+    wd = check_well_defined(corr)
+    verdict = integrality_verdict(corr)
     levels = []
     for level in range(args.max_level + 1):
         entries = [
@@ -348,7 +329,7 @@ def _cmd_corr(args) -> tuple[dict, bool]:
         "h1": str(spec.h1),
         "h2": str(spec.h2),
         "h3": str(spec.h3),
-        "code": _code_name(args.code),
+        "code": args.code,
         "c": spec.lowest_coeff,
         "max_level": args.max_level,
         "base_exponent": corr.base_exponent,
@@ -438,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dual.add_argument("--code", required=True)
     p_dual.add_argument("--H", required=True)
     p_dual.add_argument("--power", type=int)
-    p_dual.add_argument("--level", type=int, required=True)
+    p_dual.add_argument("--level", type=_max_level, required=True)
     p_dual.add_argument("--compare", action="store_true",
                         help="also compare the lattice with its dual")
     p_dual.set_defaults(func=_cmd_dual)
@@ -466,7 +447,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _workers_from_env()
         result, passed = args.func(args)
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)

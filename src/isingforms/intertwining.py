@@ -112,6 +112,8 @@ class CorrelationFunctional:
 
 def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional:
     """Propagate the lowest coefficient to every monomial level by level."""
+    if max_level < 0:
+        raise ValueError(f"max_level must be >= 0, got {max_level}")
     base_exponent = spec.h3.total - spec.h1.total - spec.h2.total
     levels: dict[int, tuple[list[SpanningMonomial], list[Fraction], RowSpanSolver]] = {}
     out = CorrelationFunctional(spec, base_exponent, levels)
@@ -160,7 +162,7 @@ class WellDefinedReport:
     nondegenerate_levels: dict[int, bool]
 
 
-def check_well_defined(spec: TripleSpec, max_level: int) -> WellDefinedReport:
+def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
     """Certify the forced values are a single linear functional.
 
     (a) For every monomial with at least two operators, peeling the second
@@ -170,7 +172,7 @@ def check_well_defined(spec: TripleSpec, max_level: int) -> WellDefinedReport:
     nondegenerate per level, the relations are the whole kernel of the
     quotient from formal products to module vectors.
     """
-    corr = build_correlation(spec, max_level)
+    spec, max_level = corr.spec, corr.max_level
     order_failures: list[str] = []
     order_checks = 0
     for level in range(max_level + 1):
@@ -220,10 +222,9 @@ class VerdictReport:
     witness_value: Fraction | None
 
 
-def integrality_verdict(spec: TripleSpec, max_level: int) -> VerdictReport:
+def integrality_verdict(corr: CorrelationFunctional) -> VerdictReport:
     """Whether every forced coefficient lies in Z; first offender if not."""
-    corr = build_correlation(spec, max_level)
-    for level in range(max_level + 1):
+    for level in range(corr.max_level + 1):
         for mon in corr.monomials(level):
             value = corr.value(mon)
             if value.denominator != 1:
@@ -291,7 +292,8 @@ def framed_criterion(decomposition: list[tuple[HVector, int]], code: BinaryCode,
                 confirmed: bool | None = None
                 if integral and max_level > 0:
                     spec = TripleSpec(a, b, c, code, value)
-                    confirmed = integrality_verdict(spec, max_level).integral
+                    confirmed = integrality_verdict(
+                        build_correlation(spec, max_level)).integral
                 verdicts.append(TripleVerdict(a, b, c, value, integral, confirmed))
     satisfied = all(v.integral and v.confirmed is not False for v in verdicts)
     conclusion = (

@@ -1,38 +1,37 @@
 """Exact linear algebra over Q and Z.
 
-Everything here is deterministic: pivot choice is always the first usable
-row/column, so repeated runs on equal input produce identical output. The
-integer routines implement the row-style Hermite normal form (echelon shape,
-positive pivots, entries above a pivot reduced into [0, pivot)), which is the
-unique canonical basis of an integer row lattice.
+One Gauss-Jordan routine over Q, ``_rref``, serves every rational kernel:
+solving a square system, inverting, and expressing vectors over a fixed list
+of rows (with the left kernel of those rows). A rational determinant clears
+denominators once and goes through the fraction-free Bareiss elimination on
+integers. The integer side is the row-style Hermite normal form (echelon
+shape, positive pivots, entries above a pivot reduced into [0, pivot)), the
+unique canonical basis of an integer row lattice, and membership solves over
+it.
+
+Everything here is deterministic: the pivot is always the first usable row,
+so repeated runs on equal input produce identical output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
-def lcm(a: int, b: int) -> int:
-    return abs(a * b) // gcd(a, b) if a and b else 0
+def _rref(rows, ncols: int):
+    """Gauss-Jordan over Q on the first ncols columns; later columns ride along.
 
-
-def lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = lcm(out, v)
-    return out
-
-
-def frac_rref(rows):
-    """Reduced row echelon form over Q. Returns (rref_rows, pivot_columns)."""
+    The pivot of column c is the first row at or below the current one with a
+    nonzero entry there; it is scaled to 1 and its column cleared in every
+    other row. Returns the reduced rows and the pivot columns.
+    """
     mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
     pivots = []
     r = 0
     for c in range(ncols):
+        if r == len(mat):
+            break
         pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
@@ -45,71 +44,38 @@ def frac_rref(rows):
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
-        if r == len(mat):
-            break
     return mat, pivots
 
 
-def frac_rank(rows) -> int:
-    return len(frac_rref(rows)[1])
+def _identity_rows(n: int):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def frac_solve(matrix, rhs):
     """Solve the square system matrix * x = rhs exactly. None if singular."""
     n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c]), None)
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[n] for row in aug]
+    reduced, pivots = _rref([list(row) + [b] for row, b in zip(matrix, rhs)], n)
+    if len(pivots) < n:
+        return None
+    return [row[n] for row in reduced]
 
 
 def frac_inverse(matrix):
     """Exact inverse of a square rational matrix. None if singular."""
     n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c]), None)
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    reduced, pivots = _rref(
+        [list(row) + unit for row, unit in zip(matrix, _identity_rows(n))], n)
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in reduced]
 
 
 def frac_det(matrix) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
-    n = len(matrix)
+    """Determinant of a rational matrix: clear denominators, then Bareiss."""
     mat = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c]:
-                f = mat[i][c] * inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return det
+    den = lcm(*(x.denominator for row in mat for x in row))
+    int_rows = [[x.numerator * (den // x.denominator) for x in row] for row in mat]
+    return Fraction(det_bareiss(int_rows), den ** len(mat))
 
 
 class RowSpanSolver:
@@ -123,26 +89,9 @@ class RowSpanSolver:
     def __init__(self, rows):
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
-        work = [[Fraction(x) for x in row] +
-                [Fraction(int(i == j)) for j in range(self.nrows)]
-                for i, row in enumerate(rows)]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            inv = 1 / work[r][c]
-            work[r] = [x * inv for x in work[r]]
-            for i in range(len(work)):
-                if i != r and work[i][c]:
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(work):
-                break
+        work, pivots = _rref(
+            [list(row) + unit for row, unit in zip(rows, _identity_rows(self.nrows))],
+            self.ncols)
         self._pivots = pivots
         self._reduced = [row[:self.ncols] for row in work]
         self._transform = [row[self.ncols:] for row in work]
@@ -199,10 +148,6 @@ def hnf(rows):
         if r == len(mat):
             break
     return [row for row in mat[:r] if any(row)]
-
-
-def hnf_pivot_columns(hrows):
-    return [next(c for c, x in enumerate(row) if x) for row in hrows]
 
 
 def hnf_solve(hrows, vector):

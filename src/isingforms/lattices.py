@@ -14,9 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .codes import BinaryCode, Word, complement_reduce, goodform_conditions
-from .intmat import RowSpanSolver, det_bareiss, frac_det, frac_inverse, hnf, hnf_solve, lcm_all
+from .intmat import RowSpanSolver, det_bareiss, frac_det, frac_inverse, hnf, hnf_solve
 from .tensor import (
     _SID_STRIDE,
     _sid_level,
@@ -154,15 +155,12 @@ class LevelLattice:
 def _from_rational_rows(weights: HVector, code: BinaryCode | None, level: int,
                         rows: list[list[Fraction]]) -> LevelLattice:
     ambient = space(weights).dimension(level)
-    den = lcm_all([c.denominator for row in rows for c in row] or [1])
+    den = lcm(*(c.denominator for row in rows for c in row))
     int_rows = [[int(c * den) for c in row] for row in rows]
     reduced = hnf(int_rows)
     # drop a denominator no surviving entry needs
-    g = 0
-    for row in reduced:
-        for c in row:
-            g = g if not c else _gcd(g, abs(c))
-    shrink = _gcd(g, den) if g else den
+    g = gcd(*(c for row in reduced for c in row))
+    shrink = gcd(g, den) if g else den
     if shrink > 1:
         den //= shrink
         reduced = [[c // shrink for c in row] for row in reduced]
@@ -176,29 +174,11 @@ def _from_rational_rows(weights: HVector, code: BinaryCode | None, level: int,
     )
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def lattice_at_level(code: BinaryCode, weights: HVector, level: int) -> LevelLattice:
     """Evaluate the spanning products and reduce to a Hermite basis."""
     mons = spanning_monomials(code, weights, level)
     rows = [evaluate_monomial(mon, weights).coordinates(level) for mon in mons]
     return _from_rational_rows(weights, code, level, rows)
-
-
-@dataclass(frozen=True)
-class GradedLattice:
-    weights: HVector
-    code: BinaryCode | None
-    per_level: dict[int, LevelLattice]
-
-
-def graded_lattice(code: BinaryCode, weights: HVector, max_level: int) -> GradedLattice:
-    per = {l: lattice_at_level(code, weights, l) for l in range(max_level + 1)}
-    return GradedLattice(weights, code, per)
 
 
 def contains(entry: LevelLattice, v: TensorVector) -> bool:
@@ -223,15 +203,11 @@ def lattices_equal(a: LevelLattice, b: LevelLattice) -> bool:
     """Exact equality of the spanned lattices, denominators normalized away."""
     if a.weights != b.weights or a.level != b.level:
         raise ValueError("lattices in different ambient spaces")
-    den = _lcm(a.denominator, b.denominator)
+    den = lcm(a.denominator, b.denominator)
     fa, fb = den // a.denominator, den // b.denominator
     sa = tuple(tuple(fa * c for c in row) for row in a.basis)
     sb = tuple(tuple(fb * c for c in row) for row in b.basis)
     return sa == sb
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // _gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -246,7 +222,7 @@ def compare(a: LevelLattice, b: LevelLattice) -> CompareReport:
     """Containments by membership solves; index of the smaller in the larger."""
     if a.weights != b.weights or a.level != b.level:
         raise ValueError("lattices in different ambient spaces")
-    den = _lcm(a.denominator, b.denominator)
+    den = lcm(a.denominator, b.denominator)
     sa = [[den // a.denominator * c for c in row] for row in a.basis]
     sb = [[den // b.denominator * c for c in row] for row in b.basis]
     a_in_b = all(hnf_solve(sb, row) is not None for row in sa)

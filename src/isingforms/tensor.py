@@ -16,9 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .codes import BinaryCode, Word
-from .intmat import lcm_all
 from .virasoro import (
     GradedBasis,
     VermaVector,
@@ -447,7 +447,7 @@ def verify_commutator_sweep(code: BinaryCode, weights: HVector,
             for m in range(-b, b + 1):
                 load(pos, sid, m)
 
-    scale = lcm_all(denoms)
+    scale = lcm(*denoms)
     iexp: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {
         k: tuple((sid2, int(c * scale)) for sid2, c in exp)
         for k, exp in frac_exp.items()
@@ -531,34 +531,6 @@ def verify_commutator_sweep(code: BinaryCode, weights: HVector,
         instances=instances,
         failures=tuple(failures[:20]),
     )
-
-
-def pairing(v: TensorVector, w: TensorVector) -> Fraction:
-    """Factorwise invariant form: the product of per-factor Shapovalov values.
-
-    Keys pair to zero unless every factor sits at the same level on both
-    sides; L_T(m) is adjoint to L_T(-m) for this form because each factor
-    inherits adjointness from its own module.
-    """
-    if v.weights != w.weights:
-        raise ValueError("mixed tensor modules")
-    sp = space(v.weights)
-    total = Fraction(0)
-    for k1, c1 in v.terms.items():
-        for k2, c2 in w.terms.items():
-            p = Fraction(1)
-            for pos in range(sp.n):
-                l1 = _sid_level(k1[pos])
-                if l1 != _sid_level(k2[pos]):
-                    p = Fraction(0)
-                    break
-                g = sp.factors[pos].basis(l1).gram
-                p *= g[k1[pos] % _SID_STRIDE][k2[pos] % _SID_STRIDE]
-                if not p:
-                    break
-            if p:
-                total += c1 * c2 * p
-    return total
 
 
 def dimension_at_level(weights: HVector, level: int) -> int:

@@ -10,7 +10,12 @@ import time
 from fractions import Fraction
 
 from isingforms.codes import Word, c16, even_code, hamming8, goodform_conditions
-from isingforms.intertwining import TripleSpec, check_well_defined, integrality_verdict
+from isingforms.intertwining import (
+    TripleSpec,
+    build_correlation,
+    check_well_defined,
+    integrality_verdict,
+)
 from isingforms.lattices import (
     compare,
     contains,
@@ -225,12 +230,13 @@ def test_09_correlation_integrality():
     half_pair = HVector.parse("1/2,1/2,0,0")
     vac = HVector.vacuum(4)
     spec1 = TripleSpec(half_pair, half_pair, vac, code, Fraction(1))
-    wd = check_well_defined(spec1, 4)
+    corr1 = build_correlation(spec1, 4)
+    wd = check_well_defined(corr1)
     ok = wd.well_defined and not wd.order_failures and not wd.relation_failures
-    verdict1 = integrality_verdict(spec1, 4)
+    verdict1 = integrality_verdict(corr1)
     ok = ok and verdict1.integral and verdict1.witness is None
     spec2 = TripleSpec(half_pair, half_pair, vac, code, Fraction(1, 2))
-    verdict2 = integrality_verdict(spec2, 4)
+    verdict2 = integrality_verdict(build_correlation(spec2, 4))
     ok = ok and not verdict2.integral
     ok = ok and verdict2.witness is not None
     ok = ok and verdict2.witness_value == Fraction(1, 2)

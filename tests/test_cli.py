@@ -34,14 +34,6 @@ class TestExitCodes:
                      "--power", "3"])
         assert code == 2
 
-    def test_bad_worker_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ISINGFORMS_WORKERS", "many")
-        assert main(["e8", "weight1"]) == 2
-
-    def test_worker_env_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("ISINGFORMS_WORKERS", "3")
-        assert main(["e8", "weight1", "--out", "/dev/null"]) == 0
-
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["codes"])
@@ -60,6 +52,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--max-level", "-1"])
         assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["dual", "--power", "4", "--code", "even:4", "--H", "0,0,0,0", "--level", "-1"],
+        ["form", "generated", "--gen", "2omega", "--power", "0"],
+    ])
+    def test_out_of_range_request_is_usage_error(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
         assert capsys.readouterr().out == ""
 
 

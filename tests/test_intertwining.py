@@ -84,6 +84,10 @@ class TestBuildCorrelation:
             for mon in a.monomials(level):
                 assert b.value(mon) == 5 * a.value(mon)
 
+    def test_rejects_negative_max_level(self):
+        with pytest.raises(ValueError, match="max_level"):
+            build_correlation(main_spec(), -1)
+
     def test_rejects_inadmissible_weights(self):
         with pytest.raises(ValueError):
             TripleSpec(HVector.parse("1/2,0,0,0"), H_HALF, H_VAC, even_code(4), 1)
@@ -91,7 +95,7 @@ class TestBuildCorrelation:
 
 class TestWellDefined:
     def test_main_triple_through_level_four(self):
-        report = check_well_defined(main_spec(), 4)
+        report = check_well_defined(build_correlation(main_spec(), 4))
         assert report.well_defined
         assert report.order_checks == 10  # the ten (2,2)-shaped monomials
         assert report.order_failures == ()
@@ -99,7 +103,7 @@ class TestWellDefined:
         assert all(report.nondegenerate_levels.values())
 
     def test_main_triple_through_level_six_has_relations(self):
-        report = check_well_defined(main_spec(), 6)
+        report = check_well_defined(build_correlation(main_spec(), 6))
         assert report.well_defined
         assert report.order_checks == 72
         assert report.relation_checks == 4  # 50 spanning rows, rank 46
@@ -129,22 +133,22 @@ class TestWellDefined:
 
 class TestVerdict:
     def test_true_at_integer_coefficient(self):
-        report = integrality_verdict(main_spec(1), 4)
+        report = integrality_verdict(build_correlation(main_spec(1), 4))
         assert report.integral
         assert report.witness is None
 
     def test_false_at_half_with_witness(self):
-        report = integrality_verdict(main_spec(Fraction(1, 2)), 4)
+        report = integrality_verdict(build_correlation(main_spec(Fraction(1, 2)), 4))
         assert not report.integral
         assert report.witness is not None
         assert report.witness_value.denominator > 1
 
     def test_zero_coefficient(self):
-        assert integrality_verdict(main_spec(0), 3).integral
+        assert integrality_verdict(build_correlation(main_spec(0), 3)).integral
 
     def test_monotone_in_level(self):
         for level in range(5):
-            assert integrality_verdict(main_spec(1), level).integral
+            assert integrality_verdict(build_correlation(main_spec(1), level)).integral
 
 
 class TestFramed:

@@ -1,0 +1,128 @@
+"""The rational kernels of intmat, each checked against an independent route."""
+
+import math
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from isingforms.intmat import RowSpanSolver, frac_det, frac_inverse, frac_solve, hnf
+
+small_fractions = st.builds(Fraction, st.integers(min_value=-3, max_value=3),
+                            st.integers(min_value=1, max_value=3))
+
+
+square_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(small_fractions, min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@st.composite
+def tall_matrices(draw):
+    ncols = draw(st.integers(min_value=1, max_value=4))
+    nrows = draw(st.integers(min_value=ncols + 1, max_value=ncols + 3))
+    return draw(st.lists(st.lists(small_fractions, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+
+
+def laplace_det(m):
+    """Cofactor expansion along the first row."""
+    if not m:
+        return Fraction(1)
+    return sum(
+        ((-1) ** j * m[0][j] * laplace_det([row[:j] + row[j + 1:] for row in m[1:]])
+         for j in range(len(m))),
+        Fraction(0),
+    )
+
+
+def matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
+
+def combine(coeffs, rows):
+    """The vector sum of coeffs[i] * rows[i]."""
+    return [sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0))
+            for j in range(len(rows[0]))]
+
+
+def cleared(rows):
+    """The rows scaled by one common denominator into integers."""
+    den = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows]
+
+
+SINGULAR = [[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)]]
+
+
+class TestSquareKernels:
+    @given(square_matrices)
+    @example(SINGULAR)
+    @settings(max_examples=150, deadline=None)
+    def test_det_matches_cofactor_expansion(self, m):
+        assert frac_det(m) == laplace_det(m)
+
+    def test_det_of_empty_matrix_is_one(self):
+        assert frac_det([]) == 1
+
+    @given(square_matrices)
+    @example(SINGULAR)
+    @settings(max_examples=150, deadline=None)
+    def test_inverse_exists_exactly_when_det_nonzero(self, m):
+        inv = frac_inverse(m)
+        if laplace_det(m) == 0:
+            assert inv is None
+        else:
+            n = len(m)
+            assert matmul(m, inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+
+    @given(square_matrices, st.lists(small_fractions, min_size=4, max_size=4))
+    @example(SINGULAR, [Fraction(1)] * 4)
+    @settings(max_examples=150, deadline=None)
+    def test_solve_reproduces_rhs(self, m, rhs):
+        b = rhs[:len(m)]
+        x = frac_solve(m, b)
+        if laplace_det(m) == 0:
+            assert x is None
+        else:
+            assert [sum((a * xi for a, xi in zip(row, x)), Fraction(0)) for row in m] == b
+
+
+class TestRowSpanSolver:
+    @given(tall_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_is_the_left_null_space(self, rows):
+        solver = RowSpanSolver(rows)
+        kernel = solver.kernel()
+        assert solver.rank == len(hnf(cleared(rows)))
+        assert len(kernel) == len(rows) - solver.rank
+        for rel in kernel:
+            assert not any(combine(rel, rows))
+        # the relations are independent
+        assert len(hnf(cleared(kernel))) == len(kernel)
+
+    @given(tall_matrices(), st.lists(small_fractions, min_size=7, max_size=7))
+    @settings(max_examples=150, deadline=None)
+    def test_solve_reproduces_vectors_in_the_span(self, rows, coeffs):
+        solver = RowSpanSolver(rows)
+        vector = combine(coeffs[:len(rows)], rows)
+        found = solver.solve(vector)
+        assert found is not None
+        assert combine(found, rows) == vector
+
+    @given(tall_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_solve_rejects_vectors_outside_the_span(self, rows):
+        solver = RowSpanSolver(rows)
+        rank = len(hnf(cleared(rows)))
+        ncols = len(rows[0])
+        for j in range(ncols):
+            unit = [int(i == j) for i in range(ncols)]
+            outside = len(hnf(cleared(rows + [unit]))) > rank
+            assert (solver.solve(unit) is None) == outside
+
+    def test_no_rows(self):
+        solver = RowSpanSolver([])
+        assert solver.rank == 0
+        assert solver.kernel() == []
