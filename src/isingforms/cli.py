@@ -267,7 +267,12 @@ def _cmd_dual(args) -> tuple[dict, bool]:
     weights = _parse_weights(args.H)
     if args.power is not None and args.power != weights.n:
         raise _Usage(f"--power {args.power} against {weights.n} weights")
+    ok, reason = admissible_weights(code, weights)
+    if not ok:
+        raise _Usage(f"inadmissible weight vector {weights}: {reason}")
     entry = lattice_at_level(code, weights, args.level)
+    if not entry.ambient_dim:
+        raise _Usage(f"level {args.level} of {weights} has no states")
     rep = graded_dual(entry)
     out = {
         "code": args.code,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import BinaryCode
-from .intmat import RowSpanSolver, frac_det
+from .intmat import _rref, frac_det
 from .lattices import (
     SpanningMonomial,
     _key_gram,
@@ -32,6 +32,7 @@ from .tensor import (
     commutator_symbolic,
     lt0_eigenvalue,
     lt_action,
+    space,
 )
 
 
@@ -64,25 +65,31 @@ class CorrelationFunctional:
 
     Values are stored as multipliers of the formal scalar c, so linearity in
     c is structural. The attached x-exponent of a level-k monomial is
-    base_exponent + k.
+    base_exponent + k. Per level it keeps the multiplier of each monomial (in
+    enumeration order), one functional value per state key (read off a maximal
+    independent set of monomial vectors), and the value each linear relation
+    among the monomial vectors takes on the multipliers.
     """
 
     def __init__(self, spec: TripleSpec, base_exponent: Fraction,
-                 levels: dict[int, tuple[list[SpanningMonomial], list[Fraction], RowSpanSolver]]):
+                 multipliers: dict[int, dict[SpanningMonomial, Fraction]],
+                 functional: dict[int, dict[tuple[int, ...], Fraction]],
+                 relations: dict[int, list[Fraction]]):
         self.spec = spec
         self.base_exponent = base_exponent
-        self._levels = levels
+        self._multipliers = multipliers
+        self._functional = functional
+        self._relations = relations
 
     @property
     def max_level(self) -> int:
-        return max(self._levels)
+        return max(self._multipliers)
 
     def monomials(self, level: int) -> list[SpanningMonomial]:
-        return list(self._levels[level][0])
+        return list(self._multipliers[level])
 
     def multiplier(self, mon: SpanningMonomial) -> Fraction:
-        mons, mults, _ = self._levels[mon.level]
-        return mults[mons.index(mon)]
+        return self._multipliers[mon.level][mon]
 
     def value(self, mon: SpanningMonomial) -> Fraction:
         return self.multiplier(mon) * self.spec.lowest_coeff
@@ -91,52 +98,58 @@ class CorrelationFunctional:
         return self.base_exponent + level
 
     def table(self) -> dict[int, dict[SpanningMonomial, Fraction]]:
-        return {
-            level: dict(zip(mons, mults))
-            for level, (mons, mults, _) in sorted(self._levels.items())
-        }
+        return {level: dict(mults) for level, mults in sorted(self._multipliers.items())}
+
+    def relation_values(self, level: int) -> list[Fraction]:
+        """Each relation among the monomial vectors applied to the multipliers."""
+        return list(self._relations[level])
 
     def vector_multiplier(self, v: TensorVector) -> Fraction:
         """Linear extension of the multipliers to an arbitrary module vector."""
         if v.is_zero():
             return Fraction(0)
         level = v.level()
-        if level not in self._levels:
+        if level not in self._functional:
             raise ValueError(f"no values computed at level {level}")
-        mons, mults, solver = self._levels[level]
-        coeffs = solver.solve(v.coordinates(level))
-        if coeffs is None:
-            raise ArithmeticError("vector escapes the spanning-monomial span")
-        return sum((c * f for c, f in zip(coeffs, mults)), Fraction(0))
+        f = self._functional[level]
+        return sum((f[key] * c for key, c in v.terms.items()), Fraction(0))
 
 
 def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional:
-    """Propagate the lowest coefficient to every monomial level by level."""
+    """Propagate the lowest coefficient to every monomial level by level.
+
+    One elimination of the rows [monomial vector | multiplier] per level: its
+    pivot rows give the functional on the keys, the other rows the relation
+    values. Monomials that do not span their level raise ArithmeticError.
+    """
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
     base_exponent = spec.h3.total - spec.h1.total - spec.h2.total
-    levels: dict[int, tuple[list[SpanningMonomial], list[Fraction], RowSpanSolver]] = {}
-    out = CorrelationFunctional(spec, base_exponent, levels)
+    multipliers: dict[int, dict[SpanningMonomial, Fraction]] = {}
+    functional: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    relations: dict[int, list[Fraction]] = {}
+    out = CorrelationFunctional(spec, base_exponent, multipliers, functional, relations)
     for level in range(max_level + 1):
-        mons = spanning_monomials(spec.code, spec.h3, level)
-        mults: list[Fraction] = []
-        for mon in mons:
-            if not mon.ops:
-                mults.append(Fraction(1))
-                continue
-            m, t = mon.ops[0]
-            rest_vec = evaluate_monomial(SpanningMonomial(mon.ops[1:]), spec.h3)
-            a1 = lt0_eigenvalue(t, spec.h1)
-            a2 = lt0_eigenvalue(t, spec.h2)
-            mults.append(cross_bracket_step(
-                m,
-                out.vector_multiplier(lt_action(t, 0, rest_vec)),
-                out.vector_multiplier(rest_vec),
-                a1,
-                a2,
-            ))
-        rows = [evaluate_monomial(mon, spec.h3).coordinates(level) for mon in mons]
-        levels[level] = (mons, mults, RowSpanSolver(rows))
+        mults: dict[SpanningMonomial, Fraction] = {}
+        rows = []
+        for mon in spanning_monomials(spec.code, spec.h3, level):
+            if mon.ops:
+                m, t = mon.ops[0]
+                rest_vec = evaluate_monomial(SpanningMonomial(mon.ops[1:]), spec.h3)
+                mults[mon] = _peel_multiplier(out, spec, t, m, rest_vec)
+                vec = lt_action(t, -m, rest_vec)
+            else:
+                mults[mon] = Fraction(1)
+                vec = TensorVector.lowest(spec.h3)
+            rows.append(vec.coordinates(level) + [mults[mon]])
+        keys = space(spec.h3).keys(level)
+        reduced, pivots = _rref(rows, len(keys))
+        if len(pivots) < len(keys):
+            raise ArithmeticError(
+                f"level {level}: monomials span {len(pivots)} of {len(keys)} dimensions")
+        multipliers[level] = mults
+        functional[level] = {keys[c]: row[-1] for c, row in zip(pivots, reduced)}
+        relations[level] = [row[-1] for row in reduced[len(pivots):]]
     return out
 
 
@@ -197,12 +210,11 @@ def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
     relation_checks = 0
     nondegenerate: dict[int, bool] = {}
     for level in range(max_level + 1):
-        mons, mults, solver = corr._levels[level]
         gram = _key_gram(spec.h3, level)
         nondegenerate[level] = (not gram) or frac_det(gram) != 0
-        for rel in solver.kernel():
+        for value in corr.relation_values(level):
             relation_checks += 1
-            if sum((c * f for c, f in zip(rel, mults)), Fraction(0)):
+            if value:
                 relation_failures.append(level)
     return WellDefinedReport(
         well_defined=not order_failures and not relation_failures

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .codes import BinaryCode, Word, complement_reduce, goodform_conditions
@@ -241,13 +242,8 @@ def compare(a: LevelLattice, b: LevelLattice) -> CompareReport:
     )
 
 
-_KEY_GRAM_CACHE: dict[tuple[HVector, int], list[list[Fraction]]] = {}
-
-
+@cache
 def _key_gram(weights: HVector, level: int) -> list[list[Fraction]]:
-    hit = _KEY_GRAM_CACHE.get((weights, level))
-    if hit is not None:
-        return hit
     sp = space(weights)
     keys = sp.keys(level)
     out = []
@@ -266,7 +262,6 @@ def _key_gram(weights: HVector, level: int) -> list[list[Fraction]]:
                     break
             row.append(p)
         out.append(row)
-    _KEY_GRAM_CACHE[(weights, level)] = out
     return out
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .codes import BinaryCode, Word
@@ -142,15 +143,9 @@ class _Factor:
         return out
 
 
-_FACTORS: dict[Fraction, _Factor] = {}
-
-
+@cache
 def _factor(h: Fraction) -> _Factor:
-    f = _FACTORS.get(h)
-    if f is None:
-        f = _Factor(h)
-        _FACTORS[h] = f
-    return f
+    return _Factor(h)
 
 
 class TensorSpace:
@@ -208,15 +203,9 @@ class TensorSpace:
         return sum(_sid_level(s) for s in key)
 
 
-_SPACES: dict[HVector, TensorSpace] = {}
-
-
+@cache
 def space(weights: HVector) -> TensorSpace:
-    sp = _SPACES.get(weights)
-    if sp is None:
-        sp = TensorSpace(weights)
-        _SPACES[weights] = sp
-    return sp
+    return TensorSpace(weights)
 
 
 class TensorVector:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable
 
 from .intmat import frac_solve
@@ -280,15 +281,9 @@ class _Engine:
         return basis
 
 
-_ENGINES: dict[CentralParams, _Engine] = {}
-
-
+@cache
 def _engine(params: CentralParams) -> _Engine:
-    eng = _ENGINES.get(params)
-    if eng is None:
-        eng = _Engine(params)
-        _ENGINES[params] = eng
-    return eng
+    return _Engine(params)
 
 
 def apply_mode(n: int, v: VermaVector) -> VermaVector:

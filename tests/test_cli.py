@@ -57,6 +57,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["dual", "--power", "4", "--code", "even:4", "--H", "0,0,0,0", "--level", "-1"],
         ["form", "generated", "--gen", "2omega", "--power", "0"],
+        ["dual", "--power", "4", "--code", "even:4", "--H", "0,0,0,0", "--level", "1"],
+        ["dual", "--code", "even:4", "--H", "0,0,0", "--level", "2"],
     ])
     def test_out_of_range_request_is_usage_error(self, capsys, argv):
         try:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from isingforms import intertwining
 from isingforms.codes import Word, even_code
 from isingforms.intertwining import (
     TripleSpec,
@@ -15,8 +16,14 @@ from isingforms.intertwining import (
     integrality_verdict,
     parse_lowest_table,
 )
-from isingforms.lattices import lattice_at_level
-from isingforms.tensor import HVector, lt0_eigenvalue, lt_action
+from isingforms.intmat import RowSpanSolver
+from isingforms.lattices import (
+    SpanningMonomial,
+    evaluate_monomial,
+    lattice_at_level,
+    spanning_monomials,
+)
+from isingforms.tensor import HVector, TensorVector, lt0_eigenvalue, lt_action, space
 
 H_HALF = HVector.parse("1/2,1/2,0,0")
 H_VAC = HVector.vacuum(4)
@@ -24,6 +31,38 @@ H_VAC = HVector.vacuum(4)
 
 def main_spec(c=1) -> TripleSpec:
     return TripleSpec(H_HALF, H_HALF, H_VAC, even_code(4), Fraction(c))
+
+
+def dot(xs, ys):
+    return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
+
+
+def row_span_route(spec: TripleSpec, max_level: int):
+    """The former build: per level the monomials, their multipliers, and a
+    RowSpanSolver over their vectors through whose solves later levels peel."""
+    levels = {}
+
+    def vector_multiplier(v):
+        if v.is_zero():
+            return Fraction(0)
+        _, mults, solver = levels[v.level()]
+        return dot(solver.solve(v.coordinates(v.level())), mults)
+
+    for level in range(max_level + 1):
+        mons = spanning_monomials(spec.code, spec.h3, level)
+        mults = []
+        for mon in mons:
+            if not mon.ops:
+                mults.append(Fraction(1))
+                continue
+            m, t = mon.ops[0]
+            rest = evaluate_monomial(SpanningMonomial(mon.ops[1:]), spec.h3)
+            mults.append(cross_bracket_step(
+                m, vector_multiplier(lt_action(t, 0, rest)), vector_multiplier(rest),
+                lt0_eigenvalue(t, spec.h1), lt0_eigenvalue(t, spec.h2)))
+        rows = [evaluate_monomial(mon, spec.h3).coordinates(level) for mon in mons]
+        levels[level] = (mons, mults, RowSpanSolver(rows))
+    return levels
 
 
 def level_two_multipliers(corr):
@@ -84,6 +123,19 @@ class TestBuildCorrelation:
             for mon in a.monomials(level):
                 assert b.value(mon) == 5 * a.value(mon)
 
+    def test_monomials_short_of_the_span_raise(self, monkeypatch):
+        # vacuum level 2 of even:4: four monomials L_T(-2)v against four keys
+        full = intertwining.spanning_monomials
+        assert len(full(even_code(4), H_VAC, 2)) == space(H_VAC).dimension(2) == 4
+
+        def one_short(code, weights, level):
+            mons = full(code, weights, level)
+            return mons[:-1] if level == 2 else mons
+
+        monkeypatch.setattr(intertwining, "spanning_monomials", one_short)
+        with pytest.raises(ArithmeticError, match="level 2"):
+            build_correlation(main_spec(), 2)
+
     def test_rejects_negative_max_level(self):
         with pytest.raises(ValueError, match="max_level"):
             build_correlation(main_spec(), -1)
@@ -129,6 +181,35 @@ class TestWellDefined:
                         a2,
                     )
                     assert lhs == rhs
+
+
+class TestAgainstRowSpanRoute:
+    def test_functional_and_relations_match(self):
+        spec = main_spec()
+        corr = build_correlation(spec, 6)
+        old = row_span_route(spec, 6)
+        relations = 0
+        for level, (mons, mults, solver) in old.items():
+            assert corr.monomials(level) == mons
+            assert [corr.multiplier(mon) for mon in mons] == mults
+            for key in space(spec.h3).keys(level):
+                e = TensorVector(spec.h3, {key: Fraction(1)})
+                assert corr.vector_multiplier(e) == dot(solver.solve(e.coordinates(level)), mults)
+            assert corr.relation_values(level) == [dot(k, mults) for k in solver.kernel()]
+            relations += len(solver.kernel())
+        assert relations == 4
+
+    def test_relation_failures_match_on_ill_defined_triple(self):
+        spec = TripleSpec(H_HALF, H_HALF, HVector.parse("1/2,1/2,1/2,1/2"),
+                          even_code(4), Fraction(1))
+        report = check_well_defined(build_correlation(spec, 4))
+        failures = tuple(
+            level
+            for level, (_, mults, solver) in row_span_route(spec, 4).items()
+            for k in solver.kernel() if dot(k, mults)
+        )
+        assert len(failures) == 35  # 2, 6 and 27 at levels 2, 3, 4
+        assert report.relation_failures == failures
 
 
 class TestVerdict:
