@@ -186,16 +186,14 @@ def _cmd_form_verify(args) -> tuple[dict, bool]:
     if not ok or not goodform:
         out["reason"] = reason or "code fails the form conditions"
         return out, False
-    passed = True
-    rows = []
+    entries = []
     for level in range(args.max_level + 1):
-        entry = lattice_at_level(code, weights, level)
-        rows.append(_level_row(entry))
-        passed = passed and entry.full_rank
-    out["levels"] = rows
+        entries.append(lattice_at_level(code, weights, level, below=entries))
+    out["levels"] = [_level_row(entry) for entry in entries]
+    passed = all(entry.full_rank for entry in entries)
     vacuum = weights.total == 0 and not weights.has_sixteenth
     if vacuum and args.max_level >= 2:
-        entry = lattice_at_level(code, weights, 2)
+        entry = entries[2]
         omega_in = contains(entry, omega_total(weights.n))
         scale = len(code) // 2
         comps = []

@@ -83,7 +83,9 @@ class RowSpanSolver:
 
     Tracks the elimination matrix, so solve() returns coefficients over the
     original rows and kernel() returns a basis of the left kernel (all rational
-    relations among the original rows).
+    relations among the original rows). Nothing in the package calls it: the
+    tests rebuild the earlier correlation and generator routes on it as their
+    reference, and perfbench/spans.py traces its methods.
     """
 
     def __init__(self, rows):

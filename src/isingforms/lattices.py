@@ -7,6 +7,16 @@ Lattices are stored as one common denominator plus an integer matrix in row
 Hermite normal form, so membership, rank, and equality are exact integer
 questions. Graded duals live in the same ambient coordinates via the
 factorwise invariant form.
+
+The lattices are built level by level: Lambda_n is the Z-span of L_T(-m) b
+over modes m >= min_mode, representatives T and Hermite basis rows b of
+Lambda_{n-m}. Every straightened product is L_T(-m) applied to a product of
+level n - m, so this span contains the products. Conversely, for negative
+modes [L_S(-a), L_T(-b)] = (b - a) L_{S+T}(-a-b) has integer coefficients and
+no central term, and L_{T^c} = -L_T, so any product of lowering operators
+straightens into the products over Z and the span is no larger. Hermite form
+and the reduced denominator are unique, so the stored entry is the one the
+products themselves would give.
 """
 
 from __future__ import annotations
@@ -18,15 +28,15 @@ from functools import cache
 from math import gcd, lcm
 
 from .codes import BinaryCode, Word, complement_reduce, goodform_conditions
-from .intmat import RowSpanSolver, det_bareiss, frac_det, frac_inverse, hnf, hnf_solve
+from .intmat import det_bareiss, frac_det, frac_inverse, hnf, hnf_solve
 from .tensor import (
     _SID_STRIDE,
     _sid_level,
     HVector,
     TensorVector,
+    apply_factor_mode,
     lt0_eigenvalue,
     lt_action,
-    omega_word,
     space,
 )
 from .virasoro import partitions
@@ -86,6 +96,11 @@ class SpanningMonomial:
         return "".join(f"L[{t.to_string()}](-{m})" for m, t in self.ops) + "v"
 
 
+def _min_mode(weights: HVector) -> int:
+    """Lowest lowering mode: level-1 factor states vanish in a vacuum power."""
+    return 2 if weights.total == 0 and not weights.has_sixteenth else 1
+
+
 def spanning_monomials(code: BinaryCode, weights: HVector, level: int) -> list[SpanningMonomial]:
     """All straightened spanning products at one level, in a fixed order.
 
@@ -96,7 +111,7 @@ def spanning_monomials(code: BinaryCode, weights: HVector, level: int) -> list[S
     _check_inputs(code, weights)
     if level < 0:
         raise ValueError("negative level")
-    min_mode = 2 if weights.total == 0 and not weights.has_sixteenth else 1
+    min_mode = _min_mode(weights)
     reps = complement_reduce(code)
     out: list[SpanningMonomial] = []
     for shape in partitions(level):
@@ -175,11 +190,36 @@ def _from_rational_rows(weights: HVector, code: BinaryCode | None, level: int,
     )
 
 
-def lattice_at_level(code: BinaryCode, weights: HVector, level: int) -> LevelLattice:
-    """Evaluate the spanning products and reduce to a Hermite basis."""
-    mons = spanning_monomials(code, weights, level)
-    rows = [evaluate_monomial(mon, weights).coordinates(level) for mon in mons]
-    return _from_rational_rows(weights, code, level, rows)
+def lattice_at_level(code: BinaryCode, weights: HVector, level: int,
+                     below: list[LevelLattice] | None = None) -> LevelLattice:
+    """The lattice of straightened products at one level, in Hermite form.
+
+    Built from the levels below it: the generators are L_T(-m) b for modes
+    m >= min_mode (2 on a vacuum power, else 1), complement-reduced codewords
+    T and the Hermite basis rows b of level - m; level 0 is the lowest weight
+    vector. The commutator argument in the module docstring shows this spans
+    the same lattice as the straightened products themselves. ``below`` holds
+    the entries of levels 0, 1, ... in order; the levels up to ``level`` that
+    it lacks are built here, each once.
+    """
+    _check_inputs(code, weights)
+    if level < 0:
+        raise ValueError("negative level")
+    entries = list(below or ())[:level]
+    reps = complement_reduce(code)
+    min_mode = _min_mode(weights)
+    for n in range(len(entries), level + 1):
+        if n == 0:
+            rows = [TensorVector.lowest(weights).coordinates(0)]
+        else:
+            rows = [
+                lt_action(t, -m, b).coordinates(n)
+                for m in range(min_mode, n + 1)
+                for b in entries[n - m].basis_vectors()
+                for t in reps
+            ]
+        entries.append(_from_rational_rows(weights, code, n, rows))
+    return entries[level]
 
 
 def contains(entry: LevelLattice, v: TensorVector) -> bool:
@@ -340,23 +380,18 @@ class GeneratedFormReport:
     message: str
 
 
-def _omega_coefficients(u: TensorVector) -> list[tuple[Fraction, Word]]:
-    """Write a level-2 vacuum-power vector as a sum of signed conformal vectors."""
-    weights = u.weights
-    if any(e != 0 for e in weights.entries):
+def _factor_coefficients(u: TensorVector) -> list[tuple[int, Fraction]]:
+    """The nonzero u_i of a level-2 vacuum-power vector u = sum_i u_i omega_i.
+
+    Level-1 factor states vanish in the vacuum module, so the level-2 piece has
+    exactly one key per factor, omega_i = L^(i)(-2)v, in factor order. The
+    modes of u are then sum_i u_i L^(i)(m).
+    """
+    if any(e != 0 for e in u.weights.entries):
         raise ValueError("generators must live in a vacuum tensor power")
     if u.is_zero() or u.level() != 2:
         raise ValueError("generators must be homogeneous of level 2")
-    n = weights.n
-    if n > 12:
-        raise ValueError("vacuum power too large for generator decomposition")
-    reps = [Word(2 * b, n) for b in range(2 ** (n - 1))]  # subsets avoiding position 1
-    rows = [omega_word(t).coordinates(2) for t in reps]
-    solver = RowSpanSolver(rows)
-    coeffs = solver.solve(u.coordinates(2))
-    if coeffs is None:
-        raise ValueError("generator is not a combination of signed conformal vectors")
-    return [(a, t) for a, t in zip(coeffs, reps) if a]
+    return [(i, c) for i, c in enumerate(u.coordinates(2), start=1) if c]
 
 
 def saturate_generated_form(generators: list[TensorVector], max_level: int,
@@ -378,7 +413,7 @@ def saturate_generated_form(generators: list[TensorVector], max_level: int,
         weights = generators[0].weights
         if any(g.weights != weights for g in generators):
             raise ValueError("generators from different tensor powers")
-    ops = [_omega_coefficients(g) for g in generators]
+    ops = [_factor_coefficients(g) for g in generators]
     state: dict[int, LevelLattice] = {}
 
     def merge(level: int, vectors: list[TensorVector]) -> bool:
@@ -411,8 +446,8 @@ def saturate_generated_form(generators: list[TensorVector], max_level: int,
                         if not 0 <= target <= max_level:
                             continue
                         image = TensorVector(weights)
-                        for a, t in coeffs:
-                            image = image + a * lt_action(t, m, v)
+                        for i, a in coeffs:
+                            image = image + a * apply_factor_mode(i, m, v)
                         if not image.is_zero():
                             pending.setdefault(target, []).append(image)
         changed = False

@@ -167,6 +167,15 @@ class TestReports:
         assert code == 1
         assert data["stabilized"] is False
 
+    def test_generated_large_power_reports(self, capsys):
+        code, data = run_json(capsys, ["form", "generated", "--gen", "2omega",
+                                       "--power", "13", "--max-level", "2",
+                                       "--mode-budget", "2", "--rounds", "1"])
+        assert code == 1
+        assert data["message"] == "round budget exhausted"
+        by_level = {row["level"]: row["ambient"] for row in data["levels"]}
+        assert by_level == {0: 1, 2: 13}
+
     def test_generated_bad_spec(self, capsys):
         assert main(["form", "generated", "--gen", "2sigma"]) == 2
 

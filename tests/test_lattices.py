@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isingforms import lattices
 from isingforms.codes import Word, c16, complement_reduce, even_code, hamming8
-from isingforms.intmat import hnf, hnf_solve
+from isingforms.intmat import RowSpanSolver, hnf, hnf_solve
 from isingforms.lattices import (
+    _from_rational_rows,
     admissible_weights,
     compare,
     contains,
@@ -158,6 +160,44 @@ class TestLatticeAtLevel:
         assert contains(entry, TensorVector(H4_VAC))
 
 
+def monomial_route(code, weights, level):
+    """The lattice as the Z-span of every straightened product's vector."""
+    rows = [evaluate_monomial(mon, weights).coordinates(level)
+            for mon in spanning_monomials(code, weights, level)]
+    return _from_rational_rows(weights, code, level, rows)
+
+
+class TestRecursionAgainstMonomials:
+    @pytest.mark.parametrize("code, weights, top", [
+        (even_code(4), H4_VAC, 6),
+        (even_code(4), H4_HALF, 5),
+        (even_code(4), HVector.parse("1/2,1/2,1/2,1/2"), 4),
+        (hamming8(), HVector.parse("1/2,1/2,0,0,0,0,0,0"), 3),
+        (c16(), HVector.sixteenth(16), 1),
+    ], ids=["even4-vacuum", "even4-half-pair", "even4-all-half",
+            "hamming8-half-pair", "c16-sixteenth"])
+    def test_levels_match_monomial_route(self, code, weights, top):
+        entries = []
+        for level in range(top + 1):
+            entries.append(lattice_at_level(code, weights, level, below=entries))
+            got, want = entries[-1], monomial_route(code, weights, level)
+            assert got.basis == want.basis
+            assert got.denominator == want.denominator
+            assert got.ambient_dim == want.ambient_dim
+        assert lattice_at_level(code, weights, top) == entries[-1]
+
+    def test_short_below_is_completed(self):
+        below = [lattice_at_level(even_code(4), H4_HALF, 0)]
+        assert (lattice_at_level(even_code(4), H4_HALF, 3, below=below)
+                == lattice_at_level(even_code(4), H4_HALF, 3))
+
+    def test_bad_requests_raise(self):
+        with pytest.raises(ValueError):
+            lattice_at_level(even_code(4), H4_VAC, -1)
+        with pytest.raises(ValueError):
+            lattice_at_level(even_code(4), HVector.sixteenth(4), 2)
+
+
 class TestGram:
     def stated_basis(self):
         v = TensorVector.lowest(H4_HALF)
@@ -287,6 +327,29 @@ class TestSaturation:
     def test_rejects_non_conformal_generator(self):
         with pytest.raises(ValueError):
             saturate_generated_form([TensorVector.lowest(H4_VAC)], 2, 2)
+
+    @pytest.mark.parametrize("generator", [
+        2 * omega_total(4),
+        3 * omega_component(4, 1) + omega_component(4, 2),
+    ], ids=["2omega", "3omega1+omega2"])
+    def test_factor_modes_match_signed_word_decomposition(self, monkeypatch, generator):
+        """The generator's modes as sum_T a_T L_T(m) over all 2^(n-1) signed
+        conformal vectors, the a_T solved for by row span, close to the same
+        report as the per-factor modes sum_i u_i L^(i)(m)."""
+        new = saturate_generated_form([generator], 6, 6)
+
+        def signed_words(u):
+            n = u.weights.n
+            reps = [Word(2 * b, n) for b in range(2 ** (n - 1))]  # avoid position 1
+            solver = RowSpanSolver([omega_word(t).coordinates(2) for t in reps])
+            coeffs = solver.solve(u.coordinates(2))
+            assert coeffs is not None
+            return [(t, a) for a, t in zip(coeffs, reps) if a]
+
+        monkeypatch.setattr(lattices, "_factor_coefficients", signed_words)
+        monkeypatch.setattr(lattices, "apply_factor_mode", lt_action)
+        old = saturate_generated_form([generator], 6, 6)
+        assert new == old
 
 
 class TestStability:
