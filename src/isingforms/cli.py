@@ -66,6 +66,14 @@ def _max_level(text: str) -> int:
     return level
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --mode-budget and --rounds."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _jsonable(value):
     if isinstance(value, Fraction):
         return {"n": value.numerator, "d": value.denominator}
@@ -232,10 +240,10 @@ def _cmd_form_generated(args) -> tuple[dict, bool]:
         raise _Usage(f"generator spec {text!r} not understood") from None
     try:
         gen = scale * omega_total(args.power)
-        report = saturate_generated_form(
-            [gen], args.max_level, args.mode_budget, max_rounds=args.rounds)
     except ValueError as exc:
         raise _Usage(str(exc)) from None
+    report = saturate_generated_form(
+        [gen], args.max_level, args.mode_budget, max_rounds=args.rounds)
     rows = [
         {
             "level": level,
@@ -412,9 +420,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="saturate a generated form")
     p_gen.add_argument("--gen", required=True, help="generator, e.g. 2omega")
     p_gen.add_argument("--power", type=int, default=1)
-    p_gen.add_argument("--max-level", type=int, default=4)
-    p_gen.add_argument("--mode-budget", type=int, default=6)
-    p_gen.add_argument("--rounds", type=int, default=8)
+    p_gen.add_argument("--max-level", type=_max_level, default=4)
+    p_gen.add_argument("--mode-budget", type=_positive_int, default=6)
+    p_gen.add_argument("--rounds", type=_positive_int, default=8)
     p_gen.set_defaults(func=_cmd_form_generated)
 
     p_dual = sub.add_parser("dual", parents=[shared],

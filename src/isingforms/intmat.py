@@ -1,13 +1,14 @@
 """Exact linear algebra over Q and Z.
 
-One Gauss-Jordan routine over Q, ``_rref``, serves every rational kernel:
-solving a square system, inverting, and expressing vectors over a fixed list
-of rows (with the left kernel of those rows). A rational determinant clears
-denominators once and goes through the fraction-free Bareiss elimination on
-integers. The integer side is the row-style Hermite normal form (echelon
-shape, positive pivots, entries above a pivot reduced into [0, pivot)), the
-unique canonical basis of an integer row lattice, and membership solves over
-it.
+One Gauss-Jordan routine, ``_rref``, serves every rational kernel: solving a
+square system, inverting, and expressing vectors over a fixed list of rows
+(with the left kernel of those rows). It takes and returns rational rows but
+eliminates fraction-free on integer rows, dividing only at the end. A
+rational determinant clears denominators once and goes through the
+fraction-free Bareiss elimination on integers. The integer side is the
+row-style Hermite normal form (echelon shape, positive pivots, entries above
+a pivot reduced into [0, pivot)), the unique canonical basis of an integer
+row lattice, and membership solves over it.
 
 Everything here is deterministic: the pivot is always the first usable row,
 so repeated runs on equal input produce identical output.
@@ -16,17 +17,37 @@ so repeated runs on equal input produce identical output.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+
+
+_ZERO = Fraction(0)
 
 
 def _rref(rows, ncols: int):
-    """Gauss-Jordan over Q on the first ncols columns; later columns ride along.
+    """Fraction-free Gauss-Jordan on the first ncols columns; the rest ride along.
 
-    The pivot of column c is the first row at or below the current one with a
-    nonzero entry there; it is scaled to 1 and its column cleared in every
-    other row. Returns the reduced rows and the pivot columns.
+    Entries are ints or Fractions. The pivot of column c is the first row at
+    or below the current one with a nonzero entry there; its column is
+    cleared in every other row. Returns the reduced rows, as Fractions with
+    each pivot entry 1, and the pivot columns.
+
+    The elimination runs on integers, fraction-free as in Bareiss (Math.
+    Comp. 22, 1968). Row i is held as a primitive integer row with a rational
+    scale, int row = scale * (the row Gauss-Jordan over Q holds at that
+    step), and the rational pivot row has 1 in its pivot column. So clearing
+    column c of row i takes p * row_i - f * pivot_row over gcd(p, f), divides
+    it by its content g and multiplies the scale by p / (gcd(p, f) * g). The
+    zero pattern, and with it every pivot, is that of the rational rows (a
+    zero row keeps whatever scale it has). Only the last step divides: each
+    pivot row by its pivot entry, every other row by its scale.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
+    mat, scale = [], []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints) or 1
+        mat.append([x // g for x in ints])
+        scale.append(Fraction(den, g))
     pivots = []
     r = 0
     for c in range(ncols):
@@ -36,15 +57,26 @@ def _rref(rows, ncols: int):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        scale[r], scale[pivot] = scale[pivot], scale[r]
+        prow = mat[r]
+        p = prow[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                h = gcd(p, f)
+                a, b = p // h, f // h
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*row) or 1
+                mat[i] = [x // g for x in row] if g > 1 else row
+                scale[i] = Fraction(scale[i].numerator * a, scale[i].denominator * g)
         pivots.append(c)
         r += 1
-    return mat, pivots
+    reduced = []
+    for i, row in enumerate(mat):
+        s = Fraction(row[pivots[i]]) if i < r else scale[i]
+        reduced.append([Fraction(x * s.denominator, s.numerator) if x else _ZERO
+                        for x in row])
+    return reduced, pivots
 
 
 def _identity_rows(n: int):

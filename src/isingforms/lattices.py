@@ -172,7 +172,8 @@ def _from_rational_rows(weights: HVector, code: BinaryCode | None, level: int,
                         rows: list[list[Fraction]]) -> LevelLattice:
     ambient = space(weights).dimension(level)
     den = lcm(*(c.denominator for row in rows for c in row))
-    int_rows = [[int(c * den) for c in row] for row in rows]
+    int_rows = [[c.numerator * (den // c.denominator) if c else 0 for c in row]
+                for row in rows]
     reduced = hnf(int_rows)
     # drop a denominator no surviving entry needs
     g = gcd(*(c for row in reduced for c in row))

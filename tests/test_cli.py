@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from isingforms import virasoro
+from isingforms import cli, virasoro
 from isingforms.cli import main
 
 
@@ -47,6 +47,7 @@ class TestExitCodes:
         ["form", "verify", "--code", "even:4", "--H", "0,0,0,0"],
         ["corr", "--H1", "1/2,1/2,0,0", "--H2", "1/2,1/2,0,0",
          "--H3", "0,0,0,0", "--code", "even:4", "--c", "1"],
+        ["form", "generated", "--gen", "2omega"],
     ])
     def test_negative_max_level_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -59,6 +60,8 @@ class TestExitCodes:
         ["form", "generated", "--gen", "2omega", "--power", "0"],
         ["dual", "--power", "4", "--code", "even:4", "--H", "0,0,0,0", "--level", "1"],
         ["dual", "--code", "even:4", "--H", "0,0,0", "--level", "2"],
+        ["form", "generated", "--gen", "2omega", "--mode-budget", "0"],
+        ["form", "generated", "--gen", "2omega", "--rounds", "0"],
     ])
     def test_out_of_range_request_is_usage_error(self, capsys, argv):
         try:
@@ -178,6 +181,16 @@ class TestReports:
 
     def test_generated_bad_spec(self, capsys):
         assert main(["form", "generated", "--gen", "2sigma"]) == 2
+
+    def test_generated_saturation_failure_is_check_failure(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("saturation failed")
+
+        monkeypatch.setattr(cli, "saturate_generated_form", failing)
+        assert main(["form", "generated", "--gen", "2omega", "--max-level", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "check failed: saturation failed" in captured.err
 
     def test_corr_verdicts(self, capsys):
         code, data = run_json(capsys, ["corr", "--H1", "1/2,1/2,0,0",

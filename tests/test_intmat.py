@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isingforms.intmat import RowSpanSolver, frac_det, frac_inverse, frac_solve, hnf
+from isingforms.intmat import RowSpanSolver, _rref, frac_det, frac_inverse, frac_solve, hnf
 
 small_fractions = st.builds(Fraction, st.integers(min_value=-3, max_value=3),
                             st.integers(min_value=1, max_value=3))
@@ -53,7 +53,67 @@ def cleared(rows):
     return [[int(x * den) for x in row] for row in rows]
 
 
+def fraction_rref(rows, ncols):
+    """Gauss-Jordan in Fraction arithmetic under the same pivot rule as _rref:
+    the first row at or below the current one that is nonzero in the column,
+    scaled to 1, its column cleared in every other row."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(mat):
+            break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat, pivots
+
+
+@st.composite
+def rref_inputs(draw):
+    """Rational rows of any shape, some of them zero and some combinations of
+    the others, with the pivot search confined to the first ncols columns."""
+    width = draw(st.integers(min_value=1, max_value=7))
+    entries = st.one_of(st.just(Fraction(0)), small_fractions,
+                        st.integers(min_value=-50, max_value=50))
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=6))
+    if rows:
+        for coeffs in draw(st.lists(st.lists(small_fractions, min_size=len(rows),
+                                             max_size=len(rows)), max_size=3)):
+            rows.append(combine(coeffs, rows))
+    rows += [[0] * width] * draw(st.integers(min_value=0, max_value=2))
+    rows = draw(st.permutations(rows))
+    return rows, draw(st.integers(min_value=0, max_value=width))
+
+
 SINGULAR = [[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)]]
+
+
+class TestRref:
+    @given(rref_inputs())
+    @example(([], 0))
+    @example(([[0, 0], [0, 0]], 2))
+    @example((SINGULAR, 2))
+    @example(([[2, 4, 6], [3, 6, 9], [1, Fraction(1, 2), 0]], 3))
+    @example(([[Fraction(2, 3), 4, 1, 0], [6, 0, 0, 1], [Fraction(1, 3), 2, 1, 1]], 2))
+    @example(([[1, 2], [3, 4], [5, 6], [7, 9]], 2))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_gauss_jordan(self, case):
+        rows, ncols = case
+        reduced, pivots = _rref(rows, ncols)
+        expected, expected_pivots = fraction_rref(rows, ncols)
+        assert pivots == expected_pivots
+        assert reduced == expected
+        assert all(type(x) is Fraction for row in reduced for x in row)
 
 
 class TestSquareKernels:
