@@ -183,6 +183,8 @@ def _cmd_form_verify(args) -> tuple[dict, bool]:
     weights = _parse_weights(args.H)
     if args.power is not None and args.power != weights.n:
         raise _Usage(f"--power {args.power} against {weights.n} weights")
+    if weights.n != code.n:
+        raise _Usage(f"weight vector length {weights.n} against code length {code.n}")
     ok, reason = admissible_weights(code, weights)
     goodform = codes_mod.goodform_conditions(code).passed
     out: dict = {

@@ -18,18 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import BinaryCode
-from .intmat import _rref, frac_det
-from .lattices import (
-    SpanningMonomial,
-    _key_gram,
-    admissible_weights,
-    evaluate_monomial,
-    spanning_monomials,
-)
+from .intmat import _rref
+from .lattices import SpanningMonomial, admissible_weights, spanning_monomials
 from .tensor import (
     HVector,
     TensorVector,
     commutator_symbolic,
+    form_nondegenerate,
     lt0_eigenvalue,
     lt_action,
     space,
@@ -68,18 +63,21 @@ class CorrelationFunctional:
     base_exponent + k. Per level it keeps the multiplier of each monomial (in
     enumeration order), one functional value per state key (read off a maximal
     independent set of monomial vectors), and the value each linear relation
-    among the monomial vectors takes on the multipliers.
+    among the monomial vectors takes on the multipliers, and each monomial's
+    vector: the trailing operators of a monomial are an enumerated monomial.
     """
 
     def __init__(self, spec: TripleSpec, base_exponent: Fraction,
                  multipliers: dict[int, dict[SpanningMonomial, Fraction]],
                  functional: dict[int, dict[tuple[int, ...], Fraction]],
-                 relations: dict[int, list[Fraction]]):
+                 relations: dict[int, list[Fraction]],
+                 vectors: dict[SpanningMonomial, TensorVector]):
         self.spec = spec
         self.base_exponent = base_exponent
         self._multipliers = multipliers
         self._functional = functional
         self._relations = relations
+        self._vectors = vectors
 
     @property
     def max_level(self) -> int:
@@ -90,6 +88,10 @@ class CorrelationFunctional:
 
     def multiplier(self, mon: SpanningMonomial) -> Fraction:
         return self._multipliers[mon.level][mon]
+
+    def vector(self, mon: SpanningMonomial) -> TensorVector:
+        """The monomial applied to the lowest weight vector of the third module."""
+        return self._vectors[mon]
 
     def value(self, mon: SpanningMonomial) -> Fraction:
         return self.multiplier(mon) * self.spec.lowest_coeff
@@ -128,19 +130,21 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
     multipliers: dict[int, dict[SpanningMonomial, Fraction]] = {}
     functional: dict[int, dict[tuple[int, ...], Fraction]] = {}
     relations: dict[int, list[Fraction]] = {}
-    out = CorrelationFunctional(spec, base_exponent, multipliers, functional, relations)
+    vectors: dict[SpanningMonomial, TensorVector] = {}
+    out = CorrelationFunctional(spec, base_exponent, multipliers, functional, relations, vectors)
     for level in range(max_level + 1):
         mults: dict[SpanningMonomial, Fraction] = {}
         rows = []
         for mon in spanning_monomials(spec.code, spec.h3, level):
             if mon.ops:
                 m, t = mon.ops[0]
-                rest_vec = evaluate_monomial(SpanningMonomial(mon.ops[1:]), spec.h3)
+                rest_vec = vectors[SpanningMonomial(mon.ops[1:])]
                 mults[mon] = _peel_multiplier(out, spec, t, m, rest_vec)
                 vec = lt_action(t, -m, rest_vec)
             else:
                 mults[mon] = Fraction(1)
                 vec = TensorVector.lowest(spec.h3)
+            vectors[mon] = vec
             rows.append(vec.coordinates(level) + [mults[mon]])
         keys = space(spec.h3).keys(level)
         reduced, pivots = _rref(rows, len(keys))
@@ -193,7 +197,7 @@ def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
             if len(mon.ops) < 2:
                 continue
             (m1, t1), (m2, t2) = mon.ops[0], mon.ops[1]
-            tail_vec = evaluate_monomial(SpanningMonomial(mon.ops[2:]), spec.h3)
+            tail_vec = corr.vector(SpanningMonomial(mon.ops[2:]))
             # route one: the stored leftmost peel
             direct = corr.multiplier(mon)
             # route two: swap the first two operators, add the commutator
@@ -210,8 +214,7 @@ def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
     relation_checks = 0
     nondegenerate: dict[int, bool] = {}
     for level in range(max_level + 1):
-        gram = _key_gram(spec.h3, level)
-        nondegenerate[level] = (not gram) or frac_det(gram) != 0
+        nondegenerate[level] = form_nondegenerate(spec.h3, level)
         for value in corr.relation_values(level):
             relation_checks += 1
             if value:

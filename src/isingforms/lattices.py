@@ -24,17 +24,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 
 from .codes import BinaryCode, Word, complement_reduce, goodform_conditions
 from .intmat import det_bareiss, frac_det, frac_inverse, hnf, hnf_solve
 from .tensor import (
-    _SID_STRIDE,
-    _sid_level,
     HVector,
     TensorVector,
-    apply_factor_mode,
+    factor_mode_sum,
+    form_image,
     lt0_eigenvalue,
     lt_action,
     space,
@@ -283,50 +281,20 @@ def compare(a: LevelLattice, b: LevelLattice) -> CompareReport:
     )
 
 
-@cache
-def _key_gram(weights: HVector, level: int) -> list[list[Fraction]]:
-    sp = space(weights)
-    keys = sp.keys(level)
-    out = []
-    for k1 in keys:
-        row = []
-        for k2 in keys:
-            p = Fraction(1)
-            for pos in range(sp.n):
-                l1 = _sid_level(k1[pos])
-                if l1 != _sid_level(k2[pos]):
-                    p = Fraction(0)
-                    break
-                g = sp.factors[pos].basis(l1).gram
-                p *= g[k1[pos] % _SID_STRIDE][k2[pos] % _SID_STRIDE]
-                if not p:
-                    break
-            row.append(p)
-        out.append(row)
-    return out
-
-
 def gram_matrix(weights: HVector, level: int, rows) -> list[list[Fraction]]:
     """Pairwise invariant-form values of the given homogeneous rows.
 
     Rows may be TensorVectors or coordinate sequences in key order.
     """
-    coords = []
-    for r in rows:
-        if isinstance(r, TensorVector):
-            coords.append(r.coordinates(level))
-        else:
-            coords.append([Fraction(c) for c in r])
-    p = _key_gram(weights, level)
-    # image[j] = P * coords[j]; Gram entry (i, j) = coords[i] . image[j]
-    image = [
-        [sum((p[a][b] * c for b, c in enumerate(col) if c), Fraction(0))
-         for a in range(len(p))]
-        for col in coords
-    ]
+    keys = space(weights).keys(level)
+    coords = [r.coordinates(level) if isinstance(r, TensorVector) else [Fraction(c) for c in r]
+              for r in rows]
+    # entry (i, j) = coords[i] . P coords[j]
+    vectors = [TensorVector(weights, dict(zip(keys, col, strict=True))) for col in coords]
+    images = [form_image(v).coordinates(level) for v in vectors]
     return [
         [sum((c * img[a] for a, c in enumerate(row) if c), Fraction(0))
-         for img in image]
+         for img in images]
         for row in coords
     ]
 
@@ -341,15 +309,14 @@ class DualReport:
     self_dual: bool
 
 
-def graded_dual(entry: LevelLattice, gram: list[list[Fraction]] | None = None) -> DualReport:
+def graded_dual(entry: LevelLattice) -> DualReport:
     """Dual basis through the invariant form, with the index |det Gram|."""
     if not entry.full_rank:
         raise ValueError("graded dual needs a full-rank lattice at this level")
     basis_rows = [
         [Fraction(c, entry.denominator) for c in row] for row in entry.basis
     ]
-    if gram is None:
-        gram = gram_matrix(entry.weights, entry.level, basis_rows)
+    gram = gram_matrix(entry.weights, entry.level, basis_rows)
     inv = frac_inverse([list(r) for r in gram])
     if inv is None:
         raise ValueError("degenerate Gram matrix")
@@ -386,7 +353,7 @@ def _factor_coefficients(u: TensorVector) -> list[tuple[int, Fraction]]:
 
     Level-1 factor states vanish in the vacuum module, so the level-2 piece has
     exactly one key per factor, omega_i = L^(i)(-2)v, in factor order. The
-    modes of u are then sum_i u_i L^(i)(m).
+    modes of u are then sum_i u_i L^(i)(m), which factor_mode_sum applies.
     """
     if any(e != 0 for e in u.weights.entries):
         raise ValueError("generators must live in a vacuum tensor power")
@@ -446,9 +413,7 @@ def saturate_generated_form(generators: list[TensorVector], max_level: int,
                         target = level - m
                         if not 0 <= target <= max_level:
                             continue
-                        image = TensorVector(weights)
-                        for i, a in coeffs:
-                            image = image + a * apply_factor_mode(i, m, v)
+                        image = factor_mode_sum(coeffs, m, v)
                         if not image.is_zero():
                             pending.setdefault(target, []).append(image)
         changed = False

@@ -3,12 +3,13 @@
 A weight vector H = (h_1, ..., h_N) with every h_i in {0, 1/2, 1/16} labels
 the module W_H, the tensor product of the irreducible factors. States are
 indexed by keys: one (level, pivot index) pair per factor, packed into small
-integers. For a subset T of {1..N} the signed diagonal operator is
+integers that no other module unpacks. For a subset T of {1..N} the signed
+diagonal operator is
 
     L_T(m) = sum over i not in T of L^(i)(m)  minus  sum over i in T,
 
-acting on factor i only. These are the only mode actions the lattice and
-correlation machinery ever needs.
+acting on factor i only. These and the invariant form, the product of the
+factors' Shapovalov forms, all act through one per-factor map.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import cache
 from math import lcm
 
 from .codes import BinaryCode, Word
+from .intmat import frac_det
 from .virasoro import (
     GradedBasis,
     VermaVector,
@@ -104,12 +106,11 @@ class HVector:
 
 
 class _Factor:
-    """Mode action of one Ising factor on its graded pivot bases."""
+    """Mode action and invariant form of one Ising factor on its graded pivot bases."""
 
     def __init__(self, h: Fraction):
         self.h = h
         self.params = ising_params(h)
-        self._exp_cache: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
 
     def basis(self, level: int) -> GradedBasis:
         b = irreducible_basis(self.params, level)
@@ -122,25 +123,24 @@ class _Factor:
     def dim(self, level: int) -> int:
         return self.basis(level).dimension if level >= 0 else 0
 
+    @cache
     def expansion(self, sid: int, m: int) -> tuple[tuple[int, Fraction], ...]:
         """L(m) on pivot state sid, as (sid, coefficient) pairs at level - m."""
-        key = (sid, m)
-        hit = self._exp_cache.get(key)
-        if hit is not None:
-            return hit
         level = _sid_level(sid)
         target = level - m
         if target < 0 or self.dim(target) == 0:
-            out: tuple[tuple[int, Fraction], ...] = ()
-        else:
-            pivot = self.basis(level).pivots[sid % _SID_STRIDE]
-            image = apply_mode(m, VermaVector(self.params, {pivot: Fraction(1)}))
-            coords = reduce_vector(image, self.basis(target))
-            out = tuple(
-                (_sid(target, j), c) for j, c in enumerate(coords) if c
-            )
-        self._exp_cache[key] = out
-        return out
+            return ()
+        pivot = self.basis(level).pivots[sid % _SID_STRIDE]
+        image = apply_mode(m, VermaVector(self.params, {pivot: Fraction(1)}))
+        coords = reduce_vector(image, self.basis(target))
+        return tuple((_sid(target, j), c) for j, c in enumerate(coords) if c)
+
+    @cache
+    def gram_row(self, sid: int) -> tuple[tuple[int, Fraction], ...]:
+        """Row sid of its level's pivot Gram, as (sid, value) pairs."""
+        level = _sid_level(sid)
+        row = self.basis(level).gram[sid % _SID_STRIDE]
+        return tuple((_sid(level, j), g) for j, g in enumerate(row) if g)
 
 
 @cache
@@ -155,9 +155,8 @@ class TensorSpace:
         self.weights = weights
         self.factors = [_factor(h) for h in weights.entries]
         self.n = weights.n
-        self._key_cache: dict[int, list[tuple[int, ...]]] = {}
-        self._index_cache: dict[int, dict[tuple[int, ...], int]] = {}
 
+    @cache
     def keys(self, level: int) -> list[tuple[int, ...]]:
         """State keys at the given level above the lowest weight.
 
@@ -165,9 +164,6 @@ class TensorSpace:
         the leading factor taking the largest share first. This fixed order is
         the column order of every coordinate matrix built on this space.
         """
-        hit = self._key_cache.get(level)
-        if hit is not None:
-            return hit
         out: list[tuple[int, ...]] = []
 
         def rec(pos: int, remaining: int, prefix: list[int]):
@@ -186,15 +182,11 @@ class TensorSpace:
                     prefix.pop()
 
         rec(0, level, [])
-        self._key_cache[level] = out
         return out
 
+    @cache
     def index(self, level: int) -> dict[tuple[int, ...], int]:
-        hit = self._index_cache.get(level)
-        if hit is None:
-            hit = {k: i for i, k in enumerate(self.keys(level))}
-            self._index_cache[level] = hit
-        return hit
+        return {k: i for i, k in enumerate(self.keys(level))}
 
     def dimension(self, level: int) -> int:
         return len(self.keys(level))
@@ -267,36 +259,71 @@ class TensorVector:
         return f"TensorVector({self.weights}, {len(self.terms)} terms)"
 
 
+def _add_factor_map(terms: dict, vec: dict, pos: int, fmap, scale) -> None:
+    """terms += scale * (fmap on factor pos, identity elsewhere) applied to vec,
+    fmap sending a factor state sid to its image as (sid, coefficient) pairs."""
+    for key, c in vec.items():
+        sc = scale * c
+        head, tail = key[:pos], key[pos + 1:]
+        for sid2, c2 in fmap(key[pos]):
+            nk = head + (sid2,) + tail
+            terms[nk] = terms.get(nk, 0) + sc * c2
+
+
+def factor_mode_sum(coeffs, m: int, v: TensorVector) -> TensorVector:
+    """sum_i u_i L^(i)(m) v over the (i, u_i) pairs, factors 1-based."""
+    sp = space(v.weights)
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for i, u in coeffs:
+        if not 1 <= i <= sp.n:
+            raise ValueError(f"factor {i} outside 1..{sp.n}")
+        factor = sp.factors[i - 1]
+        _add_factor_map(terms, v.terms, i - 1, lambda sid: factor.expansion(sid, m), u)
+    return TensorVector(v.weights, terms)
+
+
 def apply_factor_mode(i: int, m: int, v: TensorVector) -> TensorVector:
     """L(m) on factor i (1-based), identity elsewhere."""
-    sp = space(v.weights)
-    if not 1 <= i <= sp.n:
-        raise ValueError(f"factor {i} outside 1..{sp.n}")
-    pos = i - 1
-    factor = sp.factors[pos]
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for key, c in v.terms.items():
-        for sid2, c2 in factor.expansion(key[pos], m):
-            nk = key[:pos] + (sid2,) + key[pos + 1:]
-            terms[nk] = terms.get(nk, Fraction(0)) + c * c2
-    return TensorVector(v.weights, terms)
+    return factor_mode_sum([(i, 1)], m, v)
 
 
 def lt_action(T: Word, m: int, v: TensorVector) -> TensorVector:
     """The signed diagonal operator L_T(m) applied to v."""
-    sp = space(v.weights)
-    if T.n != sp.n:
-        raise ValueError(f"subset on {T.n} points against a power of {sp.n} factors")
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for pos in range(sp.n):
-        sign = -1 if T.contains(pos + 1) else 1
-        factor = sp.factors[pos]
-        for key, c in v.terms.items():
-            sc = sign * c
-            for sid2, c2 in factor.expansion(key[pos], m):
-                nk = key[:pos] + (sid2,) + key[pos + 1:]
-                terms[nk] = terms.get(nk, Fraction(0)) + sc * c2
+    n = v.weights.n
+    if T.n != n:
+        raise ValueError(f"subset on {T.n} points against a power of {n} factors")
+    return factor_mode_sum(
+        [(i, -1 if T.contains(i) else 1) for i in range(1, n + 1)], m, v)
+
+
+def form_image(v: TensorVector) -> TensorVector:
+    """P v, for P the invariant form's Gram matrix on the state keys.
+
+    P is block-diagonal by factor-level pattern, and each block is the
+    Kronecker product of the factors' pivot Grams at those levels, so P is
+    the composition over the positions of the factor Gram maps.
+    """
+    terms = v.terms
+    for pos, factor in enumerate(space(v.weights).factors):
+        out: dict[tuple[int, ...], Fraction] = {}
+        _add_factor_map(out, terms, pos, factor.gram_row, 1)
+        terms = out
     return TensorVector(v.weights, terms)
+
+
+def form_nondegenerate(weights: HVector, level: int) -> bool:
+    """Whether the invariant form on one graded piece is nondegenerate.
+
+    The key Gram P is a direct sum of Kronecker products of factor pivot
+    Grams; a direct sum has the product of its blocks' determinants and
+    det(A x B) = det A^(dim B) det B^(dim A), so det P != 0 exactly when
+    every factor Gram that a key at this level uses has nonzero determinant.
+    """
+    sp = space(weights)
+    used = dict.fromkeys(
+        (sp.factors[pos], _sid_level(sid))
+        for key in sp.keys(level) for pos, sid in enumerate(key))
+    return all(frac_det(factor.basis(l).gram) != 0 for factor, l in used)
 
 
 def omega_component(power: int, i: int) -> TensorVector:
@@ -452,10 +479,7 @@ def verify_commutator_sweep(code: BinaryCode, weights: HVector,
 
     def apply_int(pos: int, m: int, vec: dict[tuple[int, ...], int]):
         out: dict[tuple[int, ...], int] = {}
-        for key, c in vec.items():
-            for sid2, c2 in iexp[(pos, key[pos], m)]:
-                nk = key[:pos] + (sid2,) + key[pos + 1:]
-                out[nk] = out.get(nk, 0) + c * c2
+        _add_factor_map(out, vec, pos, lambda sid: iexp[(pos, sid, m)], 1)
         return out
 
     for m in range(-b, b + 1):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isingforms import lattices
+from isingforms import intertwining, lattices, tensor
 from isingforms.codes import Word, c16, complement_reduce, even_code, hamming8
-from isingforms.intmat import RowSpanSolver, hnf, hnf_solve
+from isingforms.intmat import RowSpanSolver, frac_det, hnf, hnf_solve
 from isingforms.lattices import (
     _from_rational_rows,
     admissible_weights,
@@ -28,6 +28,7 @@ from isingforms.tensor import (
     HVector,
     TensorVector,
     apply_factor_mode,
+    form_nondegenerate,
     lt_action,
     omega_component,
     omega_total,
@@ -167,15 +168,21 @@ def monomial_route(code, weights, level):
     return _from_rational_rows(weights, code, level, rows)
 
 
+# (code, weights, top level) cases whose levels 0..top are checked against a
+# slower route; CASE_IDS name them
+CASES = [
+    (even_code(4), H4_VAC, 6),
+    (even_code(4), H4_HALF, 5),
+    (even_code(4), HVector.parse("1/2,1/2,1/2,1/2"), 4),
+    (hamming8(), HVector.parse("1/2,1/2,0,0,0,0,0,0"), 3),
+    (c16(), HVector.sixteenth(16), 1),
+]
+CASE_IDS = ["even4-vacuum", "even4-half-pair", "even4-all-half",
+            "hamming8-half-pair", "c16-sixteenth"]
+
+
 class TestRecursionAgainstMonomials:
-    @pytest.mark.parametrize("code, weights, top", [
-        (even_code(4), H4_VAC, 6),
-        (even_code(4), H4_HALF, 5),
-        (even_code(4), HVector.parse("1/2,1/2,1/2,1/2"), 4),
-        (hamming8(), HVector.parse("1/2,1/2,0,0,0,0,0,0"), 3),
-        (c16(), HVector.sixteenth(16), 1),
-    ], ids=["even4-vacuum", "even4-half-pair", "even4-all-half",
-            "hamming8-half-pair", "c16-sixteenth"])
+    @pytest.mark.parametrize("code, weights, top", CASES, ids=CASE_IDS)
     def test_levels_match_monomial_route(self, code, weights, top):
         entries = []
         for level in range(top + 1):
@@ -223,6 +230,81 @@ class TestGram:
         assert all(g[i][j] == g[j][i] for i in range(len(g)) for j in range(len(g)))
 
 
+def dense_key_gram(weights, level):
+    """The invariant form on the state keys as one dense matrix: entry
+    (k1, k2) is the product over factors of the pivot Gram entries, zero
+    where the factor levels differ."""
+    sp = space(weights)
+    keys = sp.keys(level)
+    out = []
+    for k1 in keys:
+        row = []
+        for k2 in keys:
+            p = Fraction(1)
+            for pos, (s1, s2) in enumerate(zip(k1, k2)):
+                l1 = tensor._sid_level(s1)
+                if l1 != tensor._sid_level(s2):
+                    p = Fraction(0)
+                    break
+                g = sp.factors[pos].basis(l1).gram
+                p *= g[s1 % tensor._SID_STRIDE][s2 % tensor._SID_STRIDE]
+            row.append(p)
+        out.append(row)
+    return out
+
+
+class TestFactorwiseForm:
+    """The per-factor form against the dense key Gram P as oracle."""
+
+    @pytest.mark.parametrize("code, weights, top", CASES, ids=CASE_IDS)
+    def test_gram_matrix_is_coords_p_coords_transpose(self, code, weights, top):
+        entries = []
+        for level in range(top + 1):
+            entries.append(lattice_at_level(code, weights, level, below=entries))
+            coords = [v.coordinates(level) for v in entries[-1].basis_vectors()]
+            p = dense_key_gram(weights, level)
+            expected = [[sum((a * p[i][j] * b
+                              for i, a in enumerate(x) if a
+                              for j, b in enumerate(y) if b), Fraction(0))
+                         for y in coords]
+                        for x in coords]
+            assert gram_matrix(weights, level, coords) == expected
+
+    @pytest.mark.parametrize("code, weights, top", CASES, ids=CASE_IDS)
+    def test_nondegeneracy_matches_dense_determinant(self, code, weights, top):
+        for level in range(top + 1):
+            p = dense_key_gram(weights, level)
+            assert form_nondegenerate(weights, level) == (not p or frac_det(p) != 0)
+
+    @pytest.mark.parametrize("factor_level", [0, 2, 3, 4])
+    def test_singular_factor_gram_is_degenerate(self, monkeypatch, factor_level):
+        """Zeroing the vacuum factor's pivot Gram at one factor level makes
+        exactly the levels whose keys use it degenerate, in the dense oracle,
+        in form_nondegenerate and in check_well_defined."""
+        spec = intertwining.TripleSpec(H4_HALF, H4_HALF, H4_VAC, even_code(4), Fraction(1))
+        corr = intertwining.build_correlation(spec, 5)
+        # the order checks reuse these expansions; the patch below must not reach them
+        assert intertwining.check_well_defined(corr).well_defined
+        real_basis = tensor._Factor.basis
+
+        def singular_basis(self, level):
+            b = real_basis(self, level)
+            if self.h == 0 and level == factor_level:
+                return dataclasses.replace(
+                    b, gram=tuple((Fraction(0),) * len(row) for row in b.gram))
+            return b
+
+        monkeypatch.setattr(tensor._Factor, "basis", singular_basis)
+        report = intertwining.check_well_defined(corr)
+        expected = {level: frac_det(dense_key_gram(H4_VAC, level)) != 0
+                    for level in range(6)}
+        assert report.nondegenerate_levels == expected
+        assert {level: form_nondegenerate(H4_VAC, level) for level in range(6)} == expected
+        assert not all(expected.values())
+        assert not report.well_defined
+        assert report.order_failures == () and report.relation_failures == ()
+
+
 class TestDual:
     def test_example_dual_index_four(self):
         entry = lattice_at_level(even_code(4), H4_HALF, 1)
@@ -247,10 +329,11 @@ class TestDual:
         assert rep.self_dual
         assert lattices_equal(rep.dual, entry)
 
-    def test_degenerate_gram_rejected(self):
+    def test_degenerate_gram_rejected(self, monkeypatch):
         entry = lattice_at_level(even_code(4), H4_HALF, 0)
-        with pytest.raises(ValueError):
-            graded_dual(entry, gram=[[Fraction(0)]])
+        monkeypatch.setattr(lattices, "form_image", lambda v: TensorVector(v.weights))
+        with pytest.raises(ValueError, match="degenerate Gram matrix"):
+            graded_dual(entry)
 
     def test_requires_full_rank(self):
         entry = lattice_at_level(even_code(4), H4_VAC, 2)
@@ -346,8 +429,14 @@ class TestSaturation:
             assert coeffs is not None
             return [(t, a) for a, t in zip(coeffs, reps) if a]
 
+        def signed_modes(coeffs, m, v):
+            out = TensorVector(v.weights)
+            for t, a in coeffs:
+                out = out + a * lt_action(t, m, v)
+            return out
+
         monkeypatch.setattr(lattices, "_factor_coefficients", signed_words)
-        monkeypatch.setattr(lattices, "apply_factor_mode", lt_action)
+        monkeypatch.setattr(lattices, "factor_mode_sum", signed_modes)
         old = saturate_generated_form([generator], 6, 6)
         assert new == old
 
