@@ -240,6 +240,8 @@ def _cmd_form_generated(args) -> tuple[dict, bool]:
         scale = int(head) if head else 1
     except ValueError:
         raise _Usage(f"generator spec {text!r} not understood") from None
+    if scale == 0:
+        raise _Usage("the generator must be nonzero")
     try:
         gen = scale * omega_total(args.power)
     except ValueError as exc:

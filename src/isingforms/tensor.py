@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
 
 from .codes import BinaryCode, Word
 from .intmat import frac_det
@@ -26,6 +25,7 @@ from .virasoro import (
     GradedBasis,
     VermaVector,
     apply_mode,
+    bracket,
     irreducible_basis,
     ising_params,
     reduce_vector,
@@ -392,6 +392,8 @@ def verify_commutator(S: Word, T: Word, m: int, n_mode: int,
 
     Direct route: both compositions evaluated in full through lt_action.
     """
+    if max_level < 0:
+        raise ValueError(f"level must be >= 0, got {max_level}")
     sp = space(weights)
     terms = commutator_symbolic(S, T, m, n_mode)
     for level in range(max_level + 1):
@@ -417,127 +419,65 @@ def verify_commutator_sweep(code: BinaryCode, weights: HVector,
                             mode_bound: int, max_level: int) -> SweepReport:
     """Commutator identity for every ordered pair of codewords and mode pair.
 
-    Equivalent to calling verify_commutator over the whole grid, but arranged
-    for speed: all coefficients are scaled by one global denominator D so the
-    inner loops run on plain integers, and the N^2 pairwise factor commutators
-    are computed once per (m, n, state) and then combined per codeword pair by
-    expanding the signed sums bilinearly. Every cross-factor commutator is
-    computed and compared numerically; nothing is assumed to cancel.
+    Same verdicts as verify_commutator over the grid |m|, |n| <= mode_bound,
+    read off the factor brackets. For each (m, n) and state key w, with
+    (linear, central) = bracket(m, n) and ell the factors' central charge,
+
+        E_ij = [L^(i)(m), L^(j)(n)] w
+               - delta_ij (linear L^(i)(m+n) w + central ell w)
+
+    is computed once for every pair of factors, cross-factor ones included;
+    nothing is assumed to vanish. With s, t the sign vectors of S, T the sign
+    of S+T is s_i t_i and sum_i s_i t_i = N - 2|S+T|, so both sides of the
+    identity split over the factors and the pair (S, T) fails on w exactly
+    when sum_ij s_i t_j E_ij != 0. Those sums are formed only when some E_ij
+    is nonzero. A failure is recorded once per failing key, in the order
+    (m, n, level, key, S, T), and the report keeps the first 20.
     """
     sp = space(weights)
-    n_factors = sp.n
-    if code.n != n_factors:
-        raise ValueError(f"code length {code.n} against a power of {n_factors} factors")
-    b = mode_bound
-
-    # Collect every factor expansion the sweep can touch and clear denominators.
-    needed: dict[tuple[int, int], dict[int, tuple[tuple[int, Fraction], ...]]] = {}
-    source_sids: list[set[int]] = [set() for _ in range(n_factors)]
-    for level in range(max_level + 1):
-        for key in sp.keys(level):
-            for pos, sid in enumerate(key):
-                source_sids[pos].add(sid)
-    denoms: set[int] = {24}
-    frac_exp: dict[tuple[int, int, int], tuple[tuple[int, Fraction], ...]] = {}
-
-    def load(pos: int, sid: int, m: int):
-        k = (pos, sid, m)
-        if k in frac_exp:
-            return frac_exp[k]
-        exp = sp.factors[pos].expansion(sid, m)
-        frac_exp[k] = exp
-        for _, c in exp:
-            denoms.add(c.denominator)
-        return exp
-
-    second_sids: list[set[int]] = [set() for _ in range(n_factors)]
-    for pos in range(n_factors):
-        for sid in source_sids[pos]:
-            for m in range(-2 * b, 2 * b + 1):
-                exp = load(pos, sid, m)
-                if abs(m) <= b:
-                    for sid2, _ in exp:
-                        second_sids[pos].add(sid2)
-    for pos in range(n_factors):
-        for sid in second_sids[pos]:
-            for m in range(-b, b + 1):
-                load(pos, sid, m)
-
-    scale = lcm(*denoms)
-    iexp: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {
-        k: tuple((sid2, int(c * scale)) for sid2, c in exp)
-        for k, exp in frac_exp.items()
-    }
-
-    words = code.words()
-    signs = {
-        w.bits: tuple(-1 if w.contains(i) else 1 for i in range(1, n_factors + 1))
-        for w in words
-    }
+    if code.n != sp.n:
+        raise ValueError(f"code length {code.n} against a power of {sp.n} factors")
+    if mode_bound < 0 or max_level < 0:
+        raise ValueError(f"mode bound and level must be >= 0, got {mode_bound} and {max_level}")
+    positions = range(sp.n)
+    words = [(w.to_string(), tuple(-1 if w.contains(i + 1) else 1 for i in positions))
+             for w in code.words()]
     failures: list[tuple[str, str, int, int, int]] = []
     instances = 0
 
-    def apply_int(pos: int, m: int, vec: dict[tuple[int, ...], int]):
-        out: dict[tuple[int, ...], int] = {}
-        _add_factor_map(out, vec, pos, lambda sid: iexp[(pos, sid, m)], 1)
-        return out
+    def act(terms: dict, vec: dict, pos: int, mode: int, scale=1) -> dict:
+        """terms += scale * L^(pos)(mode) vec, returning terms."""
+        factor = sp.factors[pos]
+        _add_factor_map(terms, vec, pos, lambda sid: factor.expansion(sid, mode), scale)
+        return terms
 
-    for m in range(-b, b + 1):
-        for n in range(-b, b + 1):
-            lin = m - n
-            for level in range(max_level + 1):
-                for key in sp.keys(level):
-                    unit = {key: 1}
-                    first_n = [apply_int(j, n, unit) for j in range(n_factors)]
-                    first_m = [apply_int(i, m, unit) for i in range(n_factors)]
-                    first_sum = [apply_int(i, m + n, unit) for i in range(n_factors)]
-                    comm = [[None] * n_factors for _ in range(n_factors)]
-                    for i in range(n_factors):
-                        for j in range(n_factors):
-                            d = apply_int(i, m, first_n[j])
-                            for k2, c2 in apply_int(j, n, first_m[i]).items():
-                                d[k2] = d.get(k2, 0) - c2
-                            comm[i][j] = {k2: c2 for k2, c2 in d.items() if c2}
-                    central_int = 0
-                    if m + n == 0:
-                        binom = Fraction((m + 1) * m * (m - 1), 6)
-                        # weight of S+T varies per pair; precompute the scalar base
-                        central_base = binom * scale * scale
-                    for S in words:
-                        s_signs = signs[S.bits]
-                        for T in words:
-                            t_signs = signs[T.bits]
-                            lhs: dict[tuple[int, ...], int] = {}
-                            for i in range(n_factors):
-                                si = s_signs[i]
-                                row = comm[i]
-                                for j in range(n_factors):
-                                    cij = row[j]
-                                    if not cij:
-                                        continue
-                                    f = si * t_signs[j]
-                                    for k2, c2 in cij.items():
-                                        lhs[k2] = lhs.get(k2, 0) + f * c2
-                            st_bits = S.bits ^ T.bits
-                            st_signs = signs[st_bits]
-                            if lin:
-                                f0 = lin * scale
-                                for i in range(n_factors):
-                                    f = f0 * st_signs[i]
-                                    for k2, c2 in first_sum[i].items():
-                                        lhs[k2] = lhs.get(k2, 0) - f * c2
-                            if m + n == 0:
-                                central_int = int(
-                                    Fraction(n_factors - 2 * st_bits.bit_count(), 4)
-                                    * central_base
-                                )
-                                if central_int:
-                                    lhs[key] = lhs.get(key, 0) - central_int
-                            instances += 1
-                            if any(lhs.values()):
-                                failures.append(
-                                    (S.to_string(), T.to_string(), m, n, level)
-                                )
+    modes = range(-mode_bound, mode_bound + 1)
+    for m, n in itertools.product(modes, repeat=2):
+        linear, central = bracket(m, n)
+        for level in range(max_level + 1):
+            for key in sp.keys(level):
+                unit = {key: Fraction(1)}
+                first_m = [act({}, unit, i, m) for i in positions]
+                first_n = [act({}, unit, j, n) for j in positions]
+                errors = []
+                for i, j in itertools.product(positions, repeat=2):
+                    e = act({}, first_n[j], i, m)
+                    act(e, first_m[i], j, n, -1)
+                    if i == j:
+                        act(e, unit, i, m + n, -linear)
+                        e[key] = e.get(key, 0) - central * sp.factors[i].params.ell
+                    if any(e.values()):
+                        errors.append((i, j, e))
+                instances += len(words) ** 2
+                if not errors:
+                    continue
+                for (s_name, s), (t_name, t) in itertools.product(words, repeat=2):
+                    total: dict[tuple[int, ...], Fraction] = {}
+                    for i, j, e in errors:
+                        for k, c in e.items():
+                            total[k] = total.get(k, 0) + s[i] * t[j] * c
+                    if any(total.values()):
+                        failures.append((s_name, t_name, m, n, level))
     return SweepReport(
         ok=not failures,
         pairs=len(words) ** 2,

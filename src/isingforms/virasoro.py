@@ -168,15 +168,9 @@ class _Engine:
 
     def __init__(self, params: CentralParams):
         self.params = params
-        self._apply_cache: dict[tuple[int, Monomial], dict[Monomial, Fraction]] = {}
-        self._pair_cache: dict[tuple[Monomial, Monomial], Fraction] = {}
-        self._basis_cache: dict[int, GradedBasis] = {}
 
+    @cache
     def apply_monomial(self, n: int, modes: Monomial) -> dict[Monomial, Fraction]:
-        key = (n, modes)
-        hit = self._apply_cache.get(key)
-        if hit is not None:
-            return hit
         params = self.params
         if not modes:
             if n > 0:
@@ -204,7 +198,6 @@ class _Engine:
                 if cc:
                     out[tail] = out.get(tail, Fraction(0)) + cc
             out = {m: c for m, c in out.items() if c}
-        self._apply_cache[key] = out
         return out
 
     def apply(self, n: int, v: VermaVector) -> VermaVector:
@@ -217,10 +210,10 @@ class _Engine:
     def pairing_monomials(self, a: Monomial, b: Monomial) -> Fraction:
         if sum(a) != sum(b):
             return Fraction(0)
-        key = (a, b)
-        hit = self._pair_cache.get(key)
-        if hit is not None:
-            return hit
+        return self._pairing_same_level(a, b)
+
+    @cache
+    def _pairing_same_level(self, a: Monomial, b: Monomial) -> Fraction:
         # <L(-n1)...L(-nk) v, w> peels from the left, so L(n1) lands on w first.
         current = {b: Fraction(1)}
         for n in a:
@@ -229,9 +222,7 @@ class _Engine:
                 for mono, c2 in self.apply_monomial(n, modes).items():
                     nxt[mono] = nxt.get(mono, Fraction(0)) + c * c2
             current = nxt
-        out = current.get((), Fraction(0))
-        self._pair_cache[key] = out
-        return out
+        return current.get((), Fraction(0))
 
     def pairing(self, a: VermaVector, b: VermaVector) -> Fraction:
         out = Fraction(0)
@@ -241,10 +232,8 @@ class _Engine:
                     out += ca * cb * self.pairing_monomials(ma, mb)
         return out
 
+    @cache
     def basis(self, level: int) -> GradedBasis:
-        hit = self._basis_cache.get(level)
-        if hit is not None:
-            return hit
         monos = partitions(level)
         kept: list[int] = []
         rows: list[list[Fraction]] = []  # rows[i][j] = <kept i, kept j> for j <= i
@@ -270,15 +259,13 @@ class _Engine:
             inv.append([-x for x in w] + [1 / s])
             kept.append(idx)
             rows.append(g + [d])
-        basis = GradedBasis(
+        return GradedBasis(
             params=self.params,
             level=level,
             pivots=tuple(monos[i] for i in kept),
             gram=tuple(tuple(rows[max(i, j)][min(i, j)] for j in range(len(kept)))
                        for i in range(len(kept))),
         )
-        self._basis_cache[level] = basis
-        return basis
 
 
 @cache

@@ -63,6 +63,7 @@ class TestExitCodes:
         ["form", "generated", "--gen", "2omega", "--mode-budget", "0"],
         ["form", "generated", "--gen", "2omega", "--rounds", "0"],
         ["form", "verify", "--code", "even:4", "--H", "1/2,1/2,0", "--max-level", "2"],
+        ["form", "generated", "--gen", "0omega"],
     ])
     def test_out_of_range_request_is_usage_error(self, capsys, argv):
         try:

@@ -238,6 +238,10 @@ class TestVerifyCommutator:
         h = HVector.sixteenth(4)
         assert verify_commutator(word("1100"), word("0101"), 1, -1, h, 1)
 
+    def test_direct_check_rejects_negative_level(self):
+        with pytest.raises(ValueError):
+            verify_commutator(word("1100"), word("0110"), 1, -1, H4_VAC, -1)
+
 
 class TestSweep:
     def test_sweep_vacuum_agrees_with_direct_route(self):
@@ -263,6 +267,42 @@ class TestSweep:
     def test_sweep_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             verify_commutator_sweep(even_code(6), H4_VAC, 1, 1)
+
+    @pytest.mark.parametrize("mode_bound, max_level", [(-1, 2), (2, -1)])
+    def test_sweep_rejects_empty_window(self, mode_bound, max_level):
+        with pytest.raises(ValueError):
+            verify_commutator_sweep(even_code(4), H4_VAC, mode_bound, max_level)
+
+    @pytest.fixture
+    def doubled_raising_mode(self, monkeypatch):
+        """Double L(-1) on the lowest state of the 1/2 factor."""
+        original = tensor._Factor.expansion
+
+        def faulty(factor, sid, m):
+            exp = original(factor, sid, m)
+            if factor.h == HALF and sid == tensor._sid(0, 0) and m == -1:
+                return tuple((s, 2 * c) for s, c in exp)
+            return exp
+
+        monkeypatch.setattr(tensor._Factor, "expansion", faulty)
+
+    def test_sweep_failures_fail_the_direct_route(self, doubled_raising_mode):
+        report = verify_commutator_sweep(even_code(4), H4_HALF, 2, 3)
+        assert not report.ok
+        for s, t, m, n, _ in report.failures:
+            assert not verify_commutator(word(s), word(t), m, n, H4_HALF, 3)
+
+    def test_sweep_failing_set_is_the_direct_one(self, doubled_raising_mode):
+        code = BinaryCode(4, [word("1010")])
+        report = verify_commutator_sweep(code, H4_HALF, 1, 1)
+        assert 0 < len(report.failures) < 20
+        direct = {
+            (S.to_string(), T.to_string(), m, n)
+            for S in code.words() for T in code.words()
+            for m in range(-1, 2) for n in range(-1, 2)
+            if not verify_commutator(S, T, m, n, H4_HALF, 1)
+        }
+        assert {f[:4] for f in report.failures} == direct
 
 
 class TestWeightOne:
