@@ -2,6 +2,7 @@
 
 from .codes import (
     BinaryCode,
+    RequestError,
     Word,
     c16,
     even_code,
@@ -51,6 +52,7 @@ __all__ = [
     "BinaryCode",
     "CentralParams",
     "HVector",
+    "RequestError",
     "TensorVector",
     "TripleSpec",
     "Word",

@@ -3,7 +3,9 @@
 Every subcommand prints one deterministic report: no timestamps, no
 environment echoes, stable ordering everywhere, so identical invocations
 produce byte-identical output. Exit codes: 0 all checks pass, 1 a
-mathematical check failed, 2 usage or parse error.
+mathematical check failed, 2 a bad request. main maps exceptions to exit
+codes in one place: a RequestError (unparsable or out-of-range input, a size
+limit) or an OSError writing --out exits 2, any other ValueError exits 1.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 from . import codes as codes_mod
 from . import virasoro
+from .codes import RequestError
 from .intertwining import TripleSpec, build_correlation, check_well_defined, integrality_verdict
 from .lattices import (
     admissible_weights,
@@ -33,29 +36,11 @@ from .tensor import (
 )
 
 
-class _Usage(Exception):
-    """Bad request: wrong flags, unparsable inputs. Exits 2."""
-
-
-def _resolve_code(spec: str) -> codes_mod.BinaryCode:
-    try:
-        return codes_mod.resolve_code(spec)
-    except (ValueError, OSError, codes_mod.CodeFileError) as exc:
-        raise _Usage(str(exc)) from None
-
-
-def _parse_weights(text: str) -> HVector:
-    try:
-        return HVector.parse(text)
-    except ValueError as exc:
-        raise _Usage(str(exc)) from None
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise _Usage(f"cannot parse rational {text!r}") from None
+        raise RequestError(f"cannot parse rational {text!r}") from None
 
 
 def _max_level(text: str) -> int:
@@ -122,7 +107,7 @@ def _emit(text: str, out: str | None):
 
 
 def _cmd_codes_check(args) -> tuple[dict, bool]:
-    code = _resolve_code(args.code)
+    code = codes_mod.resolve_code(args.code)
     report = codes_mod.goodform_conditions(code)
     dist = sorted(code.weight_distribution().items())
     out = {
@@ -148,17 +133,13 @@ def _cmd_codes_check(args) -> tuple[dict, bool]:
 
 
 def _cmd_codes_build(args) -> tuple[str, bool]:
-    code = _resolve_code(args.code)
+    code = codes_mod.resolve_code(args.code)
     return codes_mod.format_code_file(code, full=args.full), True
 
 
 def _cmd_vir_dims(args) -> tuple[dict, bool]:
     h = _parse_fraction(args.h)
-    try:
-        params = virasoro.ising_params(h)
-    except ValueError as exc:
-        raise _Usage(str(exc)) from None
-    dims = virasoro.graded_dimensions(params, args.max_level)
+    dims = virasoro.graded_dimensions(virasoro.ising_params(h), args.max_level)
     return {
         "central": Fraction(1, 2),
         "h": h,
@@ -179,12 +160,12 @@ def _level_row(entry) -> dict:
 
 
 def _cmd_form_verify(args) -> tuple[dict, bool]:
-    code = _resolve_code(args.code)
-    weights = _parse_weights(args.H)
+    code = codes_mod.resolve_code(args.code)
+    weights = HVector.parse(args.H)
     if args.power is not None and args.power != weights.n:
-        raise _Usage(f"--power {args.power} against {weights.n} weights")
+        raise RequestError(f"--power {args.power} against {weights.n} weights")
     if weights.n != code.n:
-        raise _Usage(f"weight vector length {weights.n} against code length {code.n}")
+        raise RequestError(f"weight vector length {weights.n} against code length {code.n}")
     ok, reason = admissible_weights(code, weights)
     goodform = codes_mod.goodform_conditions(code).passed
     out: dict = {
@@ -234,18 +215,15 @@ def _cmd_form_verify(args) -> tuple[dict, bool]:
 def _cmd_form_generated(args) -> tuple[dict, bool]:
     text = args.gen.strip()
     if not text.endswith("omega"):
-        raise _Usage(f"generator spec {text!r} not understood; use e.g. 2omega")
+        raise RequestError(f"generator spec {text!r} not understood; use e.g. 2omega")
     head = text[: -len("omega")]
     try:
         scale = int(head) if head else 1
     except ValueError:
-        raise _Usage(f"generator spec {text!r} not understood") from None
+        raise RequestError(f"generator spec {text!r} not understood") from None
     if scale == 0:
-        raise _Usage("the generator must be nonzero")
-    try:
-        gen = scale * omega_total(args.power)
-    except ValueError as exc:
-        raise _Usage(str(exc)) from None
+        raise RequestError("the generator must be nonzero")
+    gen = scale * omega_total(args.power)
     report = saturate_generated_form(
         [gen], args.max_level, args.mode_budget, max_rounds=args.rounds)
     rows = [
@@ -273,16 +251,13 @@ def _cmd_form_generated(args) -> tuple[dict, bool]:
 
 
 def _cmd_dual(args) -> tuple[dict, bool]:
-    code = _resolve_code(args.code)
-    weights = _parse_weights(args.H)
+    code = codes_mod.resolve_code(args.code)
+    weights = HVector.parse(args.H)
     if args.power is not None and args.power != weights.n:
-        raise _Usage(f"--power {args.power} against {weights.n} weights")
-    ok, reason = admissible_weights(code, weights)
-    if not ok:
-        raise _Usage(f"inadmissible weight vector {weights}: {reason}")
+        raise RequestError(f"--power {args.power} against {weights.n} weights")
     entry = lattice_at_level(code, weights, args.level)
     if not entry.ambient_dim:
-        raise _Usage(f"level {args.level} of {weights} has no states")
+        raise RequestError(f"level {args.level} of {weights} has no states")
     rep = graded_dual(entry)
     out = {
         "code": args.code,
@@ -311,17 +286,13 @@ def _cmd_dual(args) -> tuple[dict, bool]:
 
 
 def _cmd_corr(args) -> tuple[dict, bool]:
-    code = _resolve_code(args.code)
-    try:
-        spec = TripleSpec(
-            _parse_weights(args.H1),
-            _parse_weights(args.H2),
-            _parse_weights(args.H3),
-            code,
-            _parse_fraction(args.c),
-        )
-    except ValueError as exc:
-        raise _Usage(str(exc)) from None
+    spec = TripleSpec(
+        HVector.parse(args.H1),
+        HVector.parse(args.H2),
+        HVector.parse(args.H3),
+        codes_mod.resolve_code(args.code),
+        _parse_fraction(args.c),
+    )
     corr = build_correlation(spec, args.max_level)
     wd = check_well_defined(corr)
     verdict = integrality_verdict(corr)
@@ -463,16 +434,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result, passed = args.func(args)
-    except _Usage as exc:
+    except RequestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "raw", False):
-        _emit(result, args.out)
-    else:
-        _emit(_render(result, args.format), args.out)
+    try:
+        _emit(result if getattr(args, "raw", False) else _render(result, args.format),
+              args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if passed else 1
 
 

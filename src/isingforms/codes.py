@@ -13,6 +13,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 
+class RequestError(ValueError):
+    """A bad request: unparsable or out-of-range caller input, or a size limit.
+
+    Any other ValueError raised by the package means a check of the
+    mathematics failed.
+    """
+
+
 @dataclass(frozen=True)
 class Word:
     """One codeword: a subset of {1, ..., n} as a bitmask."""
@@ -22,14 +30,14 @@ class Word:
 
     def __post_init__(self):
         if self.n <= 0 or self.n > 64:
-            raise ValueError(f"ground set size {self.n} out of range 1..64")
+            raise RequestError(f"ground set size {self.n} out of range 1..64")
         if self.bits < 0 or self.bits >> self.n:
-            raise ValueError(f"bitmask {self.bits:#x} does not fit in {self.n} positions")
+            raise RequestError(f"bitmask {self.bits:#x} does not fit in {self.n} positions")
 
     @classmethod
     def from_string(cls, text: str) -> "Word":
         if not text or any(ch not in "01" for ch in text):
-            raise ValueError(f"not a bitstring: {text!r}")
+            raise RequestError(f"not a bitstring: {text!r}")
         bits = 0
         for pos, ch in enumerate(text, start=1):
             if ch == "1":
@@ -141,7 +149,7 @@ class BinaryCode:
         """All codewords, sorted by bitstring. Materialized once."""
         if self._words is None:
             if self.dimension > 24:
-                raise ValueError(f"refusing to materialize 2^{self.dimension} words")
+                raise RequestError(f"refusing to materialize 2^{self.dimension} words")
             acc = []
             for picks in itertools.product((0, 1), repeat=self.dimension):
                 m = 0
@@ -204,7 +212,7 @@ class BinaryCode:
 def even_code(n: int) -> BinaryCode:
     """All subsets of even size."""
     if n < 2:
-        raise ValueError("even weight code needs n >= 2")
+        raise RequestError("even weight code needs n >= 2")
     return BinaryCode(n, [Word.from_set({1, i}, n) for i in range(2, n + 1)])
 
 
@@ -316,7 +324,7 @@ def complement_reduce(code: BinaryCode) -> list[Word]:
     return sorted(reps, key=lambda w: w.to_string())
 
 
-class CodeFileError(ValueError):
+class CodeFileError(RequestError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
@@ -374,9 +382,13 @@ def resolve_code(spec: str) -> BinaryCode:
             try:
                 n = int(spec[len(prefix):])
             except ValueError:
-                raise ValueError(f"bad builtin code name {spec!r}") from None
+                raise RequestError(f"bad builtin code name {spec!r}") from None
             return builder(n)
     path = Path(spec)
     if not path.exists():
-        raise ValueError(f"unknown code {spec!r}: not a builtin and not a file")
-    return parse_code_file(path.read_text())
+        raise RequestError(f"unknown code {spec!r}: not a builtin and not a file")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RequestError(f"cannot read code file {spec!r}: {exc}") from None
+    return parse_code_file(text)

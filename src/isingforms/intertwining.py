@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import BinaryCode
+from .codes import BinaryCode, RequestError
 from .intmat import _rref
 from .lattices import SpanningMonomial, admissible_weights, spanning_monomials
 from .tensor import (
@@ -46,7 +46,7 @@ class TripleSpec:
         for h in (self.h1, self.h2, self.h3):
             ok, reason = admissible_weights(self.code, h)
             if not ok:
-                raise ValueError(f"inadmissible weight vector {h}: {reason}")
+                raise RequestError(f"inadmissible weight vector {h}: {reason}")
 
 
 def cross_bracket_step(m: int, f_lt0_w: Fraction, f_w: Fraction,
@@ -64,7 +64,10 @@ class CorrelationFunctional:
     enumeration order), one functional value per state key (read off a maximal
     independent set of monomial vectors), and the value each linear relation
     among the monomial vectors takes on the multipliers, and each monomial's
-    vector: the trailing operators of a monomial are an enumerated monomial.
+    vector. Dropping the first or the second operator of an enumerated
+    monomial leaves an enumerated monomial, because modes stay weakly
+    decreasing and labels within a run of equal modes stay weakly increasing;
+    so every rest and every swapped operand of check_well_defined is stored.
     """
 
     def __init__(self, spec: TripleSpec, base_exponent: Fraction,
@@ -201,7 +204,7 @@ def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
             # route one: the stored leftmost peel
             direct = corr.multiplier(mon)
             # route two: swap the first two operators, add the commutator
-            swapped_inner = lt_action(t1, -m1, tail_vec)
+            swapped_inner = corr.vector(SpanningMonomial(mon.ops[:1] + mon.ops[2:]))
             swapped = _peel_multiplier(corr, spec, t2, m2, swapped_inner)
             terms = commutator_symbolic(t1, t2, -m1, -m2)
             bracket = _peel_multiplier(corr, spec, terms.word, m1 + m2, tail_vec)

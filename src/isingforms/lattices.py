@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .codes import BinaryCode, Word, complement_reduce, goodform_conditions
+from .codes import BinaryCode, RequestError, Word, complement_reduce, goodform_conditions
 from .intmat import det_bareiss, frac_det, frac_inverse, hnf, hnf_solve
 from .tensor import (
     HVector,
@@ -65,12 +65,11 @@ def admissible_weights(code: BinaryCode, weights: HVector) -> tuple[bool, str]:
 
 
 def _check_inputs(code: BinaryCode, weights: HVector):
-    report = goodform_conditions(code)
-    if not report.passed:
-        raise ValueError("code fails the form conditions")
     ok, reason = admissible_weights(code, weights)
     if not ok:
-        raise ValueError(f"inadmissible weight vector: {reason}")
+        raise RequestError(f"inadmissible weight vector {weights}: {reason}")
+    if not goodform_conditions(code).passed:
+        raise ValueError("code fails the form conditions")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .codes import BinaryCode, Word
+from .codes import BinaryCode, RequestError, Word
 from .intmat import frac_det
 from .virasoro import (
     GradedBasis,
@@ -56,9 +56,9 @@ class HVector:
         entries = tuple(Fraction(e) for e in self.entries)
         bad = [e for e in entries if e not in allowed]
         if bad:
-            raise ValueError(f"factor weights must be 0, 1/2 or 1/16; got {bad}")
+            raise RequestError(f"factor weights must be 0, 1/2 or 1/16; got {bad}")
         if not entries:
-            raise ValueError("empty weight vector")
+            raise RequestError("empty weight vector")
         object.__setattr__(self, "entries", entries)
 
     @classmethod
@@ -67,7 +67,7 @@ class HVector:
         try:
             return cls(tuple(Fraction(p) for p in parts))
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"cannot parse weight vector {text!r}") from None
+            raise RequestError(f"cannot parse weight vector {text!r}") from None
 
     @classmethod
     def vacuum(cls, n: int) -> "HVector":
@@ -115,7 +115,7 @@ class _Factor:
     def basis(self, level: int) -> GradedBasis:
         b = irreducible_basis(self.params, level)
         if b.dimension > _SID_STRIDE:
-            raise ValueError(
+            raise RequestError(
                 f"weight {self.h} level {level} has {b.dimension} states; "
                 f"factor states are limited to {_SID_STRIDE} per level")
         return b
@@ -431,8 +431,9 @@ def verify_commutator_sweep(code: BinaryCode, weights: HVector,
     of S+T is s_i t_i and sum_i s_i t_i = N - 2|S+T|, so both sides of the
     identity split over the factors and the pair (S, T) fails on w exactly
     when sum_ij s_i t_j E_ij != 0. Those sums are formed only when some E_ij
-    is nonzero. A failure is recorded once per failing key, in the order
-    (m, n, level, key, S, T), and the report keeps the first 20.
+    is nonzero. Each failing (S, T, m, n, level) is recorded once, at its
+    first failing key in the order (m, n, level, key, S, T), and the report
+    keeps the first 20.
     """
     sp = space(weights)
     if code.n != sp.n:
@@ -442,7 +443,7 @@ def verify_commutator_sweep(code: BinaryCode, weights: HVector,
     positions = range(sp.n)
     words = [(w.to_string(), tuple(-1 if w.contains(i + 1) else 1 for i in positions))
              for w in code.words()]
-    failures: list[tuple[str, str, int, int, int]] = []
+    failures: dict[tuple[str, str, int, int, int], None] = {}
     instances = 0
 
     def act(terms: dict, vec: dict, pos: int, mode: int, scale=1) -> dict:
@@ -477,12 +478,12 @@ def verify_commutator_sweep(code: BinaryCode, weights: HVector,
                         for k, c in e.items():
                             total[k] = total.get(k, 0) + s[i] * t[j] * c
                     if any(total.values()):
-                        failures.append((s_name, t_name, m, n, level))
+                        failures[s_name, t_name, m, n, level] = None
     return SweepReport(
         ok=not failures,
         pairs=len(words) ** 2,
         instances=instances,
-        failures=tuple(failures[:20]),
+        failures=tuple(failures)[:20],
     )
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable
 
-from .intmat import frac_solve
+from .codes import RequestError
 
 Monomial = tuple[int, ...]
 
@@ -150,13 +150,14 @@ class GradedBasis:
     pivots are chosen greedily in descending lexicographic order: a monomial
     is kept when its Schur complement against the Gram block of the monomials
     already kept is nonzero, which keeps that block invertible. gram is the
-    block on the final pivots.
+    block on the final pivots and inverse its inverse, grown alongside it.
     """
 
     params: CentralParams
     level: int
     pivots: tuple[Monomial, ...]
     gram: tuple[tuple[Fraction, ...], ...]
+    inverse: tuple[tuple[Fraction, ...], ...]
 
     @property
     def dimension(self) -> int:
@@ -265,6 +266,7 @@ class _Engine:
             pivots=tuple(monos[i] for i in kept),
             gram=tuple(tuple(rows[max(i, j)][min(i, j)] for j in range(len(kept)))
                        for i in range(len(kept))),
+            inverse=tuple(map(tuple, inv)),
         )
 
 
@@ -304,7 +306,7 @@ def irreducible_basis(params: CentralParams, level: int) -> GradedBasis:
 def reduce_vector(v: VermaVector, basis: GradedBasis) -> list[Fraction]:
     """Coordinates of the image of v in the irreducible quotient.
 
-    Solves gram . c = (<pivot_i, v>)_i, which kills the radical, so any two
+    c = gram^-1 . (<pivot_i, v>)_i, which kills the radical, so any two
     Verma lifts of the same quotient element reduce identically.
     """
     if v.params != basis.params:
@@ -312,19 +314,12 @@ def reduce_vector(v: VermaVector, basis: GradedBasis) -> list[Fraction]:
     lvl = v.level()
     if lvl is not None and lvl != basis.level:
         raise ValueError(f"vector at level {lvl} against basis at level {basis.level}")
-    if not basis.pivots:
-        return []
     eng = _engine(v.params)
-    rhs = []
-    for piv in basis.pivots:
-        acc = Fraction(0)
-        for mono, c in v.terms.items():
-            acc += c * eng.pairing_monomials(piv, mono)
-        rhs.append(acc)
-    coords = frac_solve([list(row) for row in basis.gram], rhs)
-    if coords is None:
-        raise ArithmeticError("pivot Gram matrix is singular; basis is corrupt")
-    return coords
+    rhs = [sum((c * eng.pairing_monomials(piv, mono) for mono, c in v.terms.items()),
+               Fraction(0))
+           for piv in basis.pivots]
+    return [sum((a * b for a, b in zip(row, rhs) if b), Fraction(0))
+            for row in basis.inverse]
 
 
 def graded_dimensions(params: CentralParams, max_level: int) -> list[int]:
@@ -369,5 +364,5 @@ def ising_params(h) -> CentralParams:
     hf = _as_fraction(h)
     if hf not in ISING_WEIGHTS:
         allowed = ", ".join(str(w) for w in ISING_WEIGHTS)
-        raise ValueError(f"weight {hf} is not one of {allowed}")
+        raise RequestError(f"weight {hf} is not one of {allowed}")
     return CentralParams(ISING_ELL, hf)

@@ -64,6 +64,8 @@ class TestExitCodes:
         ["form", "generated", "--gen", "2omega", "--rounds", "0"],
         ["form", "verify", "--code", "even:4", "--H", "1/2,1/2,0", "--max-level", "2"],
         ["form", "generated", "--gen", "0omega"],
+        ["codes", "check", "--code", "even:30"],
+        ["dual", "--code", "trivial:4", "--H", "1/2,0,0,0", "--level", "1"],
     ])
     def test_out_of_range_request_is_usage_error(self, capsys, argv):
         try:
@@ -73,6 +75,21 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().out == ""
 
+
+    def test_non_utf8_code_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "code.txt"
+        path.write_bytes(b"n=4\n\xff\xfe\n")
+        assert main(["codes", "check", "--code", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "r.txt"
+        assert main(["codes", "check", "--code", "even:4", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
 class TestDeterminism:
     def test_json_twice_byte_identical(self, tmp_path):

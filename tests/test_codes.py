@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from isingforms.codes import (
     BinaryCode,
     CodeFileError,
+    RequestError,
     Word,
     c16,
     complement_reduce,
@@ -224,6 +225,7 @@ class TestCodeFiles:
         with pytest.raises(CodeFileError) as err:
             parse_code_file("1100\n")
         assert err.value.line == 1
+        assert isinstance(err.value, RequestError)
 
     def test_bad_word_line_number(self):
         with pytest.raises(CodeFileError) as err:
@@ -248,7 +250,18 @@ class TestResolve:
         assert resolve_code(str(path)) == hamming8()
 
     def test_unknown(self):
-        with pytest.raises(ValueError):
-            resolve_code("no-such-code")
-        with pytest.raises(ValueError):
-            resolve_code("even:x")
+        for spec in ("no-such-code", "even:x", "even:1", "trivial:0"):
+            with pytest.raises(RequestError):
+                resolve_code(spec)
+
+    def test_unreadable_file_is_request_error(self, tmp_path):
+        path = tmp_path / "code.txt"
+        path.write_bytes(b"n=4\n\xff\xfe\n")
+        with pytest.raises(RequestError, match="cannot read"):
+            resolve_code(str(path))
+        with pytest.raises(RequestError, match="cannot read"):
+            resolve_code(str(tmp_path))
+
+    def test_word_size_limit_is_request_error(self):
+        with pytest.raises(RequestError, match="2\\^29"):
+            even_code(30).words()

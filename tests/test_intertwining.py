@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from isingforms import intertwining
-from isingforms.codes import Word, even_code
+from isingforms.codes import RequestError, Word, even_code
 from isingforms.intertwining import (
     TripleSpec,
     build_correlation,
@@ -143,6 +143,8 @@ class TestBuildCorrelation:
     def test_rejects_inadmissible_weights(self):
         with pytest.raises(ValueError):
             TripleSpec(HVector.parse("1/2,0,0,0"), H_HALF, H_VAC, even_code(4), 1)
+        with pytest.raises(RequestError):
+            TripleSpec(H_HALF, H_HALF, HVector.parse("1/2,0,0,0"), even_code(4), 1)
 
 
 class TestWellDefined:
@@ -160,6 +162,22 @@ class TestWellDefined:
         assert report.order_checks == 72
         assert report.relation_checks == 4  # 50 spanning rows, rank 46
         assert report.relation_failures == ()
+
+    @pytest.mark.parametrize("h3, max_level, checks", [(H_VAC, 7, 144), (H_HALF, 5, 395)])
+    def test_swapped_operand_is_a_stored_monomial(self, h3, max_level, checks):
+        """Dropping a monomial's second operator leaves an enumerated monomial,
+        whose stored vector is the first operator applied to the tail."""
+        corr = build_correlation(TripleSpec(H_HALF, H_HALF, h3, even_code(4), 1), max_level)
+        seen = 0
+        for level in range(max_level + 1):
+            for mon in corr.monomials(level):
+                if len(mon.ops) < 2:
+                    continue
+                (m1, t1), tail = mon.ops[0], mon.ops[2:]
+                assert corr.vector(SpanningMonomial(mon.ops[:1] + tail)) == lt_action(
+                    t1, -m1, corr.vector(SpanningMonomial(tail)))
+                seen += 1
+        assert seen == checks == check_well_defined(corr).order_checks
 
     def test_functional_equation_on_arbitrary_vectors(self):
         # the recursion must hold for the linear extension, not only monomials

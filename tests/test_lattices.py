@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isingforms import intertwining, lattices, tensor
-from isingforms.codes import Word, c16, complement_reduce, even_code, hamming8
+from isingforms.codes import (
+    RequestError,
+    Word,
+    c16,
+    complement_reduce,
+    even_code,
+    hamming8,
+    trivial_code,
+)
 from isingforms.intmat import RowSpanSolver, frac_det, hnf, hnf_solve
 from isingforms.lattices import (
     _from_rational_rows,
@@ -70,6 +78,14 @@ class TestAdmissibility:
     def test_spanning_monomials_raise_on_bad_input(self):
         with pytest.raises(ValueError):
             spanning_monomials(even_code(4), HVector.sixteenth(4), 2)
+
+    def test_inadmissible_weights_are_a_request_before_the_form_conditions(self):
+        # trivial:4 fails the form conditions; the weight vector is tested first
+        with pytest.raises(RequestError, match="odd"):
+            lattice_at_level(trivial_code(4), HVector.parse("1/2,0,0,0"), 1)
+        with pytest.raises(ValueError, match="form conditions") as err:
+            lattice_at_level(trivial_code(4), H4_VAC, 1)
+        assert not isinstance(err.value, RequestError)
 
 
 class TestSpanningMonomials:

@@ -305,6 +305,19 @@ class TestSweep:
         assert {f[:4] for f in report.failures} == direct
 
 
+    def test_sweep_records_each_failure_once(self, doubled_raising_mode):
+        code = BinaryCode(4, [word("1100")])
+        report = verify_commutator_sweep(code, H4_HALF, 1, 2)
+        # four failing (S, T, m, n), each at levels 0 and 2: all of them fit in 20
+        assert len(set(report.failures)) == len(report.failures) == 16
+        direct = {
+            (S.to_string(), T.to_string(), m, n)
+            for S in code.words() for T in code.words()
+            for m in range(-1, 2) for n in range(-1, 2)
+            if not verify_commutator(S, T, m, n, H4_HALF, 2)
+        }
+        assert {f[:4] for f in report.failures} == direct
+
 class TestWeightOne:
     def test_e8_dimension_count(self):
         report = weight1_count_e8()

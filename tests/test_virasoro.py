@@ -251,6 +251,15 @@ class TestIrreducibleBasis:
                 basis = irreducible_basis(p, level)
                 assert dense_rank([list(r) for r in basis.gram]) == basis.dimension
 
+    def test_stored_inverse_inverts_pivot_gram(self):
+        for p in ISING_PARAMS:
+            for level in range(9):
+                basis = irreducible_basis(p, level)
+                d = basis.dimension
+                product = [[sum(basis.inverse[i][k] * basis.gram[k][j] for k in range(d))
+                            for j in range(d)] for i in range(d)]
+                assert product == [[F(int(i == j)) for j in range(d)] for i in range(d)]
+
     def test_reduce_is_identity_on_pivots(self):
         p = ising_params(F(1, 2))
         basis = irreducible_basis(p, 4)
