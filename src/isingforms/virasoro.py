@@ -18,7 +18,7 @@ All coefficients are fractions.Fraction; nothing here ever touches floats.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -149,8 +149,11 @@ class GradedBasis:
 
     pivots are chosen greedily in descending lexicographic order: a monomial
     is kept when its Schur complement against the Gram block of the monomials
-    already kept is nonzero, which keeps that block invertible. gram is the
-    block on the final pivots and inverse its inverse, grown alongside it.
+    already kept is nonzero, which keeps that block invertible. At c = 1/2 and
+    the three Ising weights the free-fermion character (character_dimension)
+    bounds the dimension from above, the kept pivots bound it from below, and
+    the scan stops where the two meet; elsewhere it runs over every partition.
+    gram is the block on the final pivots and inverse its inverse.
     """
 
     params: CentralParams
@@ -235,38 +238,68 @@ class _Engine:
 
     @cache
     def basis(self, level: int) -> GradedBasis:
+        """Greedy pivot basis of one level, bordered on integers.
+
+        The scan stops once the kept count reaches character_dimension, an
+        upper bound; each kept pivot is a nonzero principal minor, so the
+        count is also a lower bound, and a scan that runs out of candidates
+        short of the character raises ValueError. The kept Gram block is
+        carried as an integer adjugate and determinant over one common
+        denominator, the lcm of the pairing denominators seen so far, and
+        the Fractions are formed once at the end.
+        """
         monos = partitions(level)
+        cap = character_dimension(self.params, level)
         kept: list[int] = []
         rows: list[list[Fraction]] = []  # rows[i][j] = <kept i, kept j> for j <= i
-        inv: list[list[Fraction]] = []  # inverse of the Gram block on kept
+        # With K the Gram block on kept and K' = scale * K an integer matrix,
+        # det = det(K') and adj = det * K'^-1, an integer matrix as well.
+        scale, det = 1, 1
+        adj: list[list[int]] = []
         for idx, mono in enumerate(monos):
+            if len(kept) == cap:
+                break
             g = [self.pairing_monomials(monos[j], mono) for j in kept]
             d = self.pairing_monomials(mono, mono)
-            u = [sum((a * b for a, b in zip(row, g) if b), Fraction(0)) for row in inv]
-            # det(block on kept + idx) = det(block on kept) * s, and the block
-            # on kept is invertible, so the principal minor rule keeps idx
-            # exactly when this Schur complement s is nonzero.
-            s = d - sum((a * b for a, b in zip(g, u) if a), Fraction(0))
+            new_scale = math.lcm(scale, d.denominator, *(x.denominator for x in g))
+            if new_scale != scale:
+                # K' -> f K' takes adj to f^(k-1) adj and det to f^k det.
+                f, k = new_scale // scale, len(kept)
+                if k > 1:
+                    fk = f ** (k - 1)
+                    adj = [[a * fk for a in row] for row in adj]
+                det *= f ** k
+                scale = new_scale
+            gi = [x.numerator * (scale // x.denominator) for x in g]
+            u = [sum(a * b for a, b in zip(row, gi) if b) for row in adj]
+            # det(K' bordered by idx) = det * d' - g'^T adj g', and the block on
+            # kept is invertible, so the principal minor rule keeps idx exactly
+            # when this bordered determinant s is nonzero.
+            s = det * d.numerator * (scale // d.denominator) - sum(
+                a * b for a, b in zip(gi, u) if a)
             if not s:
                 continue
-            # Bordered inverse of a symmetric block:
-            # [[inv + u u^T / s, -u / s], [-u^T / s, 1 / s]].
-            w = [x / s for x in u]
-            for row, wi in zip(inv, w):
-                if wi:
-                    for j, uj in enumerate(u):
-                        row[j] += wi * uj
-                row.append(-wi)
-            inv.append([-x for x in w] + [1 / s])
+            # Sylvester's identity makes the division exact (Bareiss):
+            # adj' = [[(s adj + u u^T) / det, -u], [-u^T, det]], det' = s.
+            for row, ui in zip(adj, u):
+                for j, uj in enumerate(u):
+                    row[j] = (s * row[j] + ui * uj) // det
+                row.append(-ui)
+            adj.append([-x for x in u] + [det])
+            det = s
             kept.append(idx)
             rows.append(g + [d])
+        if cap is not None and len(kept) < cap:
+            raise ValueError(
+                f"weight {self.params.h}: the pivot scan found {len(kept)} states at "
+                f"level {level}, the character gives {cap}")
         return GradedBasis(
             params=self.params,
             level=level,
             pivots=tuple(monos[i] for i in kept),
             gram=tuple(tuple(rows[max(i, j)][min(i, j)] for j in range(len(kept)))
                        for i in range(len(kept))),
-            inverse=tuple(map(tuple, inv)),
+            inverse=tuple(tuple(Fraction(scale * a, det) for a in row) for row in adj),
         )
 
 
@@ -327,24 +360,6 @@ def graded_dimensions(params: CentralParams, max_level: int) -> list[int]:
     return [irreducible_basis(params, lvl).dimension for lvl in range(max_level + 1)]
 
 
-def minimal_model_data(p: int, q: int) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Central charge and sorted distinct highest weights of a minimal model.
-
-    Requires coprime integers p, q >= 2. The weight grid runs over
-    0 < m < p, 0 < n < q and is returned deduplicated in increasing order.
-    """
-    from math import gcd
-
-    if p < 2 or q < 2 or p == q or gcd(p, q) != 1:
-        raise ValueError(f"need distinct coprime integers >= 2, got ({p}, {q})")
-    c = 1 - Fraction(6 * (p - q) ** 2, p * q)
-    weights = {
-        Fraction((n * p - m * q) ** 2 - (p - q) ** 2, 4 * p * q)
-        for m, n in itertools.product(range(1, p), range(1, q))
-    }
-    return c, tuple(sorted(weights))
-
-
 def scaling_admissible(k, c) -> bool:
     """Whether k^2 * c is an even integer.
 
@@ -366,3 +381,27 @@ def ising_params(h) -> CentralParams:
         allowed = ", ".join(str(w) for w in ISING_WEIGHTS)
         raise RequestError(f"weight {hf} is not one of {allowed}")
     return CentralParams(ISING_ELL, hf)
+
+
+def character_dimension(params: CentralParams, level: int) -> int | None:
+    """Dimension of the level piece of L(1/2, h) from its free-fermion character.
+
+    With t = q^(1/2), h = 0 and h = 1/2 take the coefficients of t^(2 level)
+    and t^(2 level + 1) in prod over odd k of (1 + t^k), and h = 1/16 that of
+    q^level in prod over k >= 1 of (1 + q^k) (Kac and Raina, Bombay Lectures,
+    1987). None away from central charge 1/2 and the three Ising weights.
+    """
+    if params.ell != ISING_ELL or params.h not in ISING_WEIGHTS:
+        return None
+    if level < 0:
+        return 0
+    if params.h == Fraction(1, 16):
+        degree, parts = level, range(1, level + 1)
+    else:
+        degree = 2 * level + (params.h == Fraction(1, 2))
+        parts = range(1, degree + 1, 2)
+    coeffs = [1] + [0] * degree
+    for e in parts:
+        for k in range(degree, e - 1, -1):
+            coeffs[k] += coeffs[k - e]
+    return coeffs[degree]

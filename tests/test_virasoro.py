@@ -1,12 +1,15 @@
 """Tests for the Virasoro straightening, Shapovalov form and quotient bases."""
 
+import functools
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isingforms import cli, virasoro
 from isingforms.intmat import frac_det
 from isingforms.virasoro import (
     CentralParams,
@@ -16,7 +19,6 @@ from isingforms.virasoro import (
     graded_dimensions,
     irreducible_basis,
     ising_params,
-    minimal_model_data,
     pairing,
     partitions,
     reduce_vector,
@@ -196,6 +198,58 @@ def fermion_product(exponents, length):
     return coeffs
 
 
+def minimal_model_data(p, q):
+    """Central charge and sorted distinct highest weights of the (p, q) minimal model.
+
+    Requires coprime integers p, q >= 2. The weight grid runs over
+    0 < m < p, 0 < n < q and is returned deduplicated in increasing order.
+    """
+    if p < 2 or q < 2 or p == q or gcd(p, q) != 1:
+        raise ValueError(f"need distinct coprime integers >= 2, got ({p}, {q})")
+    c = 1 - Fraction(6 * (p - q) ** 2, p * q)
+    weights = {
+        Fraction((n * p - m * q) ** 2 - (p - q) ** 2, 4 * p * q)
+        for m, n in itertools.product(range(1, p), range(1, q))
+    }
+    return c, tuple(sorted(weights))
+
+
+def full_scan_basis(params, level):
+    """Reference pivot scan: every partition, bordered Fraction inverse, no stop.
+
+    A candidate is kept when its Schur complement s = d - g^T K^-1 g against
+    the Gram block K on the kept monomials is nonzero; K^-1 is bordered as
+    [[K^-1 + u u^T / s, -u / s], [-u^T / s, 1 / s]] with u = K^-1 g.
+    Returns (pivots, gram, inverse) in the shape GradedBasis stores them.
+    """
+    def pair(a, b):
+        return pairing(VermaVector.monomial(params, a), VermaVector.monomial(params, b))
+
+    monos = partitions(level)
+    kept = []
+    rows = []
+    inv = []
+    for idx, mono in enumerate(monos):
+        g = [pair(monos[j], mono) for j in kept]
+        d = pair(mono, mono)
+        u = [sum((a * b for a, b in zip(row, g)), F(0)) for row in inv]
+        s = d - sum((a * b for a, b in zip(g, u)), F(0))
+        if not s:
+            continue
+        w = [x / s for x in u]
+        for row, wi in zip(inv, w):
+            for j, uj in enumerate(u):
+                row[j] += wi * uj
+            row.append(-wi)
+        inv.append([-x for x in w] + [1 / s])
+        kept.append(idx)
+        rows.append(g + [d])
+    n = len(kept)
+    return (tuple(monos[i] for i in kept),
+            tuple(tuple(rows[max(i, j)][min(i, j)] for j in range(n)) for i in range(n)),
+            tuple(map(tuple, inv)))
+
+
 def principal_minor_basis(params, level):
     """Reference pivot rule: keep idx when the minor on kept + [idx] is nonzero."""
     full = shapovalov_gram(params, level)
@@ -226,6 +280,33 @@ class TestIrreducibleBasis:
             for level in range(10):
                 basis = irreducible_basis(p, level)
                 assert (basis.pivots, basis.gram) == principal_minor_basis(p, level)
+
+    def test_matches_full_scan_without_early_stop(self):
+        # A character that undercounts would stop the scan short of a pivot.
+        for p in ISING_PARAMS:
+            for level in range(13):
+                basis = irreducible_basis(p, level)
+                assert (basis.pivots, basis.gram, basis.inverse) == full_scan_basis(p, level)
+
+    def test_overcounting_character_fails_the_check(self, monkeypatch, capsys):
+        # A fresh engine cache, so no basis built before the patch is reused.
+        monkeypatch.setattr(virasoro, "_engine", functools.cache(virasoro._Engine))
+        true_dimension = virasoro.character_dimension
+
+        def overcount(params, level):
+            dim = true_dimension(params, level)
+            return dim + 1 if level == 5 and dim is not None else dim
+
+        monkeypatch.setattr(virasoro, "character_dimension", overcount)
+        p = ising_params(F(1, 16))
+        assert irreducible_basis(p, 4).dimension == 2
+        with pytest.raises(ValueError, match="level 5"):
+            irreducible_basis(p, 5)
+        capsys.readouterr()
+        assert cli.main(["vir", "dims", "--h", "1/16", "--max-level", "6"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "check failed" in err
 
     def test_dimensions_match_frozen_oracle_values(self):
         for h, dims in ORACLE_DIMS.items():
@@ -339,6 +420,25 @@ class TestMinimalModels:
         for p, q in [(2, 4), (3, 3), (1, 5), (6, 4)]:
             with pytest.raises(ValueError):
                 minimal_model_data(p, q)
+
+
+class TestNonIsingWeights:
+    # No character is known to the engine here, so the scan runs over all
+    # p(n) partitions, and the denominators (5, 20, ...) are not powers of 2.
+    PARAMS = [CentralParams(minimal_model_data(3, 5)[0], h)
+              for h in minimal_model_data(3, 5)[1]]
+
+    def test_no_character_cap(self):
+        for p in self.PARAMS:
+            assert virasoro.character_dimension(p, 4) is None
+
+    def test_matches_principal_minor_rule_and_dense_rank(self):
+        for p in self.PARAMS:
+            for level in range(7):
+                basis = irreducible_basis(p, level)
+                assert (basis.pivots, basis.gram) == principal_minor_basis(p, level)
+                assert basis.dimension == dense_rank(shapovalov_gram(p, level))
+                assert basis.inverse == full_scan_basis(p, level)[2]
 
 
 class TestScalingAdmissible:
