@@ -1,14 +1,18 @@
 """Exact linear algebra over Q and Z.
 
-One Gauss-Jordan routine, ``_rref``, serves every rational kernel: solving a
-square system, inverting, and expressing vectors over a fixed list of rows
-(with the left kernel of those rows). It takes and returns rational rows but
-eliminates fraction-free on integer rows, dividing only at the end. A
-rational determinant clears denominators once and goes through the
-fraction-free Bareiss elimination on integers. The integer side is the
-row-style Hermite normal form (echelon shape, positive pivots, entries above
-a pivot reduced into [0, pivot)), the unique canonical basis of an integer
-row lattice, and membership solves over it.
+One Gauss-Jordan routine, ``_rref``, serves every rational kernel. It takes
+and returns rational rows but eliminates fraction-free on integer rows,
+dividing only at the end. The package calls it directly: the correlation
+levels reduce [monomial vectors | multipliers], and the graded dual reduces
+[Gram | basis]. The integer side is the row-style Hermite normal form
+(echelon shape, positive pivots, entries above a pivot reduced into
+[0, pivot)), the unique canonical basis of an integer row lattice, and
+membership solves over it; every lattice index is read off its pivots.
+
+Solving a square system, inverting, expressing vectors over a fixed list of
+rows (with their left kernel) and the Bareiss determinants (a rational one
+clears denominators first) have no caller in the package: the tests keep
+them as independent routes, and the benchmark's span tracer wraps them.
 
 Everything here is deterministic: the pivot is always the first usable row,
 so repeated runs on equal input produce identical output.

@@ -24,10 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .codes import BinaryCode, RequestError, Word, complement_reduce, goodform_conditions
-from .intmat import det_bareiss, frac_det, frac_inverse, hnf, hnf_solve
+from .intmat import _rref, hnf, hnf_solve
 from .tensor import (
     HVector,
     TensorVector,
@@ -64,12 +64,14 @@ def admissible_weights(code: BinaryCode, weights: HVector) -> tuple[bool, str]:
     return True, ""
 
 
-def _check_inputs(code: BinaryCode, weights: HVector):
+def _check_inputs(code: BinaryCode, weights: HVector, level: int):
     ok, reason = admissible_weights(code, weights)
     if not ok:
         raise RequestError(f"inadmissible weight vector {weights}: {reason}")
     if not goodform_conditions(code).passed:
         raise ValueError("code fails the form conditions")
+    if level < 0:
+        raise ValueError("negative level")
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,7 @@ def spanning_monomials(code: BinaryCode, weights: HVector, level: int) -> list[S
     there) and above 0 otherwise. Runs of equal modes take weakly increasing
     label choices so each unordered product appears once.
     """
-    _check_inputs(code, weights)
-    if level < 0:
-        raise ValueError("negative level")
+    _check_inputs(code, weights, level)
     min_mode = _min_mode(weights)
     reps = complement_reduce(code)
     out: list[SpanningMonomial] = []
@@ -200,10 +200,10 @@ def lattice_at_level(code: BinaryCode, weights: HVector, level: int,
     the entries of levels 0, 1, ... in order; the levels up to ``level`` that
     it lacks are built here, each once.
     """
-    _check_inputs(code, weights)
-    if level < 0:
-        raise ValueError("negative level")
+    _check_inputs(code, weights, level)
     entries = list(below or ())[:level]
+    if any((e.weights, e.code, e.level) != (weights, code, n) for n, e in enumerate(entries)):
+        raise ValueError("below must hold levels 0, 1, ... of the same weights and code")
     reps = complement_reduce(code)
     min_mode = _min_mode(weights)
     for n in range(len(entries), level + 1):
@@ -238,14 +238,18 @@ def contains(entry: LevelLattice, v: TensorVector) -> bool:
     return hnf_solve(list(map(list, entry.basis)), scaled) is not None
 
 
-def lattices_equal(a: LevelLattice, b: LevelLattice) -> bool:
-    """Exact equality of the spanned lattices, denominators normalized away."""
+def _common_rows(a: LevelLattice, b: LevelLattice):
+    """Both Hermite bases as integer rows over the lcm of their denominators."""
     if a.weights != b.weights or a.level != b.level:
         raise ValueError("lattices in different ambient spaces")
     den = lcm(a.denominator, b.denominator)
-    fa, fb = den // a.denominator, den // b.denominator
-    sa = tuple(tuple(fa * c for c in row) for row in a.basis)
-    sb = tuple(tuple(fb * c for c in row) for row in b.basis)
+    return ([[den // a.denominator * c for c in row] for row in a.basis],
+            [[den // b.denominator * c for c in row] for row in b.basis])
+
+
+def lattices_equal(a: LevelLattice, b: LevelLattice) -> bool:
+    """Exact equality of the spanned lattices, denominators normalized away."""
+    sa, sb = _common_rows(a, b)
     return sa == sb
 
 
@@ -257,21 +261,20 @@ class CompareReport:
     index: int | None
 
 
+def _pivot_product(rows) -> int:
+    """Covolume of echelon integer rows, measured on their pivot columns."""
+    return prod(next(c for c in row if c) for row in rows)
+
+
 def compare(a: LevelLattice, b: LevelLattice) -> CompareReport:
-    """Containments by membership solves; index of the smaller in the larger."""
-    if a.weights != b.weights or a.level != b.level:
-        raise ValueError("lattices in different ambient spaces")
-    den = lcm(a.denominator, b.denominator)
-    sa = [[den // a.denominator * c for c in row] for row in a.basis]
-    sb = [[den // b.denominator * c for c in row] for row in b.basis]
+    """Containments by membership solves; index = quotient of the shared-pivot products."""
+    sa, sb = _common_rows(a, b)
     a_in_b = all(hnf_solve(sb, row) is not None for row in sa)
     b_in_a = all(hnf_solve(sa, row) is not None for row in sb)
     index = None
     small, big = (sa, sb) if a_in_b else (sb, sa) if b_in_a else (None, None)
     if small is not None and len(small) == len(big):
-        m = [hnf_solve(big, row) for row in small]
-        if all(r is not None for r in m):
-            index = abs(det_bareiss(m))
+        index = _pivot_product(small) // _pivot_product(big)
     return CompareReport(
         a_in_b=a_in_b,
         b_in_a=b_in_a,
@@ -309,26 +312,21 @@ class DualReport:
 
 
 def graded_dual(entry: LevelLattice) -> DualReport:
-    """Dual basis through the invariant form, with the index |det Gram|."""
+    """Dual basis G^-1 B from Gauss-Jordan on [G | B]; |det G| = covol(B) / covol(dual)."""
     if not entry.full_rank:
         raise ValueError("graded dual needs a full-rank lattice at this level")
+    n = entry.rank
     basis_rows = [
         [Fraction(c, entry.denominator) for c in row] for row in entry.basis
     ]
     gram = gram_matrix(entry.weights, entry.level, basis_rows)
-    inv = frac_inverse([list(r) for r in gram])
-    if inv is None:
+    reduced, pivots = _rref([g + b for g, b in zip(gram, basis_rows)], n)
+    if len(pivots) < n:
         raise ValueError("degenerate Gram matrix")
-    dual_rows = [
-        [
-            sum((inv[i][k] * basis_rows[k][j] for k in range(len(basis_rows))), Fraction(0))
-            for j in range(entry.ambient_dim)
-        ]
-        for i in range(len(basis_rows))
-    ]
-    dual = _from_rational_rows(entry.weights, entry.code, entry.level, dual_rows)
+    dual = _from_rational_rows(entry.weights, entry.code, entry.level, [r[n:] for r in reduced])
     integral = all(g.denominator == 1 for row in gram for g in row)
-    index = abs(frac_det([list(r) for r in gram]))
+    index = Fraction(_pivot_product(entry.basis) * dual.denominator ** n,
+                     _pivot_product(dual.basis) * entry.denominator ** n)
     return DualReport(
         lattice=entry,
         gram=tuple(tuple(r) for r in gram),

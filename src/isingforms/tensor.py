@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import cache
 
 from .codes import BinaryCode, RequestError, Word
-from .intmat import frac_det
 from .virasoro import (
     GradedBasis,
     VermaVector,
@@ -317,13 +316,14 @@ def form_nondegenerate(weights: HVector, level: int) -> bool:
     The key Gram P is a direct sum of Kronecker products of factor pivot
     Grams; a direct sum has the product of its blocks' determinants and
     det(A x B) = det A^(dim B) det B^(dim A), so det P != 0 exactly when
-    every factor Gram that a key at this level uses has nonzero determinant.
+    every factor Gram that a key at this level uses has nonzero determinant,
+    which each factor's pivot scan already holds.
     """
     sp = space(weights)
     used = dict.fromkeys(
         (sp.factors[pos], _sid_level(sid))
         for key in sp.keys(level) for pos, sid in enumerate(key))
-    return all(frac_det(factor.basis(l).gram) != 0 for factor, l in used)
+    return all(factor.basis(l).det != 0 for factor, l in used)
 
 
 def omega_component(power: int, i: int) -> TensorVector:

@@ -153,7 +153,8 @@ class GradedBasis:
     the three Ising weights the free-fermion character (character_dimension)
     bounds the dimension from above, the kept pivots bound it from below, and
     the scan stops where the two meet; elsewhere it runs over every partition.
-    gram is the block on the final pivots and inverse its inverse.
+    gram is the block on the final pivots, inverse its inverse and det its
+    determinant, the product of the kept Schur complements.
     """
 
     params: CentralParams
@@ -161,6 +162,7 @@ class GradedBasis:
     pivots: tuple[Monomial, ...]
     gram: tuple[tuple[Fraction, ...], ...]
     inverse: tuple[tuple[Fraction, ...], ...]
+    det: Fraction
 
     @property
     def dimension(self) -> int:
@@ -300,6 +302,7 @@ class _Engine:
             gram=tuple(tuple(rows[max(i, j)][min(i, j)] for j in range(len(kept)))
                        for i in range(len(kept))),
             inverse=tuple(tuple(Fraction(scale * a, det) for a in row) for row in adj),
+            det=Fraction(det, scale ** len(kept)),
         )
 
 

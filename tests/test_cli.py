@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import isingforms
 from isingforms import cli, virasoro
 from isingforms.cli import main
 
@@ -101,6 +104,22 @@ class TestDeterminism:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_json_byte_identical_across_hash_seeds(self):
+        # one process runs under one hash seed, so set and str-keyed dict order
+        # can only differ between children
+        src = str(Path(isingforms.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "isingforms", "dual", "--power", "4", "--code", "even:4",
+                "--H", "1/2,1/2,0,0", "--level", "1", "--compare", "--format", "json"]
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            proc = subprocess.run(argv, capture_output=True, env=env)
+            assert proc.returncode == 0
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["compare"]["index"] == 4
+
     def test_out_writes_silently(self, capsys, tmp_path):
         target = tmp_path / "report.txt"
         main(["e8", "weight1", "--out", str(target)])
@@ -146,6 +165,8 @@ class TestReports:
         assert data["self_dual"] is False
         assert data["compare"]["lattice_in_dual"] is True
         assert data["compare"]["dual_in_lattice"] is False
+        # the index is a Fraction, the compare index a plain int
+        assert type(data["compare"]["index"]) is int and data["compare"]["index"] == 4
         gram = data["gram"]
         assert gram[0][0] == {"n": 2, "d": 1}
 

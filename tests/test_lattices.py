@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,14 @@ from isingforms.codes import (
     hamming8,
     trivial_code,
 )
-from isingforms.intmat import RowSpanSolver, frac_det, hnf, hnf_solve
+from isingforms.intmat import (
+    RowSpanSolver,
+    det_bareiss,
+    frac_det,
+    frac_inverse,
+    hnf,
+    hnf_solve,
+)
 from isingforms.lattices import (
     _from_rational_rows,
     admissible_weights,
@@ -176,6 +184,17 @@ class TestLatticeAtLevel:
         entry = lattice_at_level(even_code(4), H4_VAC, 2)
         assert contains(entry, TensorVector(H4_VAC))
 
+    @pytest.mark.parametrize("code, weights, below", [
+        # levels 0..2 of another module; unchecked, they gave rank 10 in 4 dimensions
+        (even_code(4), H4_VAC, [(even_code(4), H4_HALF, n) for n in range(3)]),
+        (even_code(8), HVector.vacuum(8), [(hamming8(), HVector.vacuum(8), n) for n in range(2)]),
+        (even_code(4), H4_HALF, [(even_code(4), H4_HALF, n) for n in (0, 2, 1)]),
+    ], ids=["weights", "code", "level"])
+    def test_below_of_another_piece_rejected(self, code, weights, below):
+        entries = [lattice_at_level(*args) for args in below]
+        with pytest.raises(ValueError, match="below"):
+            lattice_at_level(code, weights, 3, below=entries)
+
 
 def monomial_route(code, weights, level):
     """The lattice as the Z-span of every straightened product's vector."""
@@ -307,7 +326,8 @@ class TestFactorwiseForm:
             b = real_basis(self, level)
             if self.h == 0 and level == factor_level:
                 return dataclasses.replace(
-                    b, gram=tuple((Fraction(0),) * len(row) for row in b.gram))
+                    b, gram=tuple((Fraction(0),) * len(row) for row in b.gram),
+                    det=Fraction(0))
             return b
 
         monkeypatch.setattr(tensor._Factor, "basis", singular_basis)
@@ -321,7 +341,34 @@ class TestFactorwiseForm:
         assert report.order_failures == () and report.relation_failures == ()
 
 
+def dense_dual(entry):
+    """The dual as the dense product frac_inverse(G) B, with index |det G|."""
+    rows = [[Fraction(c, entry.denominator) for c in row] for row in entry.basis]
+    gram = gram_matrix(entry.weights, entry.level, rows)
+    inv = frac_inverse(gram)
+    dual_rows = [[sum((inv[i][k] * rows[k][j] for k in range(len(rows))), Fraction(0))
+                  for j in range(entry.ambient_dim)] for i in range(len(rows))]
+    dual = _from_rational_rows(entry.weights, entry.code, entry.level, dual_rows)
+    return dual, abs(frac_det(gram))
+
+
+DUAL_CASES = CASES + [(hamming8(), HVector.vacuum(8), 4)]
+
+
 class TestDual:
+    @pytest.mark.parametrize("code, weights, top", DUAL_CASES,
+                             ids=CASE_IDS + ["hamming8-vacuum"])
+    def test_matches_dense_inverse_and_determinant(self, code, weights, top):
+        entries = []
+        for level in range(top + 1):
+            entries.append(lattice_at_level(code, weights, level, below=entries))
+            if not entries[-1].full_rank:
+                continue
+            rep = graded_dual(entries[-1])
+            dual, index = dense_dual(entries[-1])
+            assert (rep.dual.basis, rep.dual.denominator) == (dual.basis, dual.denominator)
+            assert rep.index == index and type(rep.index) is Fraction
+
     def test_example_dual_index_four(self):
         entry = lattice_at_level(even_code(4), H4_HALF, 1)
         rep = graded_dual(entry)
@@ -384,6 +431,36 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(lattice_at_level(even_code(4), H4_VAC, 2),
                     lattice_at_level(even_code(4), H4_VAC, 3))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_index_is_the_transition_determinant(self, data):
+        """Random nested lattices in the 4 coordinates of H4_VAC level 2:
+        big from random rows over a random denominator (rank 0 to 4), small
+        from random integer combinations of its basis, possibly of lower
+        rank. The index is |det| of the transition matrix, solved row by row
+        over the common denominator."""
+        ints = st.integers(min_value=-6, max_value=6)
+        rows = data.draw(st.lists(st.lists(ints, min_size=4, max_size=4), max_size=5))
+        den = data.draw(st.integers(min_value=1, max_value=4))
+        big = _from_rational_rows(H4_VAC, None, 2,
+                                  [[Fraction(c, den) for c in row] for row in rows])
+        r = big.rank
+        mix = data.draw(st.lists(st.lists(st.integers(min_value=-3, max_value=3),
+                                          min_size=r, max_size=r), min_size=r, max_size=r))
+        small = _from_rational_rows(H4_VAC, None, 2, [
+            [sum((Fraction(m * row[j], big.denominator) for m, row in zip(coeffs, big.basis)),
+                 Fraction(0)) for j in range(4)]
+            for coeffs in mix])
+        common = lcm(small.denominator, big.denominator)
+        scaled = [[common // small.denominator * c for c in row] for row in small.basis]
+        over = [[common // big.denominator * c for c in row] for row in big.basis]
+        transition = [hnf_solve(over, row) for row in scaled]
+        expected = abs(det_bareiss(transition)) if small.rank == r else None
+        a, b = (small, big) if data.draw(st.booleans()) else (big, small)
+        report = compare(a, b)
+        assert report.index == expected
+        assert report.a_in_b if a is small else report.b_in_a
 
 
 class TestSaturation:

@@ -288,6 +288,12 @@ class TestIrreducibleBasis:
                 basis = irreducible_basis(p, level)
                 assert (basis.pivots, basis.gram, basis.inverse) == full_scan_basis(p, level)
 
+    def test_det_is_the_pivot_gram_determinant(self):
+        for p in ISING_PARAMS:
+            for level in range(13):
+                basis = irreducible_basis(p, level)
+                assert basis.det == frac_det(basis.gram)
+
     def test_overcounting_character_fails_the_check(self, monkeypatch, capsys):
         # A fresh engine cache, so no basis built before the patch is reused.
         monkeypatch.setattr(virasoro, "_engine", functools.cache(virasoro._Engine))
@@ -439,6 +445,7 @@ class TestNonIsingWeights:
                 assert (basis.pivots, basis.gram) == principal_minor_basis(p, level)
                 assert basis.dimension == dense_rank(shapovalov_gram(p, level))
                 assert basis.inverse == full_scan_basis(p, level)[2]
+                assert basis.det == frac_det(basis.gram)
 
 
 class TestScalingAdmissible:
