@@ -174,6 +174,9 @@ class BinaryCode:
         return (isinstance(other, BinaryCode)
                 and self.n == other.n and self._basis == other._basis)
 
+    def __hash__(self) -> int:
+        return hash((self.n, tuple(self._basis)))
+
     def __contains__(self, word: Word) -> bool:
         return self.contains(word)
 

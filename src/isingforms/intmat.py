@@ -8,6 +8,9 @@ levels reduce [monomial vectors | multipliers], and the graded dual reduces
 (echelon shape, positive pivots, entries above a pivot reduced into
 [0, pivot)), the unique canonical basis of an integer row lattice, and
 membership solves over it; every lattice index is read off its pivots.
+``hnf`` builds it by inserting the rows one at a time into the pivot rows
+held so far, through extended-gcd 2 x 2 unimodular steps, with size
+reduction after each change so the entries stay small.
 
 Solving a square system, inverting, expressing vectors over a fixed list of
 rows (with their left kernel) and the Bareiss determinants (a rational one
@@ -20,6 +23,7 @@ so repeated runs on equal input produce identical output.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -153,39 +157,86 @@ class RowSpanSolver:
         return [self._transform[k] for k in range(self.rank, self.nrows)]
 
 
+def _xgcd(a: int, b: int):
+    """(d, x, y) with d = gcd(a, b) = x*a + y*b."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _reduce(row, prow, c: int, q: int):
+    """row -= q * prow in place, on the columns from c on (prow is zero before c)."""
+    row[c:] = [x - q * y for x, y in zip(row[c:], prow[c:])]
+
+
 def hnf(rows):
-    """Canonical row Hermite normal form of integer rows; zero rows dropped."""
-    mat = [list(map(int, row)) for row in rows if any(row)]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, len(mat)) if mat[i][c]]
-            if len(nz) <= 1:
-                break
-            k = min(nz, key=lambda i: abs(mat[i][c]))
-            for i in nz:
-                if i != k:
-                    q = mat[i][c] // mat[k][c]
-                    if q:
-                        mat[i] = [a - q * b for a, b in zip(mat[i], mat[k])]
-        nz = [i for i in range(r, len(mat)) if mat[i][c]]
-        if not nz:
-            continue
-        k = nz[0]
-        mat[r], mat[k] = mat[k], mat[r]
-        if mat[r][c] < 0:
-            mat[r] = [-x for x in mat[r]]
-        for i in range(r):
-            q = mat[i][c] // mat[r][c]
+    """Canonical row Hermite normal form of integer rows; zero rows dropped.
+
+    Rows go in one at a time. Each is reduced against the pivot rows held so
+    far, column by column. A column without a pivot row takes the rest as a
+    new one, sign-normalized. A pivot a that does not divide the entry b is
+    replaced by the 2 x 2 unimodular step [[x, y], [-b/d, a/d]] on (pivot row,
+    row), d = gcd(a, b) = x*a + y*b: the first product is the new pivot row,
+    with entry d, and the second, zero in that column, carries on. Every new
+    or replaced pivot row is size-reduced against the later pivots, and the
+    earlier rows against it in its column, which keeps the entries small. A
+    last pass, pivot columns in increasing order, reduces every entry above a
+    pivot into [0, pivot). The result is the unique basis of that shape
+    (Cohen, A Course in Computational Algebraic Number Theory, section 2.4),
+    so the order of the rows changes only the time: sparse rows first is fast.
+    """
+    pivot_rows: dict[int, list[int]] = {}
+    cols: list[int] = []  # the pivot columns, increasing
+
+    def reduce_above(k: int):
+        """Reduce the pivot rows before the k-th in its pivot column."""
+        c = cols[k]
+        prow = pivot_rows[c]
+        for c1 in cols[:k]:
+            q = pivot_rows[c1][c] // prow[c]
             if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return [row for row in mat[:r] if any(row)]
+                _reduce(pivot_rows[c1], prow, c, q)
+
+    def install(c: int, row):
+        if c not in pivot_rows:
+            insort(cols, c)
+        pivot_rows[c] = row
+        k = bisect_left(cols, c)
+        for c2 in cols[k + 1:]:
+            q = row[c2] // pivot_rows[c2][c2]
+            if q:
+                _reduce(row, pivot_rows[c2], c2, q)
+        reduce_above(k)
+
+    for row in rows:
+        v = list(map(int, row))
+        c = 0
+        while True:
+            c = next((j for j in range(c, len(v)) if v[j]), None)
+            if c is None:
+                break
+            b = v[c]
+            p = pivot_rows.get(c)
+            if p is None:
+                install(c, v if b > 0 else [-x for x in v])
+                break
+            a = p[c]
+            q, r = divmod(b, a)
+            if r:
+                d, x, y = _xgcd(a, b)
+                a, b = a // d, b // d
+                head = [0] * c
+                install(c, head + [x * s + y * t for s, t in zip(p[c:], v[c:])])
+                v = head + [a * t - b * s for s, t in zip(p[c:], v[c:])]
+            else:
+                _reduce(v, p, c, q)
+    for k in range(len(cols)):
+        reduce_above(k)
+    return [pivot_rows[c] for c in cols]
 
 
 def hnf_solve(hrows, vector):

@@ -17,6 +17,18 @@ no central term, and L_{T^c} = -L_T, so any product of lowering operators
 straightens into the products over Z and the span is no larger. Hermite form
 and the reduced denominator are unique, so the stored entry is the one the
 products themselves would give.
+
+Odd modes m = 2k + 1 with k >= min_mode are not needed as generators. The
+bracket above with S = U, T = E the empty word and modes k, k + 1 gives
+L_U(-(2k+1)) = [L_U(-k), L_E(-(k+1))], so for a row v of Lambda_{n-m}
+
+    L_U(-m) v = L_U(-k) L_E(-(k+1)) v - L_E(-(k+1)) L_U(-k) v.
+
+L_E(-(k+1)) v lies in Lambda_{n-k} and L_U(-k) v in Lambda_{n-k-1}, each an
+integer combination of Hermite rows there, so the two terms are integer
+combinations of generators with the modes k and k + 1: both at least
+min_mode, both below m, and E is a representative. By induction on m the
+generators with m even or m <= 2 min_mode span Lambda_n.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ from .intmat import _rref, hnf, hnf_solve
 from .tensor import (
     HVector,
     TensorVector,
+    factor_images,
     factor_mode_sum,
     form_image,
     lt0_eigenvalue,
@@ -188,34 +201,56 @@ def _from_rational_rows(weights: HVector, code: BinaryCode | None, level: int,
     )
 
 
+def _generator_modes(min_mode: int, n: int) -> list[int]:
+    """The modes m whose L_T(-m) span level n, largest first.
+
+    Odd modes 2k + 1 with k >= min_mode are left out (module docstring).
+    Largest first feeds hnf the sparse rows from the lowest levels first.
+    """
+    return [m for m in range(n, min_mode - 1, -1) if m % 2 == 0 or m <= 2 * min_mode]
+
+
+def _signed_sum(images, signs, index) -> list:
+    """Coordinates of sum_i signs[i] * images[i] in the key order of index."""
+    row = [0] * len(index)
+    for sign, image in zip(signs, images):
+        for key, c in image.terms.items():
+            j = index[key]
+            row[j] = row[j] + c if sign > 0 else row[j] - c
+    return row
+
+
 def lattice_at_level(code: BinaryCode, weights: HVector, level: int,
                      below: list[LevelLattice] | None = None) -> LevelLattice:
     """The lattice of straightened products at one level, in Hermite form.
 
     Built from the levels below it: the generators are L_T(-m) b for modes
-    m >= min_mode (2 on a vacuum power, else 1), complement-reduced codewords
-    T and the Hermite basis rows b of level - m; level 0 is the lowest weight
-    vector. The commutator argument in the module docstring shows this spans
-    the same lattice as the straightened products themselves. ``below`` holds
-    the entries of levels 0, 1, ... in order; the levels up to ``level`` that
-    it lacks are built here, each once.
+    m >= min_mode (2 on a vacuum power, else 1) that are even or at most
+    2 min_mode, complement-reduced codewords T and the Hermite basis rows b
+    of level - m; level 0 is the lowest weight vector. The commutator
+    arguments in the module docstring show that this spans the same lattice
+    as the straightened products themselves. Each (m, b) maps every factor
+    once, and each T signs those images. ``below`` holds the entries of
+    levels 0, 1, ... in order; the levels up to ``level`` that it lacks are
+    built here, each once.
     """
     _check_inputs(code, weights, level)
     entries = list(below or ())[:level]
     if any((e.weights, e.code, e.level) != (weights, code, n) for n, e in enumerate(entries)):
         raise ValueError("below must hold levels 0, 1, ... of the same weights and code")
-    reps = complement_reduce(code)
+    signs = [[-1 if t.contains(i) else 1 for i in range(1, code.n + 1)]
+             for t in complement_reduce(code)]
     min_mode = _min_mode(weights)
     for n in range(len(entries), level + 1):
         if n == 0:
             rows = [TensorVector.lowest(weights).coordinates(0)]
         else:
-            rows = [
-                lt_action(t, -m, b).coordinates(n)
-                for m in range(min_mode, n + 1)
-                for b in entries[n - m].basis_vectors()
-                for t in reps
-            ]
+            index = space(weights).index(n)
+            rows = []
+            for m in _generator_modes(min_mode, n):
+                for b in entries[n - m].basis_vectors():
+                    images = factor_images(-m, b)
+                    rows.extend(_signed_sum(images, s, index) for s in signs)
         entries.append(_from_rational_rows(weights, code, n, rows))
     return entries[level]
 
@@ -235,7 +270,7 @@ def contains(entry: LevelLattice, v: TensorVector) -> bool:
         if s.denominator != 1:
             return False
         scaled.append(int(s))
-    return hnf_solve(list(map(list, entry.basis)), scaled) is not None
+    return hnf_solve(entry.basis, scaled) is not None
 
 
 def _common_rows(a: LevelLattice, b: LevelLattice):

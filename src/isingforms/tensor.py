@@ -286,6 +286,15 @@ def apply_factor_mode(i: int, m: int, v: TensorVector) -> TensorVector:
     return factor_mode_sum([(i, 1)], m, v)
 
 
+def factor_images(m: int, v: TensorVector) -> list[TensorVector]:
+    """L^(i)(m) v for every factor i, in factor order.
+
+    Every L_T(m) v is a signed sum of these, factor i negated when i is in T,
+    so a caller applying many codewords to one vector maps each factor once.
+    """
+    return [apply_factor_mode(i, m, v) for i in range(1, v.weights.n + 1)]
+
+
 def lt_action(T: Word, m: int, v: TensorVector) -> TensorVector:
     """The signed diagonal operator L_T(m) applied to v."""
     n = v.weights.n

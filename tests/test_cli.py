@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -125,6 +126,24 @@ class TestDeterminism:
         main(["e8", "weight1", "--out", str(target)])
         assert capsys.readouterr().out == ""
         assert "total" in target.read_text()
+
+
+class TestGoldenReports:
+    """Reports whose stdout sha256 was recorded once and must not move: the
+    lattice build, its Hermite bases and the saturation feed them."""
+
+    @pytest.mark.parametrize("argv, exit_code, digest", [
+        (["form", "verify", "--code", "hamming8", "--H", "1/2,1/2,0,0,0,0,0,0",
+          "--max-level", "5"], 0,
+         "965db0ff8cea93bf03b748f5a85dfcf199b21cc5f132be8d622c95ec8105b74f"),
+        (["form", "generated", "--gen", "2omega", "--power", "8", "--max-level", "4",
+          "--mode-budget", "2", "--rounds", "3"], 1,
+         "89e7f5994fbae0e8b695a1640df49143c4a8aa42b8ac36681efb82f581896796"),
+    ], ids=["form-verify-hamming8-half-pair-5", "form-generated-power-8"])
+    def test_stdout_digest(self, capsys, argv, exit_code, digest):
+        assert main(argv) == exit_code
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
 
 
 class TestReports:

@@ -89,6 +89,22 @@ class TestBinaryCode:
             BinaryCode(4, ["110"])
 
     @given(
+        n=st.integers(min_value=1, max_value=8),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_codes_hash_equally(self, n, data):
+        gens = data.draw(
+            st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=4)
+        )
+        code = BinaryCode(n, [Word(g, n) for g in gens])
+        # the same span from its own words, in reverse order
+        again = BinaryCode(n, code.words()[::-1])
+        assert again == code
+        assert hash(again) == hash(code)
+        assert len({code, again, code.dual().dual()}) == 1
+
+    @given(
         n=st.integers(min_value=2, max_value=10),
         data=st.data(),
     )

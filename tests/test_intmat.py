@@ -3,10 +3,14 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isingforms import lattices
+from isingforms.codes import even_code, hamming8
 from isingforms.intmat import RowSpanSolver, _rref, frac_det, frac_inverse, frac_solve, hnf
+from isingforms.tensor import HVector
 
 small_fractions = st.builds(Fraction, st.integers(min_value=-3, max_value=3),
                             st.integers(min_value=1, max_value=3))
@@ -98,6 +102,75 @@ def rref_inputs(draw):
 SINGULAR = [[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)]]
 
 
+def sweep_hnf(rows):
+    """Row Hermite normal form column by column: in each column the rows at or
+    below the current one are reduced by the one of least absolute entry until
+    a single nonzero entry is left, which becomes the positive pivot, and the
+    rows above are reduced modulo it."""
+    mat = [list(map(int, row)) for row in rows if any(row)]
+    if not mat:
+        return []
+    ncols = len(mat[0])
+    r = 0
+    for c in range(ncols):
+        while True:
+            nz = [i for i in range(r, len(mat)) if mat[i][c]]
+            if len(nz) <= 1:
+                break
+            k = min(nz, key=lambda i: abs(mat[i][c]))
+            for i in nz:
+                if i != k:
+                    q = mat[i][c] // mat[k][c]
+                    if q:
+                        mat[i] = [a - q * b for a, b in zip(mat[i], mat[k])]
+        nz = [i for i in range(r, len(mat)) if mat[i][c]]
+        if not nz:
+            continue
+        k = nz[0]
+        mat[r], mat[k] = mat[k], mat[r]
+        if mat[r][c] < 0:
+            mat[r] = [-x for x in mat[r]]
+        for i in range(r):
+            q = mat[i][c] // mat[r][c]
+            if q:
+                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+        if r == len(mat):
+            break
+    return [row for row in mat[:r] if any(row)]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer rows of any shape, tall or wide, small and large entries of both
+    signs, some rows zero and some integer combinations of the others."""
+    width = draw(st.integers(min_value=1, max_value=7))
+    entries = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9),
+                        st.integers(min_value=-10**6, max_value=10**6))
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=8))
+    if rows:
+        coeffs = st.lists(st.integers(min_value=-3, max_value=3),
+                          min_size=len(rows), max_size=len(rows))
+        for cs in draw(st.lists(coeffs, max_size=3)):
+            rows.append([sum(c * row[j] for c, row in zip(cs, rows)) for j in range(width)])
+    rows += [[0] * width] * draw(st.integers(min_value=0, max_value=2))
+    return draw(st.permutations(rows))
+
+
+def captured_generators(monkeypatch, code, weights, top):
+    """The integer generator matrix lattice_at_level hands to hnf at each level."""
+    seen = []
+
+    def record(rows):
+        seen.append(rows)
+        return hnf(rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lattices, "hnf", record)
+        lattices.lattice_at_level(code, weights, top)
+    return seen
+
+
 class TestRref:
     @given(rref_inputs())
     @example(([], 0))
@@ -114,6 +187,32 @@ class TestRref:
         assert pivots == expected_pivots
         assert reduced == expected
         assert all(type(x) is Fraction for row in reduced for x in row)
+
+
+class TestHnf:
+    @given(integer_matrices())
+    @example([])
+    @example([[0, 0, 0]])
+    @example([[0, 0], [0, 0]])
+    @example([[2, 3], [3, 5], [4, 6], [-6, 9]])
+    @example([[6, 4, -2, 9, 1], [-9, -6, 3, 0, 2]])
+    @example([[-4, 6], [6, -9]])
+    @settings(max_examples=400, deadline=None)
+    def test_matches_column_sweep(self, rows):
+        assert hnf(rows) == sweep_hnf(rows)
+
+    @pytest.mark.parametrize("code, weights, top", [
+        (hamming8(), HVector.parse("1/2,1/2,0,0,0,0,0,0"), 5),
+        (even_code(4), HVector.parse("1/2,1/2,0,0"), 5),
+        (even_code(4), HVector.vacuum(4), 6),
+    ], ids=["hamming8-half-pair", "even4-half-pair", "even4-vacuum"])
+    def test_matches_column_sweep_on_lattice_generators(self, monkeypatch, code, weights, top):
+        levels = captured_generators(monkeypatch, code, weights, top)
+        assert len(levels) == top + 1
+        for rows in levels:
+            want = sweep_hnf(rows)
+            assert hnf(rows) == want
+            assert hnf(rows[::-1]) == want
 
 
 class TestSquareKernels:

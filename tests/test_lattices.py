@@ -180,6 +180,13 @@ class TestLatticeAtLevel:
             contains(entry, evaluate_monomial(
                 spanning_monomials(even_code(4), H4_VAC, 3)[0], H4_VAC))
 
+    def test_lattice_hashes_with_its_code(self):
+        entry = lattice_at_level(even_code(4), H4_VAC, 2)
+        again = lattice_at_level(even_code(4), H4_VAC, 2)
+        assert entry.code is not again.code
+        assert hash(entry) == hash(again)
+        assert {entry, again} == {entry}
+
     def test_zero_vector_always_contained(self):
         entry = lattice_at_level(even_code(4), H4_VAC, 2)
         assert contains(entry, TensorVector(H4_VAC))
@@ -214,6 +221,45 @@ CASES = [
 ]
 CASE_IDS = ["even4-vacuum", "even4-half-pair", "even4-all-half",
             "hamming8-half-pair", "c16-sixteenth"]
+
+
+def full_generator_route(code, weights, top):
+    """Levels 0..top, each the span of L_T(-m) b over every mode m >= the
+    lowest one, through lt_action: no mode left out."""
+    reps = complement_reduce(code)
+    min_mode = 2 if weights.total == 0 else 1
+    entries = []
+    for n in range(top + 1):
+        if n == 0:
+            rows = [TensorVector.lowest(weights).coordinates(0)]
+        else:
+            rows = [lt_action(t, -m, b).coordinates(n)
+                    for m in range(min_mode, n + 1)
+                    for b in entries[n - m].basis_vectors()
+                    for t in reps]
+        entries.append(_from_rational_rows(weights, code, n, rows))
+    return entries
+
+
+class TestOddModePruning:
+    def test_generator_modes(self):
+        assert lattices._generator_modes(1, 7) == [6, 4, 2, 1]
+        assert lattices._generator_modes(2, 9) == [8, 6, 4, 3, 2]
+        assert lattices._generator_modes(2, 1) == []
+
+    @pytest.mark.parametrize("code, weights, top", [
+        (hamming8(), HVector.parse("1/2,1/2,0,0,0,0,0,0"), 5),
+        (even_code(4), H4_VAC, 8),
+        (even_code(4), H4_HALF, 7),
+        (hamming8(), HVector.vacuum(8), 6),
+        (c16(), HVector.sixteenth(16), 2),
+    ], ids=["hamming8-half-pair", "even4-vacuum", "even4-half-pair",
+            "hamming8-vacuum", "c16-sixteenth"])
+    def test_levels_match_every_mode(self, code, weights, top):
+        entries = []
+        for level, want in enumerate(full_generator_route(code, weights, top)):
+            entries.append(lattice_at_level(code, weights, level, below=entries))
+            assert entries[-1] == want
 
 
 class TestRecursionAgainstMonomials:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isingforms import tensor
-from isingforms.codes import BinaryCode, Word, even_code
+from isingforms.codes import BinaryCode, Word, even_code, hamming8
 from isingforms.tensor import (
     CommutatorTerms,
     HVector,
@@ -15,6 +15,7 @@ from isingforms.tensor import (
     apply_factor_mode,
     commutator_symbolic,
     dimension_at_level,
+    factor_images,
     lt0_eigenvalue,
     lt_action,
     omega_component,
@@ -195,6 +196,36 @@ class TestModeActions:
             sign = -1 if t.contains(i) else 1
             expected = expected + sign * omega_component(4, i)
         assert v == expected
+
+
+@st.composite
+def code_vectors(draw):
+    """A code, a weight vector it admits and a random rational vector on a
+    random level of that module."""
+    code, weights = draw(st.sampled_from([
+        (hamming8(), HVector.parse("1/2,1/2,0,0,0,0,0,0")),
+        (hamming8(), HVector.vacuum(8)),
+        (even_code(4), H4_HALF),
+        (even_code(4), H4_VAC),
+    ]))
+    keys = space(weights).keys(draw(st.integers(min_value=0, max_value=4)))
+    picked = draw(st.lists(st.sampled_from(keys), max_size=4)) if keys else []
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return code, TensorVector(weights, {k: draw(coeffs) for k in picked})
+
+
+class TestFactorImages:
+    @given(code_vectors(), st.integers(min_value=-4, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_signed_sum_is_lt_action(self, case, m):
+        code, v = case
+        images = factor_images(m, v)
+        assert len(images) == v.weights.n
+        for t in code.words():
+            total = TensorVector(v.weights)
+            for i, image in enumerate(images, start=1):
+                total = total + (-1 if t.contains(i) else 1) * image
+            assert total == lt_action(t, m, v)
 
 
 class TestCommutatorSymbolic:
