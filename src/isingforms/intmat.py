@@ -2,15 +2,17 @@
 
 One Gauss-Jordan routine, ``_rref``, serves every rational kernel. It takes
 and returns rational rows but eliminates fraction-free on integer rows,
-dividing only at the end. The package calls it directly: the correlation
-levels reduce [monomial vectors | multipliers], and the graded dual reduces
-[Gram | basis]. The integer side is the row-style Hermite normal form
-(echelon shape, positive pivots, entries above a pivot reduced into
-[0, pivot)), the unique canonical basis of an integer row lattice, and
-membership solves over it; every lattice index is read off its pivots.
-``hnf`` builds it by inserting the rows one at a time into the pivot rows
-held so far, through extended-gcd 2 x 2 unimodular steps, with size
-reduction after each change so the entries stay small.
+dividing only at the end. The package calls it in one place: the
+correlation levels reduce [monomial vectors | multipliers]. The integer side
+is the row-style Hermite normal form (echelon shape, positive pivots,
+entries above a pivot reduced into [0, pivot)), the unique canonical basis
+of an integer row lattice, and membership solves over it; every lattice
+index is read off its pivots. ``hnf`` builds it by inserting the rows one
+at a time into the pivot rows held so far, through extended-gcd 2 x 2
+unimodular steps, with size reduction after each change so the entries stay
+small. A full-rank Hermite basis is square upper triangular, so the graded
+dual reduces no [Gram | basis] block: ``hermite_cofactors`` inverts the
+basis by integer back-substitution.
 
 Solving a square system, inverting, expressing vectors over a fixed list of
 rows (with their left kernel) and the Bareiss determinants (a rational one
@@ -25,7 +27,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 
 _ZERO = Fraction(0)
@@ -237,6 +240,29 @@ def hnf(rows):
     for k in range(len(cols)):
         reduce_above(k)
     return [pivot_rows[c] for c in cols]
+
+
+def hermite_cofactors(rows):
+    """(delta, C) for a square full-rank Hermite basis H: delta = det H and
+    C = delta * H^-T, the cofactor matrix, as integer rows.
+
+    H is upper triangular with its pivots on the diagonal, so delta is their
+    product and H^-1 is upper triangular too. Row j of C is column j of
+    adj H, found by back-substitution on H x = delta e_j from x_j = delta /
+    H_jj upwards; every division is exact, since each quotient is an entry
+    of adj H.
+    """
+    n = len(rows)
+    delta = prod(rows[i][i] for i in range(n))
+    out = []
+    for j in range(n):
+        x = [0] * n
+        x[j] = delta // rows[j][j]
+        for i in range(j - 1, -1, -1):
+            row = rows[i]
+            x[i] = -sum(map(mul, row[i + 1:j + 1], x[i + 1:j + 1])) // row[i]
+        out.append(x)
+    return delta, out
 
 
 def hnf_solve(hrows, vector):

@@ -37,20 +37,23 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .codes import BinaryCode, RequestError, Word, complement_reduce, goodform_conditions
-from .intmat import _rref, hnf, hnf_solve
+from .intmat import hermite_cofactors, hnf, hnf_solve
 from .tensor import (
     HVector,
     TensorVector,
     factor_images,
     factor_mode_sum,
     form_image,
+    form_preimage,
+    form_scale,
     lt0_eigenvalue,
     lt_action,
     space,
 )
-from .virasoro import partitions
+from .virasoro import _as_fraction, partitions
 
 
 def admissible_weights(code: BinaryCode, weights: HVector) -> tuple[bool, str]:
@@ -179,25 +182,35 @@ class LevelLattice:
 
 
 def _from_rational_rows(weights: HVector, code: BinaryCode | None, level: int,
-                        rows: list[list[Fraction]]) -> LevelLattice:
-    ambient = space(weights).dimension(level)
+                        rows, scale: Fraction = Fraction(1)) -> LevelLattice:
+    """The lattice spanned by scale times the rows (ints or Fractions),
+    stored as its Hermite basis over the least denominator that keeps it
+    integral.
+
+    The rows are cleared to integers over their common denominator den, and
+    their content g, the gcd of the entries, comes out before hnf, so hnf
+    sees the smallest entries. With scale * g / den = a / b in lowest terms
+    the lattice is a / b times that of the primitive rows, whose entries
+    have gcd 1: d times the lattice is integral exactly when b divides d,
+    and the stored basis is a times the primitive rows' Hermite basis.
+    """
     den = lcm(*(c.denominator for row in rows for c in row))
     int_rows = [[c.numerator * (den // c.denominator) if c else 0 for c in row]
                 for row in rows]
+    g = gcd(*(c for row in int_rows for c in row))
+    if g > 1:
+        int_rows = [[c // g for c in row] for row in int_rows]
     reduced = hnf(int_rows)
-    # drop a denominator no surviving entry needs
-    g = gcd(*(c for row in reduced for c in row))
-    shrink = gcd(g, den) if g else den
-    if shrink > 1:
-        den //= shrink
-        reduced = [[c // shrink for c in row] for row in reduced]
+    content = scale * Fraction(g, den)
+    if content.numerator != 1:
+        reduced = [[c * content.numerator for c in row] for row in reduced]
     return LevelLattice(
         weights=weights,
         code=code,
         level=level,
-        denominator=den,
+        denominator=content.denominator,
         basis=tuple(tuple(row) for row in reduced),
-        ambient_dim=ambient,
+        ambient_dim=space(weights).dimension(level),
     )
 
 
@@ -318,22 +331,42 @@ def compare(a: LevelLattice, b: LevelLattice) -> CompareReport:
     )
 
 
+def _mapped_rows(fmap, weights: HVector, level: int, rows) -> list[list[int]]:
+    """fmap (form_image or form_preimage) on integer coordinate rows, as
+    integer coordinate rows."""
+    sp = space(weights)
+    keys, index = sp.keys(level), sp.index(level)
+    out = []
+    for row in rows:
+        image = [0] * len(keys)
+        v = TensorVector(weights, dict(zip(keys, row, strict=True)))
+        for key, c in fmap(v).terms.items():
+            image[index[key]] = c
+        out.append(image)
+    return out
+
+
+def _scaled_gram(weights: HVector, level: int, rows) -> tuple[int, list[list[int]]]:
+    """(S, rows . S P rows^T) for integer coordinate rows, S = form_scale."""
+    images = _mapped_rows(form_image, weights, level, rows)
+    return form_scale(weights, level), [
+        [sum(map(mul, row, y)) for y in images] for row in rows]
+
+
 def gram_matrix(weights: HVector, level: int, rows) -> list[list[Fraction]]:
     """Pairwise invariant-form values of the given homogeneous rows.
 
-    Rows may be TensorVectors or coordinate sequences in key order.
+    Rows may be TensorVectors or coordinate sequences in key order, with
+    Fraction, int or str entries; a float raises TypeError. The pairings run
+    on the integer rows r = d * row, d the common denominator: entry (i, j)
+    is r_i . S P r_j / (S d^2).
     """
-    keys = space(weights).keys(level)
-    coords = [r.coordinates(level) if isinstance(r, TensorVector) else [Fraction(c) for c in r]
-              for r in rows]
-    # entry (i, j) = coords[i] . P coords[j]
-    vectors = [TensorVector(weights, dict(zip(keys, col, strict=True))) for col in coords]
-    images = [form_image(v).coordinates(level) for v in vectors]
-    return [
-        [sum((c * img[a] for a, c in enumerate(row) if c), Fraction(0))
-         for img in images]
-        for row in coords
-    ]
+    coords = [r.coordinates(level) if isinstance(r, TensorVector)
+              else [_as_fraction(c) for c in r] for r in rows]
+    d = lcm(*(c.denominator for row in coords for c in row))
+    int_rows = [[c.numerator * (d // c.denominator) for c in row] for row in coords]
+    s, gram = _scaled_gram(weights, level, int_rows)
+    return [[Fraction(g, s * d * d) for g in row] for row in gram]
 
 
 @dataclass(frozen=True)
@@ -347,24 +380,36 @@ class DualReport:
 
 
 def graded_dual(entry: LevelLattice) -> DualReport:
-    """Dual basis G^-1 B from Gauss-Jordan on [G | B]; |det G| = covol(B) / covol(dual)."""
+    """The dual lattice {x : x P b in Z for every b in the lattice}, on integers.
+
+    With B = B_int / den the full-rank Hermite basis and P the key Gram, the
+    dual basis D solves D P B^T = I, so D = G^-1 B for the Gram G = B P B^T,
+    and also D = den B_int^-T P^-1 = den / (delta T) * C (T P^-1), with
+    (delta, C) = hermite_cofactors(B_int) and T P^-1 = form_preimage. G is
+    B_int S P B_int^T / (S den^2), S P from form_image. The two routes are
+    tied by (G 1)^T D = 1^T B, checked on integers; a mismatch (which a
+    singular G would give) raises "degenerate Gram matrix". The index
+    |det G| = covol(B) / covol(D) is read off the two Hermite bases.
+    """
     if not entry.full_rank:
         raise ValueError("graded dual needs a full-rank lattice at this level")
-    n = entry.rank
-    basis_rows = [
-        [Fraction(c, entry.denominator) for c in row] for row in entry.basis
-    ]
-    gram = gram_matrix(entry.weights, entry.level, basis_rows)
-    reduced, pivots = _rref([g + b for g, b in zip(gram, basis_rows)], n)
-    if len(pivots) < n:
+    weights, level, den, n = entry.weights, entry.level, entry.denominator, entry.rank
+    s, gram = _scaled_gram(weights, level, entry.basis)
+    delta, cofactors = hermite_cofactors(entry.basis)
+    t = form_scale(weights, level, True)
+    dual_rows = _mapped_rows(form_preimage, weights, level, cofactors)
+    g1 = [sum(row) for row in gram]
+    if ([sum(map(mul, g1, col)) for col in zip(*dual_rows)]
+            != [s * delta * t * sum(col) for col in zip(*entry.basis)]):
         raise ValueError("degenerate Gram matrix")
-    dual = _from_rational_rows(entry.weights, entry.code, entry.level, [r[n:] for r in reduced])
-    integral = all(g.denominator == 1 for row in gram for g in row)
+    dual = _from_rational_rows(weights, entry.code, level, dual_rows, Fraction(den, delta * t))
+    q = s * den * den
+    integral = all(g % q == 0 for row in gram for g in row)
     index = Fraction(_pivot_product(entry.basis) * dual.denominator ** n,
-                     _pivot_product(dual.basis) * entry.denominator ** n)
+                     _pivot_product(dual.basis) * den ** n)
     return DualReport(
         lattice=entry,
-        gram=tuple(tuple(r) for r in gram),
+        gram=tuple(tuple(Fraction(g, q) for g in row) for row in gram),
         dual=dual,
         index=index,
         contains_lattice=integral,

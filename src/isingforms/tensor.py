@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm, prod
 
 from .codes import BinaryCode, RequestError, Word
 from .virasoro import (
@@ -135,11 +136,20 @@ class _Factor:
         return tuple((_sid(target, j), c) for j, c in enumerate(coords) if c)
 
     @cache
-    def gram_row(self, sid: int) -> tuple[tuple[int, Fraction], ...]:
-        """Row sid of its level's pivot Gram, as (sid, value) pairs."""
-        level = _sid_level(sid)
-        row = self.basis(level).gram[sid % _SID_STRIDE]
-        return tuple((_sid(level, j), g) for j, g in enumerate(row) if g)
+    def form_rows(self, top: int, inverse: bool) -> tuple[int, dict]:
+        """(s, rows) for the pivot Grams, or their inverses, at levels <= top.
+
+        s is the lcm of their entries' denominators, and rows maps each sid
+        at those levels to its row of s times its level's matrix, as (sid,
+        int) pairs.
+        """
+        mats = [self.basis(l).inverse if inverse else self.basis(l).gram
+                for l in range(top + 1)]
+        s = lcm(*(x.denominator for mat in mats for row in mat for x in row))
+        rows = {_sid(l, i): tuple((_sid(l, j), x.numerator * (s // x.denominator))
+                                  for j, x in enumerate(row) if x)
+                for l, mat in enumerate(mats) for i, row in enumerate(mat)}
+        return s, rows
 
 
 @cache
@@ -304,19 +314,38 @@ def lt_action(T: Word, m: int, v: TensorVector) -> TensorVector:
         [(i, -1 if T.contains(i) else 1) for i in range(1, n + 1)], m, v)
 
 
-def form_image(v: TensorVector) -> TensorVector:
-    """P v, for P the invariant form's Gram matrix on the state keys.
+def _kronecker_map(v: TensorVector, inverse: bool) -> TensorVector:
+    """S P v, or T P^-1 v with inverse, for S, T = form_scale of v's level.
 
     P is block-diagonal by factor-level pattern, and each block is the
     Kronecker product of the factors' pivot Grams at those levels, so P is
-    the composition over the positions of the factor Gram maps.
+    the composition over the positions of the factor Gram maps, and P^-1
+    that of the factor inverse maps. Each factor map is scaled to integers
+    by its own lcm, so an integer v has an integer image.
     """
+    level = v.level() or 0
     terms = v.terms
     for pos, factor in enumerate(space(v.weights).factors):
-        out: dict[tuple[int, ...], Fraction] = {}
-        _add_factor_map(out, terms, pos, factor.gram_row, 1)
+        out: dict[tuple[int, ...], int] = {}
+        _add_factor_map(out, terms, pos, factor.form_rows(level, inverse)[1].__getitem__, 1)
         terms = out
     return TensorVector(v.weights, terms)
+
+
+def form_scale(weights: HVector, level: int, inverse: bool = False) -> int:
+    """The integer S (T with inverse) that form_image (form_preimage) scales by."""
+    return prod(f.form_rows(level, inverse)[0] for f in space(weights).factors)
+
+
+def form_image(v: TensorVector) -> TensorVector:
+    """S P v for a homogeneous v, P the invariant form's Gram matrix on the
+    state keys and S = form_scale(v.weights, level)."""
+    return _kronecker_map(v, False)
+
+
+def form_preimage(v: TensorVector) -> TensorVector:
+    """T P^-1 v for a homogeneous v, T = form_scale(v.weights, level, True)."""
+    return _kronecker_map(v, True)
 
 
 def form_nondegenerate(weights: HVector, level: int) -> bool:

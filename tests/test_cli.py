@@ -130,7 +130,8 @@ class TestDeterminism:
 
 class TestGoldenReports:
     """Reports whose stdout sha256 was recorded once and must not move: the
-    lattice build, its Hermite bases and the saturation feed them."""
+    lattice build, its Hermite bases, the saturation and the graded dual
+    feed them."""
 
     @pytest.mark.parametrize("argv, exit_code, digest", [
         (["form", "verify", "--code", "hamming8", "--H", "1/2,1/2,0,0,0,0,0,0",
@@ -139,7 +140,14 @@ class TestGoldenReports:
         (["form", "generated", "--gen", "2omega", "--power", "8", "--max-level", "4",
           "--mode-budget", "2", "--rounds", "3"], 1,
          "89e7f5994fbae0e8b695a1640df49143c4a8aa42b8ac36681efb82f581896796"),
-    ], ids=["form-verify-hamming8-half-pair-5", "form-generated-power-8"])
+        (["dual", "--power", "8", "--code", "hamming8", "--H", "0,0,0,0,0,0,0,0",
+          "--level", "4", "--compare"], 0,
+         "31a4dbda7a80735316330e6b20ec827f1638f51cb0172ab7fb28aa6b86b0a4da"),
+        (["dual", "--power", "8", "--code", "hamming8", "--H", "0,0,0,0,0,0,0,0",
+          "--level", "5", "--compare", "--format", "json"], 0,
+         "5f47d12d63cfb00809bfa49d70d63257bf79652f0e04a7b37eab926094b01b8a"),
+    ], ids=["form-verify-hamming8-half-pair-5", "form-generated-power-8",
+            "dual-hamming8-vacuum-4", "dual-hamming8-vacuum-5-json"])
     def test_stdout_digest(self, capsys, argv, exit_code, digest):
         assert main(argv) == exit_code
         out = capsys.readouterr().out.encode()

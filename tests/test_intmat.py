@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 
 from isingforms import lattices
 from isingforms.codes import even_code, hamming8
-from isingforms.intmat import RowSpanSolver, _rref, frac_det, frac_inverse, frac_solve, hnf
+from isingforms.intmat import (
+    RowSpanSolver,
+    _rref,
+    det_bareiss,
+    frac_det,
+    frac_inverse,
+    frac_solve,
+    hermite_cofactors,
+    hnf,
+)
 from isingforms.tensor import HVector
 
 small_fractions = st.builds(Fraction, st.integers(min_value=-3, max_value=3),
@@ -285,3 +294,25 @@ class TestRowSpanSolver:
         solver = RowSpanSolver([])
         assert solver.rank == 0
         assert solver.kernel() == []
+
+
+@st.composite
+def hermite_bases(draw):
+    """Square full-rank Hermite bases: positive pivots on the diagonal, zeros
+    below, and every entry above a pivot in [0, pivot)."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    pivots = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=n, max_size=n))
+    return [[0] * i + [pivots[i]]
+            + [draw(st.integers(min_value=0, max_value=pivots[j] - 1)) for j in range(i + 1, n)]
+            for i in range(n)]
+
+
+class TestHermiteCofactors:
+    @settings(max_examples=150, deadline=None)
+    @given(hermite_bases())
+    def test_matches_fraction_inverse(self, rows):
+        assert hnf(rows) == rows
+        delta, cofactors = hermite_cofactors(rows)
+        assert delta == det_bareiss(rows)
+        inverse_transpose = [list(col) for col in zip(*frac_inverse(rows))]
+        assert [[Fraction(c, delta) for c in row] for row in cofactors] == inverse_transpose

@@ -44,7 +44,10 @@ from isingforms.tensor import (
     HVector,
     TensorVector,
     apply_factor_mode,
+    form_image,
     form_nondegenerate,
+    form_preimage,
+    form_scale,
     lt_action,
     omega_component,
     omega_total,
@@ -310,6 +313,10 @@ class TestGram:
         g = gram_matrix(H4_VAC, 4, entry.basis_vectors())
         assert all(g[i][j] == g[j][i] for i in range(len(g)) for j in range(len(g)))
 
+    def test_float_coordinates_rejected(self):
+        with pytest.raises(TypeError):
+            gram_matrix(H4_HALF, 1, [[0.5, 0]])
+
 
 def dense_key_gram(weights, level):
     """The invariant form on the state keys as one dense matrix: entry
@@ -356,6 +363,26 @@ class TestFactorwiseForm:
         for level in range(top + 1):
             p = dense_key_gram(weights, level)
             assert form_nondegenerate(weights, level) == (not p or frac_det(p) != 0)
+
+    def test_preimage_matches_dense_inverse(self):
+        """T P^-1 from the factors' stored inverses against frac_inverse of
+        the dense key Gram, on a weight vector whose factor inverses carry
+        the odd denominators 49 and 27 by level 6, and P^-1 (P v) = v."""
+        weights = HVector.parse("1/16,1/2,0")
+        t6 = form_scale(weights, 6, True)
+        assert t6 % 49 == 0 and t6 % 27 == 0
+        rng = random.Random(14)
+        for level in range(7):
+            keys = space(weights).keys(level)
+            inv = frac_inverse(dense_key_gram(weights, level))
+            s, t = form_scale(weights, level), form_scale(weights, level, True)
+            for _ in range(3):
+                x = [rng.randint(-5, 5) for _ in keys]
+                v = TensorVector(weights, dict(zip(keys, x)))
+                expected = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in inv]
+                image = form_preimage(v).coordinates(level)
+                assert [Fraction(c, t) for c in image] == expected
+                assert form_preimage(form_image(v)) == (s * t) * v
 
     @pytest.mark.parametrize("factor_level", [0, 2, 3, 4])
     def test_singular_factor_gram_is_degenerate(self, monkeypatch, factor_level):
@@ -441,6 +468,15 @@ class TestDual:
     def test_degenerate_gram_rejected(self, monkeypatch):
         entry = lattice_at_level(even_code(4), H4_HALF, 0)
         monkeypatch.setattr(lattices, "form_image", lambda v: TensorVector(v.weights))
+        with pytest.raises(ValueError, match="degenerate Gram matrix"):
+            graded_dual(entry)
+
+    def test_preimage_off_the_gram_route_rejected(self, monkeypatch):
+        """The integer check ties the printed Gram to the dual: a P^-1 map
+        off by a factor 2 makes them disagree."""
+        entry = lattice_at_level(even_code(4), H4_HALF, 2)
+        real = lattices.form_preimage
+        monkeypatch.setattr(lattices, "form_preimage", lambda v: 2 * real(v))
         with pytest.raises(ValueError, match="degenerate Gram matrix"):
             graded_dual(entry)
 
