@@ -182,7 +182,7 @@ def _cmd_form_verify(args) -> tuple[dict, bool]:
         entries.append(lattice_at_level(code, weights, level, below=entries))
     out["levels"] = [_level_row(entry) for entry in entries]
     passed = all(entry.full_rank for entry in entries)
-    vacuum = weights.total == 0 and not weights.has_sixteenth
+    vacuum = weights.total == 0
     if vacuum and args.max_level >= 2:
         entry = entries[2]
         omega_in = contains(entry, omega_total(weights.n))

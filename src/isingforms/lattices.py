@@ -44,11 +44,9 @@ from .intmat import hermite_cofactors, hnf, hnf_solve
 from .tensor import (
     HVector,
     TensorVector,
-    factor_images,
+    apply_factor_mode,
     factor_mode_sum,
-    form_image,
-    form_preimage,
-    form_scale,
+    form_map,
     lt0_eigenvalue,
     lt_action,
     space,
@@ -113,7 +111,7 @@ class SpanningMonomial:
 
 def _min_mode(weights: HVector) -> int:
     """Lowest lowering mode: level-1 factor states vanish in a vacuum power."""
-    return 2 if weights.total == 0 and not weights.has_sixteenth else 1
+    return 2 if weights.total == 0 else 1
 
 
 def spanning_monomials(code: BinaryCode, weights: HVector, level: int) -> list[SpanningMonomial]:
@@ -262,7 +260,7 @@ def lattice_at_level(code: BinaryCode, weights: HVector, level: int,
             rows = []
             for m in _generator_modes(min_mode, n):
                 for b in entries[n - m].basis_vectors():
-                    images = factor_images(-m, b)
+                    images = [apply_factor_mode(i, -m, b) for i in range(1, code.n + 1)]
                     rows.extend(_signed_sum(images, s, index) for s in signs)
         entries.append(_from_rational_rows(weights, code, n, rows))
     return entries[level]
@@ -331,26 +329,10 @@ def compare(a: LevelLattice, b: LevelLattice) -> CompareReport:
     )
 
 
-def _mapped_rows(fmap, weights: HVector, level: int, rows) -> list[list[int]]:
-    """fmap (form_image or form_preimage) on integer coordinate rows, as
-    integer coordinate rows."""
-    sp = space(weights)
-    keys, index = sp.keys(level), sp.index(level)
-    out = []
-    for row in rows:
-        image = [0] * len(keys)
-        v = TensorVector(weights, dict(zip(keys, row, strict=True)))
-        for key, c in fmap(v).terms.items():
-            image[index[key]] = c
-        out.append(image)
-    return out
-
-
 def _scaled_gram(weights: HVector, level: int, rows) -> tuple[int, list[list[int]]]:
-    """(S, rows . S P rows^T) for integer coordinate rows, S = form_scale."""
-    images = _mapped_rows(form_image, weights, level, rows)
-    return form_scale(weights, level), [
-        [sum(map(mul, row, y)) for y in images] for row in rows]
+    """(S, rows . S P rows^T) for integer coordinate rows, S from form_map."""
+    s, images = form_map(weights, level, rows)
+    return s, [[sum(map(mul, row, y)) for y in images] for row in rows]
 
 
 def gram_matrix(weights: HVector, level: int, rows) -> list[list[Fraction]]:
@@ -385,8 +367,8 @@ def graded_dual(entry: LevelLattice) -> DualReport:
     With B = B_int / den the full-rank Hermite basis and P the key Gram, the
     dual basis D solves D P B^T = I, so D = G^-1 B for the Gram G = B P B^T,
     and also D = den B_int^-T P^-1 = den / (delta T) * C (T P^-1), with
-    (delta, C) = hermite_cofactors(B_int) and T P^-1 = form_preimage. G is
-    B_int S P B_int^T / (S den^2), S P from form_image. The two routes are
+    (delta, C) = hermite_cofactors(B_int) and T P^-1 from form_map. G is
+    B_int S P B_int^T / (S den^2), S P from form_map too. The two routes are
     tied by (G 1)^T D = 1^T B, checked on integers; a mismatch (which a
     singular G would give) raises "degenerate Gram matrix". The index
     |det G| = covol(B) / covol(D) is read off the two Hermite bases.
@@ -396,8 +378,7 @@ def graded_dual(entry: LevelLattice) -> DualReport:
     weights, level, den, n = entry.weights, entry.level, entry.denominator, entry.rank
     s, gram = _scaled_gram(weights, level, entry.basis)
     delta, cofactors = hermite_cofactors(entry.basis)
-    t = form_scale(weights, level, True)
-    dual_rows = _mapped_rows(form_preimage, weights, level, cofactors)
+    t, dual_rows = form_map(weights, level, cofactors, inverse=True)
     g1 = [sum(row) for row in gram]
     if ([sum(map(mul, g1, col)) for col in zip(*dual_rows)]
             != [s * delta * t * sum(col) for col in zip(*entry.basis)]):

@@ -296,15 +296,6 @@ def apply_factor_mode(i: int, m: int, v: TensorVector) -> TensorVector:
     return factor_mode_sum([(i, 1)], m, v)
 
 
-def factor_images(m: int, v: TensorVector) -> list[TensorVector]:
-    """L^(i)(m) v for every factor i, in factor order.
-
-    Every L_T(m) v is a signed sum of these, factor i negated when i is in T,
-    so a caller applying many codewords to one vector maps each factor once.
-    """
-    return [apply_factor_mode(i, m, v) for i in range(1, v.weights.n + 1)]
-
-
 def lt_action(T: Word, m: int, v: TensorVector) -> TensorVector:
     """The signed diagonal operator L_T(m) applied to v."""
     n = v.weights.n
@@ -314,38 +305,30 @@ def lt_action(T: Word, m: int, v: TensorVector) -> TensorVector:
         [(i, -1 if T.contains(i) else 1) for i in range(1, n + 1)], m, v)
 
 
-def _kronecker_map(v: TensorVector, inverse: bool) -> TensorVector:
-    """S P v, or T P^-1 v with inverse, for S, T = form_scale of v's level.
+def form_map(weights: HVector, level: int, rows,
+             inverse: bool = False) -> tuple[int, list[list[int]]]:
+    """(S, the rows S P r) for integer coordinate rows r at one level, or
+    (T, the rows T P^-1 r) with inverse.
 
-    P is block-diagonal by factor-level pattern, and each block is the
-    Kronecker product of the factors' pivot Grams at those levels, so P is
-    the composition over the positions of the factor Gram maps, and P^-1
-    that of the factor inverse maps. Each factor map is scaled to integers
-    by its own lcm, so an integer v has an integer image.
+    P, the invariant form's Gram matrix on the state keys, is block-diagonal
+    by factor-level pattern, and each block is the Kronecker product of the
+    factors' pivot Grams at those levels, so P is the composition over the
+    positions of the factor Gram maps, and P^-1 that of the factor inverse
+    maps. Each factor map is scaled to integers by its own lcm, and S (T) is
+    the product of those lcms, so the images are integer rows.
     """
-    level = v.level() or 0
-    terms = v.terms
-    for pos, factor in enumerate(space(v.weights).factors):
-        out: dict[tuple[int, ...], int] = {}
-        _add_factor_map(out, terms, pos, factor.form_rows(level, inverse)[1].__getitem__, 1)
-        terms = out
-    return TensorVector(v.weights, terms)
-
-
-def form_scale(weights: HVector, level: int, inverse: bool = False) -> int:
-    """The integer S (T with inverse) that form_image (form_preimage) scales by."""
-    return prod(f.form_rows(level, inverse)[0] for f in space(weights).factors)
-
-
-def form_image(v: TensorVector) -> TensorVector:
-    """S P v for a homogeneous v, P the invariant form's Gram matrix on the
-    state keys and S = form_scale(v.weights, level)."""
-    return _kronecker_map(v, False)
-
-
-def form_preimage(v: TensorVector) -> TensorVector:
-    """T P^-1 v for a homogeneous v, T = form_scale(v.weights, level, True)."""
-    return _kronecker_map(v, True)
+    sp = space(weights)
+    keys = sp.keys(level)
+    maps = [f.form_rows(level, inverse) for f in sp.factors]
+    out = []
+    for row in rows:
+        terms = {k: c for k, c in zip(keys, row, strict=True) if c}
+        for pos, (_, fmap) in enumerate(maps):
+            mapped: dict[tuple[int, ...], int] = {}
+            _add_factor_map(mapped, terms, pos, fmap.__getitem__, 1)
+            terms = mapped
+        out.append([terms.get(k, 0) for k in keys])
+    return prod(s for s, _ in maps), out
 
 
 def form_nondegenerate(weights: HVector, level: int) -> bool:
@@ -382,19 +365,13 @@ def omega_word(T: Word) -> TensorVector:
 def lt0_eigenvalue(T: Word, weights: HVector) -> Fraction:
     """Eigenvalue of L_T(0) on the lowest weight vector of W_H.
 
-    Closed forms exist when every factor weight lies in {0, 1/2}, where the
-    value is |S|/2 - |S meet T| over the 1/2-support S, and when all factors
-    are 1/16, where it is (N - 2|T|)/16. Mixed 1/16 input is rejected: no
-    closed form is asserted for it, and generic lt_action covers those cases.
+    L^(i)(0) acts there by h_i, so the value is the sum of the h_i off T
+    minus the sum of the h_i on T.
     """
     if T.n != weights.n:
         raise ValueError(f"subset on {T.n} points against {weights.n} factors")
-    if weights.has_sixteenth:
-        if not weights.all_sixteenth:
-            raise ValueError("no closed eigenvalue form for mixed 1/16 weight vectors")
-        return Fraction(weights.n - 2 * T.weight, 16)
-    s = weights.support
-    return Fraction(s.weight, 2) - s.intersection_weight(T)
+    return sum((-h if T.contains(i) else h
+                for i, h in enumerate(weights.entries, start=1)), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,26 @@ class TestExitCodes:
                      "--power", "3"])
         assert code == 2
 
+    def test_inadmissible_weights_fail_form_verify(self, capsys):
+        """form verify reports a weight vector the code does not admit as a
+        failed check, with its reason, not as a bad request."""
+        code, data = run_json(capsys, ["form", "verify", "--code", "even:4",
+                                       "--H", "1/16,0,0,0"])
+        assert code == 1
+        assert data["admissible"] is False
+        assert data["reason"] == "mixed 1/16 entries are not supported"
+
+    @pytest.mark.parametrize("argv", [
+        ["dual", "--power", "4", "--code", "even:4", "--H", "1/16,0,0,0", "--level", "1"],
+        ["corr", "--H1", "1/16,0,0,0", "--H2", "1/2,1/2,0,0", "--H3", "0,0,0,0",
+         "--code", "even:4", "--c", "1", "--max-level", "1"],
+    ])
+    def test_inadmissible_weights_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "inadmissible weight vector" in captured.err
+
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["codes"])

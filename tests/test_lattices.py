@@ -44,10 +44,8 @@ from isingforms.tensor import (
     HVector,
     TensorVector,
     apply_factor_mode,
-    form_image,
+    form_map,
     form_nondegenerate,
-    form_preimage,
-    form_scale,
     lt_action,
     omega_component,
     omega_total,
@@ -369,20 +367,20 @@ class TestFactorwiseForm:
         the dense key Gram, on a weight vector whose factor inverses carry
         the odd denominators 49 and 27 by level 6, and P^-1 (P v) = v."""
         weights = HVector.parse("1/16,1/2,0")
-        t6 = form_scale(weights, 6, True)
+        t6, _ = form_map(weights, 6, [], inverse=True)
         assert t6 % 49 == 0 and t6 % 27 == 0
         rng = random.Random(14)
         for level in range(7):
             keys = space(weights).keys(level)
             inv = frac_inverse(dense_key_gram(weights, level))
-            s, t = form_scale(weights, level), form_scale(weights, level, True)
-            for _ in range(3):
-                x = [rng.randint(-5, 5) for _ in keys]
-                v = TensorVector(weights, dict(zip(keys, x)))
+            xs = [[rng.randint(-5, 5) for _ in keys] for _ in range(3)]
+            s, images = form_map(weights, level, xs)
+            t, preimages = form_map(weights, level, xs, inverse=True)
+            _, round_trips = form_map(weights, level, images, inverse=True)
+            for x, preimage, back in zip(xs, preimages, round_trips, strict=True):
                 expected = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in inv]
-                image = form_preimage(v).coordinates(level)
-                assert [Fraction(c, t) for c in image] == expected
-                assert form_preimage(form_image(v)) == (s * t) * v
+                assert [Fraction(c, t) for c in preimage] == expected
+                assert back == [s * t * c for c in x]
 
     @pytest.mark.parametrize("factor_level", [0, 2, 3, 4])
     def test_singular_factor_gram_is_degenerate(self, monkeypatch, factor_level):
@@ -467,7 +465,13 @@ class TestDual:
 
     def test_degenerate_gram_rejected(self, monkeypatch):
         entry = lattice_at_level(even_code(4), H4_HALF, 0)
-        monkeypatch.setattr(lattices, "form_image", lambda v: TensorVector(v.weights))
+        real = lattices.form_map
+
+        def zero_images(weights, level, rows, inverse=False):
+            scale, images = real(weights, level, rows, inverse)
+            return scale, images if inverse else [[0] * len(row) for row in images]
+
+        monkeypatch.setattr(lattices, "form_map", zero_images)
         with pytest.raises(ValueError, match="degenerate Gram matrix"):
             graded_dual(entry)
 
@@ -475,8 +479,13 @@ class TestDual:
         """The integer check ties the printed Gram to the dual: a P^-1 map
         off by a factor 2 makes them disagree."""
         entry = lattice_at_level(even_code(4), H4_HALF, 2)
-        real = lattices.form_preimage
-        monkeypatch.setattr(lattices, "form_preimage", lambda v: 2 * real(v))
+        real = lattices.form_map
+
+        def doubled_preimages(weights, level, rows, inverse=False):
+            scale, images = real(weights, level, rows, inverse)
+            return scale, [[2 * c for c in row] for row in images] if inverse else images
+
+        monkeypatch.setattr(lattices, "form_map", doubled_preimages)
         with pytest.raises(ValueError, match="degenerate Gram matrix"):
             graded_dual(entry)
 

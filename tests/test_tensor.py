@@ -15,7 +15,6 @@ from isingforms.tensor import (
     apply_factor_mode,
     commutator_symbolic,
     dimension_at_level,
-    factor_images,
     lt0_eigenvalue,
     lt_action,
     omega_component,
@@ -172,13 +171,20 @@ class TestModeActions:
             t = Word.from_set(set(range(1, w + 1)), 16)
             assert lt0_eigenvalue(t, h16) == Fraction(16 - 2 * w, 16)
 
-    def test_lt0_eigenvalue_rejects_mixed_sixteenth(self):
-        h = HVector.parse("1/16,0")
-        with pytest.raises(ValueError):
-            lt0_eigenvalue(Word.empty(2), h)
-        # the generic action still covers the mixed case
+    @pytest.mark.parametrize("text, total", [
+        ("1/16,0", "1/16"),
+        ("1/16,1/2,0,0", "9/16"),
+        ("0,1/16,1/2,1/16", "5/8"),
+    ])
+    def test_lt0_eigenvalue_mixed_sixteenth_matches_action(self, text, total):
+        """Mixed 1/16 vectors against the factor-by-factor action, for every
+        subset, so every codeword of every code of that length."""
+        h = HVector.parse(text)
+        assert lt0_eigenvalue(Word.empty(h.n), h) == Fraction(total)
         low = TensorVector.lowest(h)
-        assert lt_action(Word.empty(2), 0, low) == SIXTEENTH * low
+        for bits in range(2 ** h.n):
+            t = Word(bits, h.n)
+            assert lt_action(t, 0, low) == lt0_eigenvalue(t, h) * low
 
     def test_ground_set_mismatch(self):
         with pytest.raises(ValueError):
@@ -219,8 +225,7 @@ class TestFactorImages:
     @settings(max_examples=60, deadline=None)
     def test_signed_sum_is_lt_action(self, case, m):
         code, v = case
-        images = factor_images(m, v)
-        assert len(images) == v.weights.n
+        images = [apply_factor_mode(i, m, v) for i in range(1, v.weights.n + 1)]
         for t in code.words():
             total = TensorVector(v.weights)
             for i, image in enumerate(images, start=1):
