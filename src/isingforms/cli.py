@@ -177,9 +177,7 @@ def _cmd_form_verify(args) -> tuple[dict, bool]:
     if not ok or not goodform:
         out["reason"] = reason or "code fails the form conditions"
         return out, False
-    entries = []
-    for level in range(args.max_level + 1):
-        entries.append(lattice_at_level(code, weights, level, below=entries))
+    entries = [lattice_at_level(code, weights, level) for level in range(args.max_level + 1)]
     out["levels"] = [_level_row(entry) for entry in entries]
     passed = all(entry.full_rank for entry in entries)
     vacuum = weights.total == 0

@@ -80,10 +80,6 @@ class Word:
     def complement(self) -> "Word":
         return Word(self.bits ^ ((1 << self.n) - 1), self.n)
 
-    def intersection_weight(self, other: "Word") -> int:
-        self._check(other)
-        return (self.bits & other.bits).bit_count()
-
     def __add__(self, other: "Word") -> "Word":
         self._check(other)
         return Word(self.bits ^ other.bits, self.n)

@@ -285,10 +285,11 @@ def framed_criterion(decomposition: list[tuple[HVector, int]], code: BinaryCode,
                      max_level: int = 2) -> FramedReport:
     """Integrality of all lowest coefficients across a module decomposition.
 
-    Each ordered triple of summands needs an entry in lowest_table; triples
-    with an integral entry are additionally confirmed through max_level via
-    the recursion. A passing report means the candidate map sends the form
-    into the graded dual form; it never asserts the dual equals the form.
+    Each ordered triple of summands needs an entry in lowest_table (a
+    missing one is a RequestError); triples with an integral entry are
+    additionally confirmed through max_level via the recursion. A passing
+    report means the candidate map sends the form into the graded dual form;
+    it never asserts the dual equals the form.
     """
     summands = [h for h, _ in decomposition]
     missing = [
@@ -298,7 +299,7 @@ def framed_criterion(decomposition: list[tuple[HVector, int]], code: BinaryCode,
     ]
     if missing:
         a, b, c = missing[0]
-        raise ValueError(
+        raise RequestError(
             f"lowest_table is missing {len(missing)} triples, first ({a}; {b}; {c})"
         )
     verdicts = []
@@ -325,7 +326,10 @@ def framed_criterion(decomposition: list[tuple[HVector, int]], code: BinaryCode,
 
 
 def parse_lowest_table(text: str) -> dict[tuple[HVector, HVector, HVector], Fraction]:
-    """Read triples from tab-separated lines: H1, H2, H3, value."""
+    """Read triples from tab-separated lines: H1, H2, H3, value.
+
+    A bad line raises RequestError naming its line number.
+    """
     out: dict[tuple[HVector, HVector, HVector], Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -333,11 +337,13 @@ def parse_lowest_table(text: str) -> dict[tuple[HVector, HVector, HVector], Frac
             continue
         parts = [p.strip() for p in line.split("\t") if p.strip()]
         if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 4 tab-separated columns")
+            raise RequestError(f"line {lineno}: expected 4 tab-separated columns")
         try:
             key = (HVector.parse(parts[0]), HVector.parse(parts[1]),
                    HVector.parse(parts[2]))
             out[key] = Fraction(parts[3])
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            raise RequestError(f"line {lineno}: {exc}") from None
+        except ZeroDivisionError:
+            raise RequestError(f"line {lineno}: zero denominator in {parts[3]!r}") from None
     return out

@@ -33,6 +33,7 @@ generators with m even or m <= 2 min_mode span Lambda_n.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -231,8 +232,23 @@ def _signed_sum(images, signs, index) -> list:
     return row
 
 
-def lattice_at_level(code: BinaryCode, weights: HVector, level: int,
-                     below: list[LevelLattice] | None = None) -> LevelLattice:
+@functools.cache
+def _level(code: BinaryCode, weights: HVector, n: int) -> LevelLattice:
+    """Level n of the lattice, built from the lower levels its generators need."""
+    if n == 0:
+        return _from_rational_rows(weights, code, 0, [TensorVector.lowest(weights).coordinates(0)])
+    signs = [[-1 if t.contains(i) else 1 for i in range(1, code.n + 1)]
+             for t in complement_reduce(code)]
+    index = space(weights).index(n)
+    rows = []
+    for m in _generator_modes(_min_mode(weights), n):
+        for b in _level(code, weights, n - m).basis_vectors():
+            images = [apply_factor_mode(i, -m, b) for i in range(1, code.n + 1)]
+            rows.extend(_signed_sum(images, s, index) for s in signs)
+    return _from_rational_rows(weights, code, n, rows)
+
+
+def lattice_at_level(code: BinaryCode, weights: HVector, level: int) -> LevelLattice:
     """The lattice of straightened products at one level, in Hermite form.
 
     Built from the levels below it: the generators are L_T(-m) b for modes
@@ -241,29 +257,11 @@ def lattice_at_level(code: BinaryCode, weights: HVector, level: int,
     of level - m; level 0 is the lowest weight vector. The commutator
     arguments in the module docstring show that this spans the same lattice
     as the straightened products themselves. Each (m, b) maps every factor
-    once, and each T signs those images. ``below`` holds the entries of
-    levels 0, 1, ... in order; the levels up to ``level`` that it lacks are
-    built here, each once.
+    once, and each T signs those images. Levels are built on demand, only
+    those the generators reach, and kept per (code, weights).
     """
     _check_inputs(code, weights, level)
-    entries = list(below or ())[:level]
-    if any((e.weights, e.code, e.level) != (weights, code, n) for n, e in enumerate(entries)):
-        raise ValueError("below must hold levels 0, 1, ... of the same weights and code")
-    signs = [[-1 if t.contains(i) else 1 for i in range(1, code.n + 1)]
-             for t in complement_reduce(code)]
-    min_mode = _min_mode(weights)
-    for n in range(len(entries), level + 1):
-        if n == 0:
-            rows = [TensorVector.lowest(weights).coordinates(0)]
-        else:
-            index = space(weights).index(n)
-            rows = []
-            for m in _generator_modes(min_mode, n):
-                for b in entries[n - m].basis_vectors():
-                    images = [apply_factor_mode(i, -m, b) for i in range(1, code.n + 1)]
-                    rows.extend(_signed_sum(images, s, index) for s in signs)
-        entries.append(_from_rational_rows(weights, code, n, rows))
-    return entries[level]
+    return _level(code, weights, level)
 
 
 def contains(entry: LevelLattice, v: TensorVector) -> bool:

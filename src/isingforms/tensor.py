@@ -24,6 +24,7 @@ from .codes import BinaryCode, RequestError, Word
 from .virasoro import (
     GradedBasis,
     VermaVector,
+    _as_fraction,
     apply_mode,
     bracket,
     irreducible_basis,
@@ -56,18 +57,19 @@ class HVector:
         entries = tuple(Fraction(e) for e in self.entries)
         bad = [e for e in entries if e not in allowed]
         if bad:
-            raise RequestError(f"factor weights must be 0, 1/2 or 1/16; got {bad}")
+            raise RequestError(
+                f"factor weights must be 0, 1/2 or 1/16; got {', '.join(map(str, bad))}")
         if not entries:
             raise RequestError("empty weight vector")
         object.__setattr__(self, "entries", entries)
 
     @classmethod
     def parse(cls, text: str) -> "HVector":
-        parts = [p.strip() for p in text.split(",")]
         try:
-            return cls(tuple(Fraction(p) for p in parts))
+            entries = tuple(Fraction(p.strip()) for p in text.split(","))
         except (ValueError, ZeroDivisionError):
             raise RequestError(f"cannot parse weight vector {text!r}") from None
+        return cls(entries)
 
     @classmethod
     def vacuum(cls, n: int) -> "HVector":
@@ -215,8 +217,11 @@ class TensorVector:
     __slots__ = ("weights", "terms")
 
     def __init__(self, weights: HVector, terms: dict[tuple[int, ...], Fraction] | None = None):
+        terms = terms or {}
+        if any(isinstance(c, float) for c in terms.values()):
+            raise TypeError("floats are not accepted; pass Fraction or int coefficients")
         self.weights = weights
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+        self.terms = {k: c for k, c in terms.items() if c}
 
     @classmethod
     def lowest(cls, weights: HVector) -> "TensorVector":
@@ -257,7 +262,7 @@ class TensorVector:
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "TensorVector":
-        s = Fraction(scalar)
+        s = _as_fraction(scalar)
         return TensorVector(self.weights, {k: s * c for k, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -355,11 +360,6 @@ def omega_component(power: int, i: int) -> TensorVector:
 def omega_total(power: int) -> TensorVector:
     """The diagonal conformal vector, the sum of all factor copies."""
     return lt_action(Word.empty(power), -2, TensorVector.lowest(HVector.vacuum(power)))
-
-
-def omega_word(T: Word) -> TensorVector:
-    """The signed conformal vector attached to a subset."""
-    return lt_action(T, -2, TensorVector.lowest(HVector.vacuum(T.n)))
 
 
 def lt0_eigenvalue(T: Word, weights: HVector) -> Fraction:

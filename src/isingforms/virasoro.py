@@ -230,14 +230,6 @@ class _Engine:
             current = nxt
         return current.get((), Fraction(0))
 
-    def pairing(self, a: VermaVector, b: VermaVector) -> Fraction:
-        out = Fraction(0)
-        for ma, ca in a.terms.items():
-            for mb, cb in b.terms.items():
-                if sum(ma) == sum(mb):
-                    out += ca * cb * self.pairing_monomials(ma, mb)
-        return out
-
     @cache
     def basis(self, level: int) -> GradedBasis:
         """Greedy pivot basis of one level, bordered on integers.
@@ -314,13 +306,6 @@ def _engine(params: CentralParams) -> _Engine:
 def apply_mode(n: int, v: VermaVector) -> VermaVector:
     """L(n) applied to a vector, straightened back to PBW monomials."""
     return _engine(v.params).apply(n, v)
-
-
-def pairing(a: VermaVector, b: VermaVector) -> Fraction:
-    """Contravariant form <a, b> in the Verma module."""
-    if a.params != b.params:
-        raise ValueError("mixed module parameters")
-    return _engine(a.params).pairing(a, b)
 
 
 def shapovalov_gram(params: CentralParams, level: int) -> list[list[Fraction]]:

@@ -33,6 +33,11 @@ class TestExitCodes:
         code = main(["form", "verify", "--code", "even:4", "--H", "1/3,0,0,0"])
         assert code == 2
 
+    def test_disallowed_weight_names_the_allowed_ones(self, capsys):
+        code = main(["form", "verify", "--code", "even:4", "--H", "1/4,0,0,0"])
+        assert code == 2
+        assert "factor weights must be 0, 1/2 or 1/16; got 1/4" in capsys.readouterr().err
+
     def test_power_weight_mismatch(self, capsys):
         code = main(["form", "verify", "--code", "even:4", "--H", "0,0,0,0",
                      "--power", "3"])

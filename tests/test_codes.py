@@ -21,6 +21,10 @@ from isingforms.codes import (
 )
 
 
+def intersection_weight(a: Word, b: Word) -> int:
+    return (a.bits & b.bits).bit_count()
+
+
 class TestWord:
     def test_string_round_trip(self):
         w = Word.from_string("1010")
@@ -43,7 +47,7 @@ class TestWord:
     def test_complement_and_intersection(self):
         a = Word.from_string("1100")
         assert a.complement().to_string() == "0011"
-        assert a.intersection_weight(Word.from_string("0100")) == 1
+        assert intersection_weight(a, Word.from_string("0100")) == 1
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -119,7 +123,7 @@ class TestBinaryCode:
         assert dual.dual() == code
         for w in code.words():
             for d in dual.basis():
-                assert w.intersection_weight(d) % 2 == 0
+                assert intersection_weight(w, d) % 2 == 0
 
 
 class TestFixedCodes:

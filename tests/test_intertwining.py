@@ -286,7 +286,7 @@ class TestFramed:
         decomposition = [(H_VAC, 1), (H_HALF, 1)]
         table = self.table_for([H_VAC, H_HALF])
         del table[(H_VAC, H_VAC, H_VAC)]
-        with pytest.raises(ValueError, match="missing 1"):
+        with pytest.raises(RequestError, match="missing 1"):
             framed_criterion(decomposition, even_code(4), table)
 
 
@@ -302,9 +302,17 @@ class TestParseTable:
         assert table[(H_HALF, H_VAC, H_HALF)] == Fraction(-3, 2)
 
     def test_bad_column_count(self):
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(RequestError, match="line 2: expected 4"):
             parse_lowest_table("0,0\t0,0\t0,0\t1\n0,0\t0,0\t1\n")
 
     def test_bad_value(self):
-        with pytest.raises(ValueError, match="line 1"):
+        with pytest.raises(RequestError, match="line 1: Invalid literal"):
             parse_lowest_table("0,0\t0,0\t0,0\tx\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("0,0\t0,0\t0,0\t1/0\n", "line 1: zero denominator in '1/0'"),
+        ("0,0\t1/4,0\t0,0\t1\n", "line 1: factor weights must be 0, 1/2 or 1/16"),
+    ], ids=["zero-denominator", "weight"])
+    def test_bad_lines_are_request_errors(self, text, message):
+        with pytest.raises(RequestError, match=message):
+            parse_lowest_table(text)

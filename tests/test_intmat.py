@@ -167,16 +167,19 @@ def integer_matrices(draw):
 
 
 def captured_generators(monkeypatch, code, weights, top):
-    """The integer generator matrix lattice_at_level hands to hnf at each level."""
+    """The integer generator matrix lattice_at_level hands to hnf at levels
+    0..top, each built afresh: levels kept from earlier calls never reach hnf."""
     seen = []
 
     def record(rows):
         seen.append(rows)
         return hnf(rows)
 
+    lattices._level.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(lattices, "hnf", record)
-        lattices.lattice_at_level(code, weights, top)
+        for level in range(top + 1):
+            lattices.lattice_at_level(code, weights, level)
     return seen
 
 

@@ -49,7 +49,6 @@ from isingforms.tensor import (
     lt_action,
     omega_component,
     omega_total,
-    omega_word,
     space,
 )
 from isingforms.virasoro import scaling_admissible
@@ -60,6 +59,11 @@ H4_HALF = HVector.parse("1/2,1/2,0,0")
 
 def word(chars: str) -> Word:
     return Word.from_string(chars)
+
+
+def omega_word(T: Word) -> TensorVector:
+    """The signed conformal vector attached to a subset."""
+    return lt_action(T, -2, TensorVector.lowest(HVector.vacuum(T.n)))
 
 
 class TestAdmissibility:
@@ -183,7 +187,7 @@ class TestLatticeAtLevel:
 
     def test_lattice_hashes_with_its_code(self):
         entry = lattice_at_level(even_code(4), H4_VAC, 2)
-        again = lattice_at_level(even_code(4), H4_VAC, 2)
+        again = dataclasses.replace(entry, code=even_code(4))
         assert entry.code is not again.code
         assert hash(entry) == hash(again)
         assert {entry, again} == {entry}
@@ -191,17 +195,6 @@ class TestLatticeAtLevel:
     def test_zero_vector_always_contained(self):
         entry = lattice_at_level(even_code(4), H4_VAC, 2)
         assert contains(entry, TensorVector(H4_VAC))
-
-    @pytest.mark.parametrize("code, weights, below", [
-        # levels 0..2 of another module; unchecked, they gave rank 10 in 4 dimensions
-        (even_code(4), H4_VAC, [(even_code(4), H4_HALF, n) for n in range(3)]),
-        (even_code(8), HVector.vacuum(8), [(hamming8(), HVector.vacuum(8), n) for n in range(2)]),
-        (even_code(4), H4_HALF, [(even_code(4), H4_HALF, n) for n in (0, 2, 1)]),
-    ], ids=["weights", "code", "level"])
-    def test_below_of_another_piece_rejected(self, code, weights, below):
-        entries = [lattice_at_level(*args) for args in below]
-        with pytest.raises(ValueError, match="below"):
-            lattice_at_level(code, weights, 3, below=entries)
 
 
 def monomial_route(code, weights, level):
@@ -257,28 +250,33 @@ class TestOddModePruning:
     ], ids=["hamming8-half-pair", "even4-vacuum", "even4-half-pair",
             "hamming8-vacuum", "c16-sixteenth"])
     def test_levels_match_every_mode(self, code, weights, top):
-        entries = []
         for level, want in enumerate(full_generator_route(code, weights, top)):
-            entries.append(lattice_at_level(code, weights, level, below=entries))
-            assert entries[-1] == want
+            assert lattice_at_level(code, weights, level) == want
 
 
 class TestRecursionAgainstMonomials:
     @pytest.mark.parametrize("code, weights, top", CASES, ids=CASE_IDS)
     def test_levels_match_monomial_route(self, code, weights, top):
-        entries = []
         for level in range(top + 1):
-            entries.append(lattice_at_level(code, weights, level, below=entries))
-            got, want = entries[-1], monomial_route(code, weights, level)
+            got = lattice_at_level(code, weights, level)
+            want = monomial_route(code, weights, level)
             assert got.basis == want.basis
             assert got.denominator == want.denominator
             assert got.ambient_dim == want.ambient_dim
-        assert lattice_at_level(code, weights, top) == entries[-1]
 
-    def test_short_below_is_completed(self):
-        below = [lattice_at_level(even_code(4), H4_HALF, 0)]
-        assert (lattice_at_level(even_code(4), H4_HALF, 3, below=below)
-                == lattice_at_level(even_code(4), H4_HALF, 3))
+    @pytest.mark.parametrize("code, weights, top", [
+        (hamming8(), HVector.vacuum(8), 5),
+        (even_code(4), H4_HALF, 5),
+    ], ids=["hamming8-vacuum", "even4-half-pair"])
+    def test_top_level_first_matches_levels_in_order(self, code, weights, top):
+        """The top level asked for first, then each lower one, gives the
+        lattices of a fresh build in order."""
+        lattices._level.cache_clear()
+        top_first = {level: lattice_at_level(code, weights, level)
+                     for level in range(top, -1, -1)}
+        lattices._level.cache_clear()
+        in_order = {level: lattice_at_level(code, weights, level) for level in range(top + 1)}
+        assert top_first == in_order
 
     def test_bad_requests_raise(self):
         with pytest.raises(ValueError):
@@ -344,10 +342,9 @@ class TestFactorwiseForm:
 
     @pytest.mark.parametrize("code, weights, top", CASES, ids=CASE_IDS)
     def test_gram_matrix_is_coords_p_coords_transpose(self, code, weights, top):
-        entries = []
         for level in range(top + 1):
-            entries.append(lattice_at_level(code, weights, level, below=entries))
-            coords = [v.coordinates(level) for v in entries[-1].basis_vectors()]
+            entry = lattice_at_level(code, weights, level)
+            coords = [v.coordinates(level) for v in entry.basis_vectors()]
             p = dense_key_gram(weights, level)
             expected = [[sum((a * p[i][j] * b
                               for i, a in enumerate(x) if a
@@ -430,13 +427,12 @@ class TestDual:
     @pytest.mark.parametrize("code, weights, top", DUAL_CASES,
                              ids=CASE_IDS + ["hamming8-vacuum"])
     def test_matches_dense_inverse_and_determinant(self, code, weights, top):
-        entries = []
         for level in range(top + 1):
-            entries.append(lattice_at_level(code, weights, level, below=entries))
-            if not entries[-1].full_rank:
+            entry = lattice_at_level(code, weights, level)
+            if not entry.full_rank:
                 continue
-            rep = graded_dual(entries[-1])
-            dual, index = dense_dual(entries[-1])
+            rep = graded_dual(entry)
+            dual, index = dense_dual(entry)
             assert (rep.dual.basis, rep.dual.denominator) == (dual.basis, dual.denominator)
             assert rep.index == index and type(rep.index) is Fraction
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isingforms import tensor
-from isingforms.codes import BinaryCode, Word, even_code, hamming8
+from isingforms.codes import BinaryCode, RequestError, Word, even_code, hamming8
 from isingforms.tensor import (
     CommutatorTerms,
     HVector,
@@ -19,7 +19,6 @@ from isingforms.tensor import (
     lt_action,
     omega_component,
     omega_total,
-    omega_word,
     space,
     verify_commutator,
     verify_commutator_sweep,
@@ -37,6 +36,11 @@ def word(chars: str) -> Word:
     return Word.from_string(chars)
 
 
+def omega_word(T: Word) -> TensorVector:
+    """The signed conformal vector attached to a subset."""
+    return lt_action(T, -2, TensorVector.lowest(HVector.vacuum(T.n)))
+
+
 class TestHVector:
     def test_parse_accepts_mixed_notation(self):
         h = HVector.parse("1/2, 0, 0.5, 1/16")
@@ -51,6 +55,10 @@ class TestHVector:
             HVector((Fraction(1, 4),))
         with pytest.raises(ValueError):
             HVector(())
+
+    def test_parse_names_the_allowed_weights(self):
+        with pytest.raises(RequestError, match=r"must be 0, 1/2 or 1/16; got 1/4$"):
+            HVector.parse("1/4,0,0,0")
 
     def test_support_and_total(self):
         h = HVector.parse("1/2,0,1/2,0,1/2,1/2")
@@ -109,6 +117,17 @@ class TestSpaceEnumeration:
         assert factor.basis(4).dimension == 2
         with pytest.raises(ValueError, match="limited to 2 per level"):
             factor.basis(5)
+
+
+class TestFloatCoefficients:
+    def test_constructor_rejects_float(self):
+        key = next(iter(TensorVector.lowest(H4_HALF).terms))
+        with pytest.raises(TypeError, match="float"):
+            TensorVector(H4_HALF, {key: 0.5})
+
+    def test_scalar_multiple_rejects_float(self):
+        with pytest.raises(TypeError, match="float"):
+            0.1 * TensorVector.lowest(H4_HALF)
 
 
 class TestModeActions:

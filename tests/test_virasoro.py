@@ -19,7 +19,6 @@ from isingforms.virasoro import (
     graded_dimensions,
     irreducible_basis,
     ising_params,
-    pairing,
     partitions,
     reduce_vector,
     scaling_admissible,
@@ -27,6 +26,14 @@ from isingforms.virasoro import (
 )
 
 F = Fraction
+
+
+def pairing(a, b):
+    """Contravariant form <a, b> in the Verma module, summed term by term."""
+    eng = virasoro._engine(a.params)
+    return sum((ca * cb * eng.pairing_monomials(ma, mb)
+                for ma, ca in a.terms.items() for mb, cb in b.terms.items()), F(0))
+
 
 ISING_PARAMS = [ising_params(0), ising_params(F(1, 2)), ising_params(F(1, 16))]
 
