@@ -13,7 +13,8 @@ Conventions used throughout the package:
     maximal proper submodule, so graded dimensions of the irreducible quotient
     are ranks of the per-level Gram matrices.
 
-All coefficients are fractions.Fraction; nothing here ever touches floats.
+Coefficients leave the module as fractions.Fraction; inside, _Engine runs on
+ints over powers of one denominator per module. Nothing here touches floats.
 """
 
 from __future__ import annotations
@@ -85,8 +86,11 @@ class VermaVector:
     __slots__ = ("params", "terms")
 
     def __init__(self, params: CentralParams, terms: dict[Monomial, Fraction] | None = None):
+        terms = terms or {}
+        if any(isinstance(c, float) for c in terms.values()):
+            raise TypeError("floats are not accepted; pass Fraction or int coefficients")
         self.params = params
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+        self.terms = {m: c for m, c in terms.items() if c}
 
     @classmethod
     def lowest(cls, params: CentralParams) -> "VermaVector":
@@ -170,23 +174,31 @@ class GradedBasis:
 
 
 class _Engine:
-    """Straightening and pairing cache for one CentralParams."""
+    """Straightening and pairing cache for one CentralParams, on integers.
+
+    With den = lcm(den(h), den(ell/2)), the coefficient of mono in L(n) on
+    modes is the int apply_monomial returns over den^(len(modes) + 1 -
+    len(mono)), as each factor of h or ell uses up one operator, and a
+    pairing <a, b> is an int over den^(len(a) + len(b)).
+    """
 
     def __init__(self, params: CentralParams):
         self.params = params
+        self.den = den = math.lcm(params.h.denominator, (params.ell / 2).denominator)
+        # (n^3 - n)/12 ell = (n^3 - n)/6 (ell/2), and (n^3 - n)/6 is an integer.
+        self.h, self.central = int(den * params.h), int(den * params.ell / 2) * den
 
     @cache
-    def apply_monomial(self, n: int, modes: Monomial) -> dict[Monomial, Fraction]:
-        params = self.params
+    def apply_monomial(self, n: int, modes: Monomial) -> dict[Monomial, int]:
         if not modes:
             if n > 0:
-                out: dict[Monomial, Fraction] = {}
+                out: dict[Monomial, int] = {}
             elif n == 0:
-                out = {(): params.h} if params.h else {}
+                out = {(): self.h} if self.h else {}
             else:
-                out = {(-n,): Fraction(1)}
+                out = {(-n,): 1}
         elif n < 0 and -n >= modes[0]:
-            out = {(-n,) + modes: Fraction(1)}
+            out = {(-n,) + modes: 1}
         else:
             # L(n) L(-a) = L(-a) L(n) + (n + a) L(n - a) + delta_{n,a} (n^3-n)/12 ell
             a = modes[0]
@@ -194,15 +206,13 @@ class _Engine:
             out = {}
             for mono, c in self.apply_monomial(n, tail).items():
                 for mono2, c2 in self.apply_monomial(-a, mono).items():
-                    out[mono2] = out.get(mono2, Fraction(0)) + c * c2
-            f = Fraction(n + a)
+                    out[mono2] = out.get(mono2, 0) + c * c2
+            f = (n + a) * self.den
             if f:
                 for mono, c in self.apply_monomial(n - a, tail).items():
-                    out[mono] = out.get(mono, Fraction(0)) + f * c
-            if n == a:
-                cc = Fraction(n**3 - n, 12) * params.ell
-                if cc:
-                    out[tail] = out.get(tail, Fraction(0)) + cc
+                    out[mono] = out.get(mono, 0) + f * c
+            if n == a and self.central:
+                out[tail] = out.get(tail, 0) + (n**3 - n) // 6 * self.central
             out = {m: c for m, c in out.items() if c}
         return out
 
@@ -210,25 +220,26 @@ class _Engine:
         terms: dict[Monomial, Fraction] = {}
         for modes, c in v.terms.items():
             for mono, c2 in self.apply_monomial(n, modes).items():
-                terms[mono] = terms.get(mono, Fraction(0)) + c * c2
+                term = c * Fraction(c2, self.den ** (len(modes) + 1 - len(mono)))
+                terms[mono] = terms.get(mono, 0) + term
         return VermaVector(self.params, terms)
 
     def pairing_monomials(self, a: Monomial, b: Monomial) -> Fraction:
         if sum(a) != sum(b):
             return Fraction(0)
-        return self._pairing_same_level(a, b)
+        return Fraction(self._pairing_same_level(a, b), self.den ** (len(a) + len(b)))
 
     @cache
-    def _pairing_same_level(self, a: Monomial, b: Monomial) -> Fraction:
+    def _pairing_same_level(self, a: Monomial, b: Monomial) -> int:
         # <L(-n1)...L(-nk) v, w> peels from the left, so L(n1) lands on w first.
-        current = {b: Fraction(1)}
+        current = {b: 1}
         for n in a:
-            nxt: dict[Monomial, Fraction] = {}
+            nxt: dict[Monomial, int] = {}
             for modes, c in current.items():
                 for mono, c2 in self.apply_monomial(n, modes).items():
-                    nxt[mono] = nxt.get(mono, Fraction(0)) + c * c2
+                    nxt[mono] = nxt.get(mono, 0) + c * c2
             current = nxt
-        return current.get((), Fraction(0))
+        return current.get((), 0)
 
     @cache
     def basis(self, level: int) -> GradedBasis:
@@ -237,40 +248,27 @@ class _Engine:
         The scan stops once the kept count reaches character_dimension, an
         upper bound; each kept pivot is a nonzero principal minor, so the
         count is also a lower bound, and a scan that runs out of candidates
-        short of the character raises ValueError. The kept Gram block is
-        carried as an integer adjugate and determinant over one common
-        denominator, the lcm of the pairing denominators seen so far, and
-        the Fractions are formed once at the end.
+        short of the character raises ValueError. It borders K' = S K S with
+        S = diag(den^len(pivot)), the integer pairings, as an integer adjugate
+        adj and determinant det'. A congruence keeps every bordered minor
+        nonzero where it was, so the pivots are those of the Gram block K, and
+        K^-1 = S adj S / det', det(K) = det' / prod den^(2 len).
         """
         monos = partitions(level)
         cap = character_dimension(self.params, level)
         kept: list[int] = []
-        rows: list[list[Fraction]] = []  # rows[i][j] = <kept i, kept j> for j <= i
-        # With K the Gram block on kept and K' = scale * K an integer matrix,
-        # det = det(K') and adj = det * K'^-1, an integer matrix as well.
-        scale, det = 1, 1
-        adj: list[list[int]] = []
+        rows: list[list[int]] = []  # rows[i][j] = K'[kept i, kept j] for j <= i
+        det, adj = 1, []  # det(K') and det * K'^-1, both integer
         for idx, mono in enumerate(monos):
             if len(kept) == cap:
                 break
-            g = [self.pairing_monomials(monos[j], mono) for j in kept]
-            d = self.pairing_monomials(mono, mono)
-            new_scale = math.lcm(scale, d.denominator, *(x.denominator for x in g))
-            if new_scale != scale:
-                # K' -> f K' takes adj to f^(k-1) adj and det to f^k det.
-                f, k = new_scale // scale, len(kept)
-                if k > 1:
-                    fk = f ** (k - 1)
-                    adj = [[a * fk for a in row] for row in adj]
-                det *= f ** k
-                scale = new_scale
-            gi = [x.numerator * (scale // x.denominator) for x in g]
-            u = [sum(a * b for a, b in zip(row, gi) if b) for row in adj]
-            # det(K' bordered by idx) = det * d' - g'^T adj g', and the block on
+            g = [self._pairing_same_level(monos[j], mono) for j in kept]
+            d = self._pairing_same_level(mono, mono)
+            u = [sum(a * b for a, b in zip(row, g) if b) for row in adj]
+            # det(K' bordered by idx) = det * d - g^T adj g, and the block on
             # kept is invertible, so the principal minor rule keeps idx exactly
             # when this bordered determinant s is nonzero.
-            s = det * d.numerator * (scale // d.denominator) - sum(
-                a * b for a, b in zip(gi, u) if a)
+            s = det * d - sum(a * b for a, b in zip(g, u) if a)
             if not s:
                 continue
             # Sylvester's identity makes the division exact (Bareiss):
@@ -287,14 +285,16 @@ class _Engine:
             raise ValueError(
                 f"weight {self.params.h}: the pivot scan found {len(kept)} states at "
                 f"level {level}, the character gives {cap}")
+        scale = [self.den ** len(monos[i]) for i in kept]
         return GradedBasis(
             params=self.params,
             level=level,
             pivots=tuple(monos[i] for i in kept),
-            gram=tuple(tuple(rows[max(i, j)][min(i, j)] for j in range(len(kept)))
-                       for i in range(len(kept))),
-            inverse=tuple(tuple(Fraction(scale * a, det) for a in row) for row in adj),
-            det=Fraction(det, scale ** len(kept)),
+            gram=tuple(tuple(Fraction(rows[max(i, j)][min(i, j)], si * sj)
+                             for j, sj in enumerate(scale)) for i, si in enumerate(scale)),
+            inverse=tuple(tuple(Fraction(si * a * sj, det) for a, sj in zip(row, scale))
+                          for row, si in zip(adj, scale)),
+            det=Fraction(det, math.prod(scale) ** 2),
         )
 
 

@@ -171,8 +171,13 @@ class TestGoldenReports:
         (["dual", "--power", "8", "--code", "hamming8", "--H", "0,0,0,0,0,0,0,0",
           "--level", "5", "--compare", "--format", "json"], 0,
          "5f47d12d63cfb00809bfa49d70d63257bf79652f0e04a7b37eab926094b01b8a"),
+        # The only digest that reads the h = 1/16 pivot Grams and their inverses.
+        (["dual", "--power", "16", "--code", "c16", "--H", ",".join(["1/16"] * 16),
+          "--level", "2", "--compare"], 0,
+         "6abd1e74157fe9064b7dce01a0a84329a290f5501b093b3aa08ef825b3063602"),
     ], ids=["form-verify-hamming8-half-pair-5", "form-generated-power-8",
-            "dual-hamming8-vacuum-4", "dual-hamming8-vacuum-5-json"])
+            "dual-hamming8-vacuum-4", "dual-hamming8-vacuum-5-json",
+            "dual-c16-sixteenth-2"])
     def test_stdout_digest(self, capsys, argv, exit_code, digest):
         assert main(argv) == exit_code
         out = capsys.readouterr().out.encode()

@@ -35,6 +35,50 @@ def pairing(a, b):
                 for ma, ca in a.terms.items() for mb, cb in b.terms.items()), F(0))
 
 
+@functools.cache
+def fraction_apply_monomial(params, n, modes):
+    """L(n) on a PBW monomial, straightened in Fraction arithmetic.
+
+    The same recursion as _Engine.apply_monomial with every coefficient a
+    Fraction and no denominator bookkeeping: the second route for the
+    integer engine.
+    """
+    if not modes:
+        if n > 0:
+            return {}
+        if n == 0:
+            return {(): params.h} if params.h else {}
+        return {(-n,): F(1)}
+    if n < 0 and -n >= modes[0]:
+        return {(-n,) + modes: F(1)}
+    # L(n) L(-a) = L(-a) L(n) + (n + a) L(n - a) + delta_{n,a} (n^3-n)/12 ell
+    a, tail = modes[0], modes[1:]
+    out = {}
+    for mono, c in fraction_apply_monomial(params, n, tail).items():
+        for mono2, c2 in fraction_apply_monomial(params, -a, mono).items():
+            out[mono2] = out.get(mono2, F(0)) + c * c2
+    for mono, c in fraction_apply_monomial(params, n - a, tail).items():
+        out[mono] = out.get(mono, F(0)) + (n + a) * c
+    if n == a:
+        out[tail] = out.get(tail, F(0)) + F(n**3 - n, 12) * params.ell
+    return {m: c for m, c in out.items() if c}
+
+
+@functools.cache
+def fraction_pairing(params, a, b):
+    """<a, b> on PBW monomials, peeled from the left in Fraction arithmetic."""
+    if sum(a) != sum(b):
+        return F(0)
+    current = {b: F(1)}
+    for n in a:
+        nxt = {}
+        for modes, c in current.items():
+            for mono, c2 in fraction_apply_monomial(params, n, modes).items():
+                nxt[mono] = nxt.get(mono, F(0)) + c * c2
+        current = nxt
+    return current.get((), F(0))
+
+
 ISING_PARAMS = [ising_params(0), ising_params(F(1, 2)), ising_params(F(1, 16))]
 
 # Graded dimensions of the three irreducible modules at central charge 1/2,
@@ -224,21 +268,21 @@ def minimal_model_data(p, q):
 def full_scan_basis(params, level):
     """Reference pivot scan: every partition, bordered Fraction inverse, no stop.
 
-    A candidate is kept when its Schur complement s = d - g^T K^-1 g against
-    the Gram block K on the kept monomials is nonzero; K^-1 is bordered as
-    [[K^-1 + u u^T / s, -u / s], [-u^T / s, 1 / s]] with u = K^-1 g.
-    Returns (pivots, gram, inverse) in the shape GradedBasis stores them.
+    Pairings come from the Fraction route (fraction_pairing). A candidate is
+    kept when its Schur complement s = d - g^T K^-1 g against the Gram block
+    K on the kept monomials is nonzero; K^-1 is bordered as
+    [[K^-1 + u u^T / s, -u / s], [-u^T / s, 1 / s]] with u = K^-1 g, and
+    det K is the product of the kept s. Returns (pivots, gram, inverse, det)
+    in the shape GradedBasis stores them.
     """
-    def pair(a, b):
-        return pairing(VermaVector.monomial(params, a), VermaVector.monomial(params, b))
-
     monos = partitions(level)
     kept = []
     rows = []
     inv = []
+    det = F(1)
     for idx, mono in enumerate(monos):
-        g = [pair(monos[j], mono) for j in kept]
-        d = pair(mono, mono)
+        g = [fraction_pairing(params, monos[j], mono) for j in kept]
+        d = fraction_pairing(params, mono, mono)
         u = [sum((a * b for a, b in zip(row, g)), F(0)) for row in inv]
         s = d - sum((a * b for a, b in zip(g, u)), F(0))
         if not s:
@@ -249,12 +293,14 @@ def full_scan_basis(params, level):
                 row[j] += wi * uj
             row.append(-wi)
         inv.append([-x for x in w] + [1 / s])
+        det *= s
         kept.append(idx)
         rows.append(g + [d])
     n = len(kept)
     return (tuple(monos[i] for i in kept),
             tuple(tuple(rows[max(i, j)][min(i, j)] for j in range(n)) for i in range(n)),
-            tuple(map(tuple, inv)))
+            tuple(map(tuple, inv)),
+            det)
 
 
 def principal_minor_basis(params, level):
@@ -290,10 +336,13 @@ class TestIrreducibleBasis:
 
     def test_matches_full_scan_without_early_stop(self):
         # A character that undercounts would stop the scan short of a pivot.
+        # The full scan pairs on the Fraction route, so this also checks the
+        # integer bordering of K' = S K S end to end.
         for p in ISING_PARAMS:
             for level in range(13):
                 basis = irreducible_basis(p, level)
-                assert (basis.pivots, basis.gram, basis.inverse) == full_scan_basis(p, level)
+                assert ((basis.pivots, basis.gram, basis.inverse, basis.det)
+                        == full_scan_basis(p, level))
 
     def test_det_is_the_pivot_gram_determinant(self):
         for p in ISING_PARAMS:
@@ -494,3 +543,83 @@ class TestVermaVectorAlgebra:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             CentralParams(0.5, 0)
+
+    def test_float_coefficient_rejected(self):
+        p = ising_params(0)
+        with pytest.raises(TypeError):
+            VermaVector(p, {(2,): 0.5})
+        with pytest.raises(TypeError):
+            0.5 * VermaVector.monomial(p, (2,))
+        assert VermaVector(p, {(2,): 1, (1, 1): F(1, 2)}).terms == {(2,): 1, (1, 1): F(1, 2)}
+
+
+class TestIntegerEngine:
+    """The integer straightening against the Fraction route.
+
+    With den = lcm(den(h), den(ell/2)), L(n) on modes gives mono an int over
+    den^(len(modes) + 1 - len(mono)), and <a, b> is an int over
+    den^(len(a) + len(b)).
+    """
+
+    PARAMS = ISING_PARAMS + TestNonIsingWeights.PARAMS
+
+    @staticmethod
+    def monomials(top):
+        return [m for level in range(top + 1) for m in partitions(level)]
+
+    def test_denominators(self):
+        assert [virasoro._Engine(p).den for p in ISING_PARAMS] == [4, 4, 16]
+        # (3, 5) point: ell/2 = -3/10 and h in {-1/20, 0, 1/5, 3/4}.
+        assert [virasoro._Engine(p).den for p in TestNonIsingWeights.PARAMS] == [20, 10, 10, 20]
+
+    def test_apply_mode_matches_fraction_route(self):
+        for p in self.PARAMS:
+            for modes in self.monomials(6):
+                for n in range(-4, 5):
+                    got = apply_mode(n, VermaVector.monomial(p, modes))
+                    assert got.terms == fraction_apply_monomial(p, n, modes), (p, n, modes)
+
+    def test_apply_monomial_divisibility_invariant(self):
+        for p in self.PARAMS:
+            eng = virasoro._Engine(p)
+            for modes in self.monomials(6):
+                for n in range(-4, 5):
+                    scaled = {}
+                    for mono, c in fraction_apply_monomial(p, n, modes).items():
+                        x = c * eng.den ** (len(modes) + 1 - len(mono))
+                        assert x.denominator == 1, (p, n, modes, mono)
+                        scaled[mono] = x.numerator
+                    got = eng.apply_monomial(n, modes)
+                    assert all(type(c) is int for c in got.values())
+                    assert got == scaled, (p, n, modes)
+
+    def test_pairing_matches_fraction_route(self):
+        for p in self.PARAMS:
+            eng = virasoro._Engine(p)
+            for level in range(9):
+                monos = partitions(level)
+                for a in monos:
+                    for b in monos:
+                        want = fraction_pairing(p, a, b)
+                        assert eng.pairing_monomials(a, b) == want, (p, a, b)
+                        x = want * eng.den ** (len(a) + len(b))
+                        assert x.denominator == 1
+                        assert eng._pairing_same_level(a, b) == x.numerator
+            assert eng.pairing_monomials((3,), (2, 2)) == 0
+
+    @given(
+        ell=st.fractions(min_value=-3, max_value=3, max_denominator=12),
+        h=st.fractions(min_value=-2, max_value=2, max_denominator=24),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_params_match_fraction_route(self, ell, h):
+        p = CentralParams(ell, h)
+        eng = virasoro._Engine(p)
+        assert all(x.denominator == 1 for x in (eng.den * h, eng.den * ell / 2))
+        for modes in self.monomials(4):
+            for n in range(-3, 4):
+                got = apply_mode(n, VermaVector.monomial(p, modes))
+                assert got.terms == fraction_apply_monomial(p, n, modes)
+        for level in range(7):
+            basis = eng.basis(level)
+            assert (basis.pivots, basis.gram, basis.inverse, basis.det) == full_scan_basis(p, level)
