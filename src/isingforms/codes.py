@@ -9,8 +9,9 @@ set. The pairing behind duality is the parity of the intersection size.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
+from typing import NamedTuple
 
 
 class RequestError(ValueError):
@@ -21,18 +22,20 @@ class RequestError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "bits n")):
     """One codeword: a subset of {1, ..., n} as a bitmask."""
 
-    bits: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n <= 0 or self.n > 64:
-            raise RequestError(f"ground set size {self.n} out of range 1..64")
-        if self.bits < 0 or self.bits >> self.n:
-            raise RequestError(f"bitmask {self.bits:#x} does not fit in {self.n} positions")
+    def __new__(cls, bits: int, n: int):
+        if n <= 0 or n > 64:
+            raise RequestError(f"ground set size {n} out of range 1..64")
+        if bits < 0 or bits >> n:
+            raise RequestError(f"bitmask {bits:#x} does not fit in {n} positions")
+        return super().__new__(cls, bits, n)
+
+    # _replace rebuilds through _make; route it through the checks above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_string(cls, text: str) -> "Word":
@@ -265,8 +268,7 @@ def c16() -> BinaryCode:
     return code
 
 
-@dataclass(frozen=True)
-class GoodFormReport:
+class GoodFormReport(NamedTuple):
     """Results of the four conditions a code must meet to index an integral form."""
 
     n_multiple_of_4: bool

@@ -14,8 +14,9 @@ vanishing on all linear relations) and decide whether they are integral.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .codes import BinaryCode, RequestError
 from .intmat import _rref
@@ -29,24 +30,24 @@ from .tensor import (
     lt_action,
     space,
 )
+from .virasoro import _as_fraction
 
 
-@dataclass(frozen=True)
-class TripleSpec:
+class TripleSpec(namedtuple("TripleSpec", "h1 h2 h3 code lowest_coeff")):
     """Source pair and target module for one coefficient system."""
 
-    h1: HVector
-    h2: HVector
-    h3: HVector
-    code: BinaryCode
-    lowest_coeff: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lowest_coeff", Fraction(self.lowest_coeff))
-        for h in (self.h1, self.h2, self.h3):
-            ok, reason = admissible_weights(self.code, h)
+    def __new__(cls, h1: HVector, h2: HVector, h3: HVector, code: BinaryCode,
+                lowest_coeff: Fraction):
+        lowest_coeff = _as_fraction(lowest_coeff)
+        for h in (h1, h2, h3):
+            ok, reason = admissible_weights(code, h)
             if not ok:
                 raise RequestError(f"inadmissible weight vector {h}: {reason}")
+        return super().__new__(cls, h1, h2, h3, code, lowest_coeff)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def cross_bracket_step(m: int, f_lt0_w: Fraction, f_w: Fraction,
@@ -172,8 +173,7 @@ def _peel_multiplier(corr: CorrelationFunctional, spec: TripleSpec,
     )
 
 
-@dataclass(frozen=True)
-class WellDefinedReport:
+class WellDefinedReport(NamedTuple):
     well_defined: bool
     order_checks: int
     order_failures: tuple[str, ...]
@@ -233,8 +233,7 @@ def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
     )
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(NamedTuple):
     integral: bool
     witness: SpanningMonomial | None
     witness_value: Fraction | None
@@ -263,8 +262,7 @@ def framed_summands(n: int) -> list[HVector]:
     return out
 
 
-@dataclass(frozen=True)
-class TripleVerdict:
+class TripleVerdict(NamedTuple):
     h1: HVector
     h2: HVector
     h3: HVector
@@ -273,8 +271,7 @@ class TripleVerdict:
     confirmed: bool | None
 
 
-@dataclass(frozen=True)
-class FramedReport:
+class FramedReport(NamedTuple):
     triples: tuple[TripleVerdict, ...]
     satisfied: bool
     conclusion: str

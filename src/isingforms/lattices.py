@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from .codes import BinaryCode, RequestError, Word, complement_reduce, goodform_conditions
 from .intmat import hermite_cofactors, hnf, hnf_solve
@@ -89,8 +89,7 @@ def _check_inputs(code: BinaryCode, weights: HVector, level: int):
         raise ValueError("negative level")
 
 
-@dataclass(frozen=True)
-class SpanningMonomial:
+class SpanningMonomial(NamedTuple):
     """Ordered product of lowering operators, leftmost applied last.
 
     ops is a sequence of (mode, label) pairs with modes weakly decreasing;
@@ -149,8 +148,7 @@ def evaluate_monomial(mon: SpanningMonomial, weights: HVector) -> TensorVector:
     return v
 
 
-@dataclass(frozen=True)
-class LevelLattice:
+class LevelLattice(NamedTuple):
     """One graded piece: rows/denominator span the lattice in key coordinates."""
 
     weights: HVector
@@ -297,8 +295,7 @@ def lattices_equal(a: LevelLattice, b: LevelLattice) -> bool:
     return sa == sb
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     a_in_b: bool
     b_in_a: bool
     equal: bool
@@ -349,8 +346,7 @@ def gram_matrix(weights: HVector, level: int, rows) -> list[list[Fraction]]:
     return [[Fraction(g, s * d * d) for g in row] for row in gram]
 
 
-@dataclass(frozen=True)
-class DualReport:
+class DualReport(NamedTuple):
     lattice: LevelLattice
     gram: tuple[tuple[Fraction, ...], ...]
     dual: LevelLattice
@@ -396,8 +392,7 @@ def graded_dual(entry: LevelLattice) -> DualReport:
     )
 
 
-@dataclass(frozen=True)
-class GeneratedFormReport:
+class GeneratedFormReport(NamedTuple):
     per_level: dict[int, LevelLattice]
     rounds: int
     stabilized: bool

@@ -15,10 +15,11 @@ factors' Shapovalov forms, all act through one per-factor map.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import lcm, prod
+from typing import NamedTuple
 
 from .codes import BinaryCode, RequestError, Word
 from .virasoro import (
@@ -46,22 +47,23 @@ def _sid_level(sid: int) -> int:
     return sid // _SID_STRIDE
 
 
-@dataclass(frozen=True)
-class HVector:
+class HVector(namedtuple("HVector", "entries")):
     """Tuple of factor highest weights, each 0, 1/2 or 1/16."""
 
-    entries: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, entries: tuple[Fraction, ...]):
         allowed = {Fraction(0), Fraction(1, 2), Fraction(1, 16)}
-        entries = tuple(Fraction(e) for e in self.entries)
+        entries = tuple(_as_fraction(e) for e in entries)
         bad = [e for e in entries if e not in allowed]
         if bad:
             raise RequestError(
                 f"factor weights must be 0, 1/2 or 1/16; got {', '.join(map(str, bad))}")
         if not entries:
             raise RequestError("empty weight vector")
-        object.__setattr__(self, "entries", entries)
+        return super().__new__(cls, entries)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def parse(cls, text: str) -> "HVector":
@@ -374,8 +376,7 @@ def lt0_eigenvalue(T: Word, weights: HVector) -> Fraction:
                 for i, h in enumerate(weights.entries, start=1)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class CommutatorTerms:
+class CommutatorTerms(NamedTuple):
     """Right hand side of the signed diagonal commutator.
 
     [L_S(m), L_T(mode)] = linear * L_word(m + mode) + central * identity,
@@ -422,8 +423,7 @@ def verify_commutator(S: Word, T: Word, m: int, n_mode: int,
     return True
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     ok: bool
     pairs: int
     instances: int
@@ -517,8 +517,7 @@ def dimension_at_level(weights: HVector, level: int) -> int:
     return series[level]
 
 
-@dataclass(frozen=True)
-class WeightOneReport:
+class WeightOneReport(NamedTuple):
     total: int
     two_half_count: int
     two_half_dimension: int

@@ -20,10 +20,10 @@ ints over powers of one denominator per module. Nothing here touches floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .codes import RequestError
 
@@ -36,16 +36,15 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class CentralParams:
-    """Central charge and highest weight of a Verma module."""
+class CentralParams(namedtuple("CentralParams", "ell h")):
+    """Central charge ell and highest weight h of a Verma module, as Fractions."""
 
-    ell: Fraction
-    h: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "ell", _as_fraction(self.ell))
-        object.__setattr__(self, "h", _as_fraction(self.h))
+    def __new__(cls, ell: Fraction, h: Fraction):
+        return super().__new__(cls, _as_fraction(ell), _as_fraction(h))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def bracket(m: int, n: int) -> tuple[int, Fraction]:
@@ -147,8 +146,7 @@ class VermaVector:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class GradedBasis:
+class GradedBasis(NamedTuple):
     """Pivot monomials of one graded piece of an irreducible quotient.
 
     pivots are chosen greedily in descending lexicographic order: a monomial

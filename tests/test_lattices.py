@@ -1,6 +1,5 @@
 """Spanning lattices, Hermite bases, Gram matrices, duals, saturation."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from math import lcm
@@ -187,7 +186,7 @@ class TestLatticeAtLevel:
 
     def test_lattice_hashes_with_its_code(self):
         entry = lattice_at_level(even_code(4), H4_VAC, 2)
-        again = dataclasses.replace(entry, code=even_code(4))
+        again = entry._replace(code=even_code(4))
         assert entry.code is not again.code
         assert hash(entry) == hash(again)
         assert {entry, again} == {entry}
@@ -393,8 +392,8 @@ class TestFactorwiseForm:
         def singular_basis(self, level):
             b = real_basis(self, level)
             if self.h == 0 and level == factor_level:
-                return dataclasses.replace(
-                    b, gram=tuple((Fraction(0),) * len(row) for row in b.gram),
+                return b._replace(
+                    gram=tuple((Fraction(0),) * len(row) for row in b.gram),
                     det=Fraction(0))
             return b
 
@@ -487,7 +486,7 @@ class TestDual:
 
     def test_requires_full_rank(self):
         entry = lattice_at_level(even_code(4), H4_VAC, 2)
-        thin = dataclasses.replace(entry, basis=entry.basis[:2])
+        thin = entry._replace(basis=entry.basis[:2])
         with pytest.raises(ValueError):
             graded_dual(thin)
 
@@ -500,16 +499,16 @@ class TestCompare:
 
     def test_doubled_sublattice(self):
         a = lattice_at_level(even_code(4), H4_VAC, 2)
-        doubled = dataclasses.replace(
-            a, basis=tuple(tuple(2 * c for c in row) for row in a.basis))
+        doubled = a._replace(
+            basis=tuple(tuple(2 * c for c in row) for row in a.basis))
         report = compare(doubled, a)
         assert report.a_in_b and not report.b_in_a
         assert report.index == 2 ** a.rank
 
     def test_incomparable(self):
         a = lattice_at_level(even_code(4), H4_VAC, 2)
-        first = dataclasses.replace(a, basis=(a.basis[0],))
-        second = dataclasses.replace(a, basis=(a.basis[1],))
+        first = a._replace(basis=(a.basis[0],))
+        second = a._replace(basis=(a.basis[1],))
         report = compare(first, second)
         assert not report.a_in_b and not report.b_in_a
         assert report.index is None
