@@ -9,8 +9,8 @@ set. The pairing behind duality is the parity of the intersection size.
 from __future__ import annotations
 
 import itertools
+import os
 from collections import namedtuple
-from pathlib import Path
 from typing import NamedTuple
 
 
@@ -385,11 +385,11 @@ def resolve_code(spec: str) -> BinaryCode:
             except ValueError:
                 raise RequestError(f"bad builtin code name {spec!r}") from None
             return builder(n)
-    path = Path(spec)
-    if not path.exists():
+    if not os.path.exists(spec):
         raise RequestError(f"unknown code {spec!r}: not a builtin and not a file")
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(spec, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise RequestError(f"cannot read code file {spec!r}: {exc}") from None
     return parse_code_file(text)

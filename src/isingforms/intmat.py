@@ -10,9 +10,12 @@ of an integer row lattice, and membership solves over it; every lattice
 index is read off its pivots. ``hnf`` builds it by inserting the rows one
 at a time into the pivot rows held so far, through extended-gcd 2 x 2
 unimodular steps, with size reduction after each change so the entries stay
-small. A full-rank Hermite basis is square upper triangular, so the graded
-dual reduces no [Gram | basis] block: ``hermite_cofactors`` inverts the
-basis by integer back-substitution.
+small. It holds the rows sparse, so a step costs the nonzero entries it
+touches, and its output does not depend on the order of the rows, only its
+time does: ``lattices`` feeds them latest leading column first. A full-rank
+Hermite basis is square upper triangular, so the graded dual reduces no
+[Gram | basis] block: ``hermite_cofactors`` inverts the basis by integer
+back-substitution.
 
 Solving a square system, inverting, expressing vectors over a fixed list of
 rows (with their left kernel) and the Bareiss determinants (a rational one
@@ -171,75 +174,81 @@ def _xgcd(a: int, b: int):
     return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
-def _reduce(row, prow, c: int, q: int):
-    """row -= q * prow in place, on the columns from c on (prow is zero before c)."""
-    row[c:] = [x - q * y for x, y in zip(row[c:], prow[c:])]
+def _axpy(row: dict, prow: dict, q: int) -> dict:
+    """row -= q * prow in place, on sparse rows, dropping the entries that
+    cancel; returns row."""
+    for j, y in prow.items():
+        x = row.get(j, 0) - q * y
+        if x:
+            row[j] = x
+        else:
+            row.pop(j, None)
+    return row
 
 
 def hnf(rows):
     """Canonical row Hermite normal form of integer rows; zero rows dropped.
 
-    Rows go in one at a time. Each is reduced against the pivot rows held so
-    far, column by column. A column without a pivot row takes the rest as a
-    new one, sign-normalized. A pivot a that does not divide the entry b is
-    replaced by the 2 x 2 unimodular step [[x, y], [-b/d, a/d]] on (pivot row,
-    row), d = gcd(a, b) = x*a + y*b: the first product is the new pivot row,
-    with entry d, and the second, zero in that column, carries on. Every new
-    or replaced pivot row is size-reduced against the later pivots, and the
-    earlier rows against it in its column, which keeps the entries small. A
-    last pass, pivot columns in increasing order, reduces every entry above a
-    pivot into [0, pivot). The result is the unique basis of that shape
-    (Cohen, A Course in Computational Algebraic Number Theory, section 2.4),
-    so the order of the rows changes only the time: sparse rows first is fast.
+    Rows go in one at a time and are held sparse, as {column: entry} dicts.
+    Each is reduced against the pivot rows held so far, column by column. A
+    column without a pivot row takes the rest as a new one, sign-normalized.
+    A pivot a that does not divide the entry b is replaced by the 2 x 2
+    unimodular step [[x, y], [-b/d, a/d]] on (pivot row, row), d = gcd(a, b)
+    = x*a + y*b: the first product is the new pivot row, with entry d, and
+    the second, zero in that column, carries on. Every new or replaced pivot
+    row is size-reduced against the later pivots, and the earlier rows
+    against it in its column, which keeps the entries small. A last pass,
+    pivot columns in increasing order, reduces every entry above a pivot into
+    [0, pivot), and the rows come out dense. The result is the unique basis
+    of that shape (Cohen, A Course in Computational Algebraic Number Theory,
+    section 2.4), so the order of the rows changes only the time: latest
+    leading column first is fast, as it keeps the pivot rows sparse.
     """
-    pivot_rows: dict[int, list[int]] = {}
+    pivot_rows: dict[int, dict[int, int]] = {}
     cols: list[int] = []  # the pivot columns, increasing
+    width = 0
 
     def reduce_above(k: int):
         """Reduce the pivot rows before the k-th in its pivot column."""
         c = cols[k]
         prow = pivot_rows[c]
         for c1 in cols[:k]:
-            q = pivot_rows[c1][c] // prow[c]
+            q = pivot_rows[c1].get(c, 0) // prow[c]
             if q:
-                _reduce(pivot_rows[c1], prow, c, q)
+                _axpy(pivot_rows[c1], prow, q)
 
-    def install(c: int, row):
+    def install(c: int, row: dict):
         if c not in pivot_rows:
             insort(cols, c)
         pivot_rows[c] = row
         k = bisect_left(cols, c)
         for c2 in cols[k + 1:]:
-            q = row[c2] // pivot_rows[c2][c2]
+            q = row.get(c2, 0) // pivot_rows[c2][c2]
             if q:
-                _reduce(row, pivot_rows[c2], c2, q)
+                _axpy(row, pivot_rows[c2], q)
         reduce_above(k)
 
     for row in rows:
-        v = list(map(int, row))
-        c = 0
-        while True:
-            c = next((j for j in range(c, len(v)) if v[j]), None)
-            if c is None:
-                break
+        width = len(row)
+        v = {j: int(x) for j, x in enumerate(row) if x}
+        while v:
+            c = min(v)
             b = v[c]
             p = pivot_rows.get(c)
             if p is None:
-                install(c, v if b > 0 else [-x for x in v])
+                install(c, v if b > 0 else {j: -x for j, x in v.items()})
                 break
             a = p[c]
             q, r = divmod(b, a)
             if r:
-                d, x, y = _xgcd(a, b)
-                a, b = a // d, b // d
-                head = [0] * c
-                install(c, head + [x * s + y * t for s, t in zip(p[c:], v[c:])])
-                v = head + [a * t - b * s for s, t in zip(p[c:], v[c:])]
+                d, x, y = _xgcd(a, b)  # y != 0, as a does not divide b
+                install(c, _axpy({j: y * e for j, e in v.items()}, p, -x))
+                v = _axpy({j: a // d * e for j, e in v.items()}, p, b // d)
             else:
-                _reduce(v, p, c, q)
+                _axpy(v, p, q)
     for k in range(len(cols)):
         reduce_above(k)
-    return [pivot_rows[c] for c in cols]
+    return [[pivot_rows[c].get(j, 0) for j in range(width)] for c in cols]
 
 
 def hermite_cofactors(rows):

@@ -45,7 +45,7 @@ from .intmat import hermite_cofactors, hnf, hnf_solve
 from .tensor import (
     HVector,
     TensorVector,
-    apply_factor_mode,
+    _add_factor_map,
     factor_mode_sum,
     form_map,
     lt0_eigenvalue,
@@ -189,14 +189,15 @@ def _from_rational_rows(weights: HVector, code: BinaryCode | None, level: int,
     sees the smallest entries. With scale * g / den = a / b in lowest terms
     the lattice is a / b times that of the primitive rows, whose entries
     have gcd 1: d times the lattice is integral exactly when b divides d,
-    and the stored basis is a times the primitive rows' Hermite basis.
+    and the stored basis is a times the primitive rows' Hermite basis. The
+    rows go to hnf latest leading column first, its fastest order.
     """
-    den = lcm(*(c.denominator for row in rows for c in row))
-    int_rows = [[c.numerator * (den // c.denominator) if c else 0 for c in row]
-                for row in rows]
-    g = gcd(*(c for row in int_rows for c in row))
-    if g > 1:
-        int_rows = [[c // g for c in row] for row in int_rows]
+    values = set(itertools.chain.from_iterable(rows))
+    den = lcm(*(c.denominator for c in values))
+    ints = {c: c.numerator * (den // c.denominator) for c in values}
+    g = gcd(*ints.values())
+    int_rows = [[ints[c] // (g or 1) for c in row] for row in rows]
+    int_rows.sort(key=lambda r: next(itertools.compress(itertools.count(), r), -1), reverse=True)
     reduced = hnf(int_rows)
     content = scale * Fraction(g, den)
     if content.numerator != 1:
@@ -214,36 +215,49 @@ def _from_rational_rows(weights: HVector, code: BinaryCode | None, level: int,
 def _generator_modes(min_mode: int, n: int) -> list[int]:
     """The modes m whose L_T(-m) span level n, largest first.
 
-    Odd modes 2k + 1 with k >= min_mode are left out (module docstring).
-    Largest first feeds hnf the sparse rows from the lowest levels first.
+    Odd modes 2k + 1 with k >= min_mode are left out (module docstring). The
+    order is not the one hnf sees: _from_rational_rows sorts the rows.
     """
     return [m for m in range(n, min_mode - 1, -1) if m % 2 == 0 or m <= 2 * min_mode]
 
 
-def _signed_sum(images, signs, index) -> list:
-    """Coordinates of sum_i signs[i] * images[i] in the key order of index."""
-    row = [0] * len(index)
+def _signed_sum(images, signs, width: int) -> list[int]:
+    """The row sum_i signs[i] * images[i], each image (column, int) pairs."""
+    row = [0] * width
     for sign, image in zip(signs, images):
-        for key, c in image.terms.items():
-            j = index[key]
-            row[j] = row[j] + c if sign > 0 else row[j] - c
+        for j, c in image:
+            row[j] += sign * c
     return row
 
 
 @functools.cache
 def _level(code: BinaryCode, weights: HVector, n: int) -> LevelLattice:
-    """Level n of the lattice, built from the lower levels its generators need."""
+    """Level n of the lattice, built on integers from the lower levels.
+
+    A lower level is B / den, and factor i maps by s_i L^(i)(-m) on integers
+    (_Factor.mode_rows). With big the lcm of every s_i * den and unit = big
+    / den, that map times unit / s_i sends B to big L^(i)(-m) B / den, so
+    the signed sums are big times the generators."""
     if n == 0:
-        return _from_rational_rows(weights, code, 0, [TensorVector.lowest(weights).coordinates(0)])
+        return _from_rational_rows(weights, code, 0, [[1]])
+    sp = space(weights)
     signs = [[-1 if t.contains(i) else 1 for i in range(1, code.n + 1)]
              for t in complement_reduce(code)]
-    index = space(weights).index(n)
+    index = sp.index(n)
+    plan = [(_level(code, weights, n - m), [f.mode_rows(n - m, -m) for f in sp.factors])
+            for m in _generator_modes(_min_mode(weights), n)]
+    big = lcm(*(s * lower.denominator for lower, maps in plan for s, _ in maps))
     rows = []
-    for m in _generator_modes(_min_mode(weights), n):
-        for b in _level(code, weights, n - m).basis_vectors():
-            images = [apply_factor_mode(i, -m, b) for i in range(1, code.n + 1)]
-            rows.extend(_signed_sum(images, s, index) for s in signs)
-    return _from_rational_rows(weights, code, n, rows)
+    for lower, maps in plan:
+        keys, unit = sp.keys(lower.level), big // lower.denominator
+        for b in lower.basis:
+            vec = {keys[j]: c for j, c in enumerate(b) if c}
+            images = []
+            for pos, (s, fmap) in enumerate(maps):
+                image = _add_factor_map({}, vec, pos, fmap.__getitem__, unit // s)
+                images.append([(index[k], c) for k, c in image.items()])
+            rows.extend(_signed_sum(images, t, len(index)) for t in signs)
+    return _from_rational_rows(weights, code, n, rows, Fraction(1, big))
 
 
 def lattice_at_level(code: BinaryCode, weights: HVector, level: int) -> LevelLattice:

@@ -141,19 +141,27 @@ class _Factor:
 
     @cache
     def form_rows(self, top: int, inverse: bool) -> tuple[int, dict]:
-        """(s, rows) for the pivot Grams, or their inverses, at levels <= top.
-
-        s is the lcm of their entries' denominators, and rows maps each sid
-        at those levels to its row of s times its level's matrix, as (sid,
-        int) pairs.
-        """
+        """(s, rows) for the pivot Grams, or their inverses, at levels <= top:
+        each sid's row of its level's matrix, scaled by _integer_rows."""
         mats = [self.basis(l).inverse if inverse else self.basis(l).gram
                 for l in range(top + 1)]
-        s = lcm(*(x.denominator for mat in mats for row in mat for x in row))
-        rows = {_sid(l, i): tuple((_sid(l, j), x.numerator * (s // x.denominator))
-                                  for j, x in enumerate(row) if x)
-                for l, mat in enumerate(mats) for i, row in enumerate(mat)}
-        return s, rows
+        return _integer_rows({_sid(l, i): [(_sid(l, j), x) for j, x in enumerate(row) if x]
+                              for l, mat in enumerate(mats) for i, row in enumerate(mat)})
+
+    @cache
+    def mode_rows(self, top: int, m: int) -> tuple[int, dict]:
+        """(s, rows) for L(m) on every sid at levels <= top: its expansion,
+        scaled by _integer_rows."""
+        return _integer_rows({_sid(l, i): self.expansion(_sid(l, i), m)
+                              for l in range(top + 1) for i in range(self.dim(l))})
+
+
+def _integer_rows(rows: dict) -> tuple[int, dict]:
+    """(s, s * rows) for a map from sids to (sid, rational) pairs: s is the
+    lcm of the denominators, and each image comes back as (sid, int) pairs."""
+    s = lcm(*(x.denominator for pairs in rows.values() for _, x in pairs))
+    return s, {sid: tuple((sid2, x.numerator * (s // x.denominator)) for sid2, x in pairs)
+               for sid, pairs in rows.items()}
 
 
 @cache
@@ -275,15 +283,17 @@ class TensorVector:
         return f"TensorVector({self.weights}, {len(self.terms)} terms)"
 
 
-def _add_factor_map(terms: dict, vec: dict, pos: int, fmap, scale) -> None:
+def _add_factor_map(terms: dict, vec: dict, pos: int, fmap, scale) -> dict:
     """terms += scale * (fmap on factor pos, identity elsewhere) applied to vec,
-    fmap sending a factor state sid to its image as (sid, coefficient) pairs."""
+    fmap sending a factor state sid to its image as (sid, coefficient) pairs;
+    returns terms."""
     for key, c in vec.items():
         sc = scale * c
         head, tail = key[:pos], key[pos + 1:]
         for sid2, c2 in fmap(key[pos]):
             nk = head + (sid2,) + tail
             terms[nk] = terms.get(nk, 0) + sc * c2
+    return terms
 
 
 def factor_mode_sum(coeffs, m: int, v: TensorVector) -> TensorVector:
@@ -331,9 +341,7 @@ def form_map(weights: HVector, level: int, rows,
     for row in rows:
         terms = {k: c for k, c in zip(keys, row, strict=True) if c}
         for pos, (_, fmap) in enumerate(maps):
-            mapped: dict[tuple[int, ...], int] = {}
-            _add_factor_map(mapped, terms, pos, fmap.__getitem__, 1)
-            terms = mapped
+            terms = _add_factor_map({}, terms, pos, fmap.__getitem__, 1)
         out.append([terms.get(k, 0) for k in keys])
     return prod(s for s, _ in maps), out
 
@@ -464,8 +472,7 @@ def verify_commutator_sweep(code: BinaryCode, weights: HVector,
     def act(terms: dict, vec: dict, pos: int, mode: int, scale=1) -> dict:
         """terms += scale * L^(pos)(mode) vec, returning terms."""
         factor = sp.factors[pos]
-        _add_factor_map(terms, vec, pos, lambda sid: factor.expansion(sid, mode), scale)
-        return terms
+        return _add_factor_map(terms, vec, pos, lambda sid: factor.expansion(sid, mode), scale)
 
     modes = range(-mode_bound, mode_bound + 1)
     for m, n in itertools.product(modes, repeat=2):

@@ -162,6 +162,9 @@ class TestGoldenReports:
         (["form", "verify", "--code", "hamming8", "--H", "1/2,1/2,0,0,0,0,0,0",
           "--max-level", "5"], 0,
          "965db0ff8cea93bf03b748f5a85dfcf199b21cc5f132be8d622c95ec8105b74f"),
+        (["form", "verify", "--code", "hamming8", "--H", "1/2,1/2,0,0,0,0,0,0",
+          "--max-level", "6"], 0,
+         "2948c1be60afc8f2e9a213fed24c44ba6d85e40de1950cdd2f8964115efa63d7"),
         (["form", "generated", "--gen", "2omega", "--power", "8", "--max-level", "4",
           "--mode-budget", "2", "--rounds", "3"], 1,
          "89e7f5994fbae0e8b695a1640df49143c4a8aa42b8ac36681efb82f581896796"),
@@ -175,7 +178,8 @@ class TestGoldenReports:
         (["dual", "--power", "16", "--code", "c16", "--H", ",".join(["1/16"] * 16),
           "--level", "2", "--compare"], 0,
          "6abd1e74157fe9064b7dce01a0a84329a290f5501b093b3aa08ef825b3063602"),
-    ], ids=["form-verify-hamming8-half-pair-5", "form-generated-power-8",
+    ], ids=["form-verify-hamming8-half-pair-5", "form-verify-hamming8-half-pair-6",
+            "form-generated-power-8",
             "dual-hamming8-vacuum-4", "dual-hamming8-vacuum-5-json",
             "dual-c16-sixteenth-2"])
     def test_stdout_digest(self, capsys, argv, exit_code, digest):

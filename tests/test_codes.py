@@ -270,7 +270,8 @@ class TestResolve:
         assert resolve_code(str(path)) == hamming8()
 
     def test_unknown(self):
-        for spec in ("no-such-code", "even:x", "even:1", "trivial:0"):
+        # a name too long for the file system is unknown too, not an OSError
+        for spec in ("no-such-code", "even:x", "even:1", "trivial:0", "x" * 5000):
             with pytest.raises(RequestError):
                 resolve_code(spec)
 

@@ -1,6 +1,7 @@
 """The rational kernels of intmat, each checked against an independent route."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,21 @@ class TestHnf:
     @settings(max_examples=400, deadline=None)
     def test_matches_column_sweep(self, rows):
         assert hnf(rows) == sweep_hnf(rows)
+
+    @given(integer_matrices(), st.randoms(use_true_random=False))
+    @example([], random.Random(0))
+    @example([[0, 0, 0], [0, 0, 0]], random.Random(0))
+    @settings(max_examples=200, deadline=None)
+    def test_ignores_row_order(self, rows, rng):
+        """Permuted rows, with zero rows put in anywhere, give one output."""
+        want = sweep_hnf(rows)
+        assert hnf(rows) == want
+        width = len(rows[0]) if rows else 3
+        for _ in range(4):
+            shuffled = rng.sample(rows, len(rows))
+            for _ in range(rng.randrange(4)):
+                shuffled.insert(rng.randrange(len(shuffled) + 1), [0] * width)
+            assert hnf(shuffled) == want
 
     @pytest.mark.parametrize("code, weights, top", [
         (hamming8(), HVector.parse("1/2,1/2,0,0,0,0,0,0"), 5),

@@ -139,12 +139,21 @@ class TestEqualityAndHash:
         assert (bits, n) == (5, 4)
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # -S skips site, so only what the package itself imports is loaded
+def cli_import_loads(names):
+    """Which of the named modules a bare import isingforms.cli loads: -S skips
+    site, so only what the package itself imports is loaded."""
     src = str(Path(isingforms.__file__).resolve().parents[1])
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import isingforms.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             f"print(sorted({set(names)!r} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", probe, src],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    assert cli_import_loads({"dataclasses", "inspect"}) == "[]"
+
+
+def test_cli_import_does_not_load_pathlib():
+    assert cli_import_loads({"pathlib"}) == "[]"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isingforms import tensor
+from isingforms import lattices, tensor
 from isingforms.codes import BinaryCode, RequestError, Word, even_code, hamming8
 from isingforms.tensor import (
     CommutatorTerms,
@@ -34,6 +34,17 @@ H4_HALF = HVector((HALF, HALF, Fraction(0), Fraction(0)))
 
 def word(chars: str) -> Word:
     return Word.from_string(chars)
+
+
+def prime_factors(n: int) -> set[int]:
+    """The primes dividing n >= 1."""
+    out, p = set(), 2
+    while n > 1:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out
 
 
 def omega_word(T: Word) -> TensorVector:
@@ -330,7 +341,9 @@ class TestSweep:
 
     @pytest.fixture
     def doubled_raising_mode(self, monkeypatch):
-        """Double L(-1) on the lowest state of the 1/2 factor."""
+        """Double L(-1) on the lowest state of the 1/2 factor. The caches built
+        on expansion are emptied before and after, so no test sees a map
+        built on the other side of the fault."""
         original = tensor._Factor.expansion
 
         def faulty(factor, sid, m):
@@ -339,7 +352,14 @@ class TestSweep:
                 return tuple((s, 2 * c) for s, c in exp)
             return exp
 
+        def clear():
+            tensor._Factor.mode_rows.cache_clear()
+            lattices._level.cache_clear()
+
         monkeypatch.setattr(tensor._Factor, "expansion", faulty)
+        clear()
+        yield
+        clear()
 
     def test_sweep_failures_fail_the_direct_route(self, doubled_raising_mode):
         report = verify_commutator_sweep(even_code(4), H4_HALF, 2, 3)
@@ -372,6 +392,32 @@ class TestSweep:
             if not verify_commutator(S, T, m, n, H4_HALF, 2)
         }
         assert {f[:4] for f in report.failures} == direct
+
+    def test_mode_rows_see_the_fault(self, doubled_raising_mode):
+        # the last fault test: TestModeRows below finds a map it leaves behind
+        s, rows = tensor._factor(HALF).mode_rows(2, -1)
+        assert rows[tensor._sid(0, 0)] == ((tensor._sid(1, 0), 2 * s),)
+
+
+class TestModeRows:
+    """Runs after TestSweep, whose fault fixture must not leave its maps behind."""
+
+    @pytest.mark.parametrize("h", ISING_WEIGHTS)
+    def test_mode_rows_are_the_least_integer_multiple_of_expansion(self, h):
+        factor = tensor._factor(h)
+        for top in range(7):
+            for m in range(-4, 5):
+                s, rows = factor.mode_rows(top, m)
+                sids = [tensor._sid(l, i) for l in range(top + 1) for i in range(factor.dim(l))]
+                assert list(rows) == sids
+                coeffs = []
+                for sid in sids:
+                    want = factor.expansion(sid, m)
+                    assert rows[sid] == tuple((t, s * c) for t, c in want)
+                    coeffs += [c for _, c in want]
+                for p in prime_factors(s):
+                    assert any((s // p * c).denominator != 1 for c in coeffs)
+
 
 class TestWeightOne:
     def test_e8_dimension_count(self):
