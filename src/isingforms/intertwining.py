@@ -9,6 +9,11 @@ with a1, a2 the zero-mode eigenvalues on the first two modules, forces a
 unique value on every spanning monomial of the third module. The checks
 here certify that these forced values are consistent (order-independent and
 vanishing on all linear relations) and decide whether they are integral.
+
+Every key is an L_T(0) eigenvector: L^(i)(0) = h_i + N_i on W_{H3}, N_i its
+factor-i level. So F(L_T(0) w) = lt0_eigenvalue(T, H3) F(w) + sum_i s_i(T)
+F(N_i w), s_i(T) = -1 on T and +1 off it, and a peel needs of w only its
+moments (F(w), F(N_1 w), ..., F(N_n w)), kept once per stored monomial.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .codes import BinaryCode, RequestError
@@ -27,7 +33,7 @@ from .tensor import (
     commutator_symbolic,
     form_nondegenerate,
     lt0_eigenvalue,
-    lt_action,
+    lt_actions,
     space,
 )
 from .virasoro import _as_fraction
@@ -65,8 +71,8 @@ class CorrelationFunctional:
     enumeration order), one functional value per state key (read off a maximal
     independent set of monomial vectors), and the value each linear relation
     among the monomial vectors takes on the multipliers, and each monomial's
-    vector. Dropping the first or the second operator of an enumerated
-    monomial leaves an enumerated monomial, because modes stay weakly
+    vector and moments. Dropping the first or the second operator of an
+    enumerated monomial leaves an enumerated monomial, because modes stay weakly
     decreasing and labels within a run of equal modes stay weakly increasing;
     so every rest and every swapped operand of check_well_defined is stored.
     """
@@ -75,13 +81,15 @@ class CorrelationFunctional:
                  multipliers: dict[int, dict[SpanningMonomial, Fraction]],
                  functional: dict[int, dict[tuple[int, ...], Fraction]],
                  relations: dict[int, list[Fraction]],
-                 vectors: dict[SpanningMonomial, TensorVector]):
+                 vectors: dict[SpanningMonomial, TensorVector],
+                 moments: dict[SpanningMonomial, list[Fraction]]):
         self.spec = spec
         self.base_exponent = base_exponent
         self._multipliers = multipliers
         self._functional = functional
         self._relations = relations
         self._vectors = vectors
+        self._moments = moments
 
     @property
     def max_level(self) -> int:
@@ -114,6 +122,8 @@ class CorrelationFunctional:
         """Linear extension of the multipliers to an arbitrary module vector."""
         if v.is_zero():
             return Fraction(0)
+        if v.weights != self.spec.h3:
+            raise ValueError("vector from a different tensor module")
         level = v.level()
         if level not in self._functional:
             raise ValueError(f"no values computed at level {level}")
@@ -126,7 +136,8 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
 
     One elimination of the rows [monomial vector | multiplier] per level: its
     pivot rows give the functional on the keys, the other rows the relation
-    values. Monomials that do not span their level raise ArithmeticError.
+    values. Monomials that share the lowered mode and the rest map the rest's
+    vector once. Monomials that do not span their level raise ArithmeticError.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
@@ -134,43 +145,60 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
     multipliers: dict[int, dict[SpanningMonomial, Fraction]] = {}
     functional: dict[int, dict[tuple[int, ...], Fraction]] = {}
     relations: dict[int, list[Fraction]] = {}
-    vectors: dict[SpanningMonomial, TensorVector] = {}
-    out = CorrelationFunctional(spec, base_exponent, multipliers, functional, relations, vectors)
+    vectors = {SpanningMonomial(()): TensorVector.lowest(spec.h3)}
+    moments: dict[SpanningMonomial, list[Fraction]] = {}
+    labels, sp = _label_constants(spec), space(spec.h3)
     for level in range(max_level + 1):
-        mults: dict[SpanningMonomial, Fraction] = {}
-        rows = []
-        for mon in spanning_monomials(spec.code, spec.h3, level):
+        mons = spanning_monomials(spec.code, spec.h3, level)
+        mults = {mon: Fraction(1) for mon in mons if not mon.ops}
+        groups: dict[tuple, list[SpanningMonomial]] = {}
+        for mon in mons:
             if mon.ops:
-                m, t = mon.ops[0]
-                rest_vec = vectors[SpanningMonomial(mon.ops[1:])]
-                mults[mon] = _peel_multiplier(out, spec, t, m, rest_vec)
-                vec = lt_action(t, -m, rest_vec)
-            else:
-                mults[mon] = Fraction(1)
-                vec = TensorVector.lowest(spec.h3)
-            vectors[mon] = vec
-            rows.append(vec.coordinates(level) + [mults[mon]])
-        keys = space(spec.h3).keys(level)
-        reduced, pivots = _rref(rows, len(keys))
+                groups.setdefault((mon.ops[0][0], SpanningMonomial(mon.ops[1:])), []).append(mon)
+        for (m, rest), group in groups.items():
+            words = [mon.ops[0][1] for mon in group]
+            vectors.update(zip(group, lt_actions(words, -m, vectors[rest])))
+            mults.update((mon, _peel_multiplier(labels[t], m, moments[rest]))
+                         for mon, t in zip(group, words))
+        keys = sp.keys(level)
+        reduced, pivots = _rref(
+            [vectors[mon].coordinates(level) + [mults[mon]] for mon in mons], len(keys))
         if len(pivots) < len(keys):
             raise ArithmeticError(
                 f"level {level}: monomials span {len(pivots)} of {len(keys)} dimensions")
-        multipliers[level] = mults
-        functional[level] = {keys[c]: row[-1] for c, row in zip(pivots, reduced)}
+        multipliers[level] = {mon: mults[mon] for mon in mons}
+        f = functional[level] = {keys[c]: row[-1] for c, row in zip(pivots, reduced)}
         relations[level] = [row[-1] for row in reduced[len(pivots):]]
-    return out
+        # the moments on integers: d F on the keys, then each key's weights
+        d = lcm(*(x.denominator for x in f.values()))
+        scaled = {k: [(i, l * int(f[k] * d)) for i, l in enumerate((1,) + levels) if l]
+                  for k, levels in sp.factor_levels(level).items()}
+        for mon in mons:
+            terms = vectors[mon].terms
+            e = lcm(*(c.denominator for c in terms.values()))
+            sums = [0] * (sp.n + 1)
+            for k, c in terms.items():
+                for i, x in scaled[k]:
+                    sums[i] += x * c.numerator * (e // c.denominator)
+            moments[mon] = [Fraction(x, d * e) for x in sums]
+    return CorrelationFunctional(spec, base_exponent, multipliers, functional, relations,
+                                 vectors, moments)
 
 
-def _peel_multiplier(corr: CorrelationFunctional, spec: TripleSpec,
-                     t, m: int, w: TensorVector) -> Fraction:
-    """Apply the recursion step to an arbitrary vector w, lowering by m."""
-    return cross_bracket_step(
-        m,
-        corr.vector_multiplier(lt_action(t, 0, w)),
-        corr.vector_multiplier(w),
-        lt0_eigenvalue(t, spec.h1),
-        lt0_eigenvalue(t, spec.h2),
-    )
+def _label_constants(spec: TripleSpec) -> dict:
+    """Per codeword T: which factors T holds, and L_T(0) on the lowest H1, H2, H3."""
+    return {t: (tuple(map(t.contains, range(1, t.n + 1))),
+                *(lt0_eigenvalue(t, h) for h in (spec.h1, spec.h2, spec.h3)))
+            for t in spec.code.words()}
+
+
+def _peel_multiplier(label, m: int, moments: list[Fraction]) -> Fraction:
+    """The recursion step lowering by m a stored vector w with the given
+    moments: F(L_T(0) w) = lt0_eigenvalue(T, H3) F(w) + sum_i s_i(T) F(N_i w),
+    s_i(T) = -1 on T and +1 off it, as L^(i)(0) = h_i + N_i on W_{H3}."""
+    on_t, a1, a2, a3 = label
+    f_lt0_w = a3 * moments[0] + sum(-x if on else x for on, x in zip(on_t, moments[1:]) if x)
+    return cross_bracket_step(m, f_lt0_w, moments[0], a1, a2)
 
 
 class WellDefinedReport(NamedTuple):
@@ -193,6 +221,7 @@ def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
     quotient from formal products to module vectors.
     """
     spec, max_level = corr.spec, corr.max_level
+    labels, moments = _label_constants(spec), corr._moments
     order_failures: list[str] = []
     order_checks = 0
     for level in range(max_level + 1):
@@ -200,34 +229,28 @@ def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
             if len(mon.ops) < 2:
                 continue
             (m1, t1), (m2, t2) = mon.ops[0], mon.ops[1]
-            tail_vec = corr.vector(SpanningMonomial(mon.ops[2:]))
+            tail = moments[SpanningMonomial(mon.ops[2:])]
             # route one: the stored leftmost peel
             direct = corr.multiplier(mon)
             # route two: swap the first two operators, add the commutator
-            swapped_inner = corr.vector(SpanningMonomial(mon.ops[:1] + mon.ops[2:]))
-            swapped = _peel_multiplier(corr, spec, t2, m2, swapped_inner)
+            swapped_inner = moments[SpanningMonomial(mon.ops[:1] + mon.ops[2:])]
+            swapped = _peel_multiplier(labels[t2], m2, swapped_inner)
             terms = commutator_symbolic(t1, t2, -m1, -m2)
-            bracket = _peel_multiplier(corr, spec, terms.word, m1 + m2, tail_vec)
-            rewritten = swapped + terms.linear * bracket \
-                + terms.central * corr.vector_multiplier(tail_vec)
+            bracket = _peel_multiplier(labels[terms.word], m1 + m2, tail)
+            rewritten = swapped + terms.linear * bracket + terms.central * tail[0]
             order_checks += 1
             if direct != rewritten:
                 order_failures.append(mon.label())
-    relation_failures: list[int] = []
-    relation_checks = 0
-    nondegenerate: dict[int, bool] = {}
-    for level in range(max_level + 1):
-        nondegenerate[level] = form_nondegenerate(spec.h3, level)
-        for value in corr.relation_values(level):
-            relation_checks += 1
-            if value:
-                relation_failures.append(level)
+    levels = range(max_level + 1)
+    nondegenerate = {level: form_nondegenerate(spec.h3, level) for level in levels}
+    values = [(level, x) for level in levels for x in corr.relation_values(level)]
+    relation_failures = [level for level, x in values if x]
     return WellDefinedReport(
         well_defined=not order_failures and not relation_failures
         and all(nondegenerate.values()),
         order_checks=order_checks,
         order_failures=tuple(order_failures),
-        relation_checks=relation_checks,
+        relation_checks=len(values),
         relation_failures=tuple(relation_failures),
         nondegenerate_levels=nondegenerate,
     )

@@ -215,6 +215,10 @@ class TensorSpace:
     def key_level(self, key: tuple[int, ...]) -> int:
         return sum(_sid_level(s) for s in key)
 
+    def factor_levels(self, level: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Each key at one level, with the level of each of its factor states."""
+        return {k: tuple(_sid_level(s) for s in k) for k in self.keys(level)}
+
 
 @cache
 def space(weights: HVector) -> TensorSpace:
@@ -313,13 +317,26 @@ def apply_factor_mode(i: int, m: int, v: TensorVector) -> TensorVector:
     return factor_mode_sum([(i, 1)], m, v)
 
 
+def lt_actions(words, m: int, v: TensorVector) -> list[TensorVector]:
+    """[L_T(m) v for T in words], each factor's L^(i)(m) v formed once."""
+    images = [factor_mode_sum([(i, 1)], m, v).terms for i in range(1, v.weights.n + 1)]
+    out = []
+    for T in words:
+        if T.n != v.weights.n:
+            raise ValueError(f"subset on {T.n} points against a power of {v.weights.n} factors")
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for i, image in enumerate(images, start=1):
+            negate = T.contains(i)
+            for k, c in image.items():
+                c = -c if negate else c
+                terms[k] = terms[k] + c if k in terms else c
+        out.append(TensorVector(v.weights, terms))
+    return out
+
+
 def lt_action(T: Word, m: int, v: TensorVector) -> TensorVector:
     """The signed diagonal operator L_T(m) applied to v."""
-    n = v.weights.n
-    if T.n != n:
-        raise ValueError(f"subset on {T.n} points against a power of {n} factors")
-    return factor_mode_sum(
-        [(i, -1 if T.contains(i) else 1) for i in range(1, n + 1)], m, v)
+    return lt_actions([T], m, v)[0]
 
 
 def form_map(weights: HVector, level: int, rows,

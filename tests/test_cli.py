@@ -155,8 +155,8 @@ class TestDeterminism:
 
 class TestGoldenReports:
     """Reports whose stdout sha256 was recorded once and must not move: the
-    lattice build, its Hermite bases, the saturation and the graded dual
-    feed them."""
+    lattice build, its Hermite bases, the saturation, the graded dual and
+    the correlation recursion feed them."""
 
     @pytest.mark.parametrize("argv, exit_code, digest", [
         (["form", "verify", "--code", "hamming8", "--H", "1/2,1/2,0,0,0,0,0,0",
@@ -178,10 +178,17 @@ class TestGoldenReports:
         (["dual", "--power", "16", "--code", "c16", "--H", ",".join(["1/16"] * 16),
           "--level", "2", "--compare"], 0,
          "6abd1e74157fe9064b7dce01a0a84329a290f5501b093b3aa08ef825b3063602"),
+        (["corr", "--H1", "1/2,1/2,0,0", "--H2", "1/2,1/2,0,0", "--H3", "0,0,0,0",
+          "--code", "even:4", "--c", "1", "--max-level", "8"], 0,
+         "68416fdef1f0ef1c3cf6a8d5fb9544e1d5fa81f369e6444bd50024749acfeacb"),
+        (["corr", "--H1", "0,0,0,0,0,0,0,0", "--H2", "1/2,1/2,0,0,0,0,0,0",
+          "--H3", "1/2,1/2,0,0,0,0,0,0", "--code", "hamming8", "--c", "1",
+          "--max-level", "4"], 0,
+         "8a8b59df0c4aeb02c7376b4648188f7d60649d778553afd5f016621c645ed394"),
     ], ids=["form-verify-hamming8-half-pair-5", "form-verify-hamming8-half-pair-6",
             "form-generated-power-8",
             "dual-hamming8-vacuum-4", "dual-hamming8-vacuum-5-json",
-            "dual-c16-sixteenth-2"])
+            "dual-c16-sixteenth-2", "corr-even4-vacuum-8", "corr-hamming8-half-pair-4"])
     def test_stdout_digest(self, capsys, argv, exit_code, digest):
         assert main(argv) == exit_code
         out = capsys.readouterr().out.encode()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from isingforms import intertwining
-from isingforms.codes import RequestError, Word, even_code
+from isingforms.codes import RequestError, Word, even_code, hamming8
 from isingforms.intertwining import (
     TripleSpec,
     build_correlation,
@@ -23,14 +23,26 @@ from isingforms.lattices import (
     lattice_at_level,
     spanning_monomials,
 )
-from isingforms.tensor import HVector, TensorVector, lt0_eigenvalue, lt_action, space
+from isingforms.tensor import (
+    HVector,
+    TensorVector,
+    commutator_symbolic,
+    lt0_eigenvalue,
+    lt_action,
+    space,
+)
 
 H_HALF = HVector.parse("1/2,1/2,0,0")
 H_VAC = HVector.vacuum(4)
+H8_HALF = HVector.parse("1/2,1/2,0,0,0,0,0,0")
 
 
 def main_spec(c=1) -> TripleSpec:
     return TripleSpec(H_HALF, H_HALF, H_VAC, even_code(4), Fraction(c))
+
+
+def hamming_spec() -> TripleSpec:
+    return TripleSpec(HVector.vacuum(8), H8_HALF, H8_HALF, hamming8(), Fraction(1))
 
 
 def dot(xs, ys):
@@ -63,6 +75,36 @@ def row_span_route(spec: TripleSpec, max_level: int):
         rows = [evaluate_monomial(mon, spec.h3).coordinates(level) for mon in mons]
         levels[level] = (mons, mults, RowSpanSolver(rows))
     return levels
+
+
+def lt_action_peel(corr, t, m: int, w: TensorVector) -> Fraction:
+    """The oracle peel: F(L_T(0) w) read off lt_action(t, 0, w) through
+    vector_multiplier, with no moments."""
+    spec = corr.spec
+    return cross_bracket_step(
+        m, corr.vector_multiplier(lt_action(t, 0, w)), corr.vector_multiplier(w),
+        lt0_eigenvalue(t, spec.h1), lt0_eigenvalue(t, spec.h2))
+
+
+def lt_action_order_checks(corr) -> tuple[int, tuple[str, ...]]:
+    """check_well_defined's order checks with every peel through
+    lt_action_peel: (checks, labels of the failing monomials)."""
+    checks, failures = 0, []
+    for level in range(corr.max_level + 1):
+        for mon in corr.monomials(level):
+            if len(mon.ops) < 2:
+                continue
+            (m1, t1), (m2, t2) = mon.ops[:2]
+            tail = corr.vector(SpanningMonomial(mon.ops[2:]))
+            swapped = lt_action_peel(
+                corr, t2, m2, corr.vector(SpanningMonomial(mon.ops[:1] + mon.ops[2:])))
+            terms = commutator_symbolic(t1, t2, -m1, -m2)
+            rewritten = swapped + terms.linear * lt_action_peel(corr, terms.word, m1 + m2, tail) \
+                + terms.central * corr.vector_multiplier(tail)
+            checks += 1
+            if corr.multiplier(mon) != rewritten:
+                failures.append(mon.label())
+    return checks, tuple(failures)
 
 
 def level_two_multipliers(corr):
@@ -136,6 +178,12 @@ class TestBuildCorrelation:
         with pytest.raises(ArithmeticError, match="level 2"):
             build_correlation(main_spec(), 2)
 
+    @pytest.mark.parametrize("weights", [H_HALF, HVector.vacuum(6)], ids=["same-n", "six"])
+    def test_vector_multiplier_rejects_other_modules(self, weights):
+        corr = build_correlation(main_spec(), 2)
+        with pytest.raises(ValueError, match="vector from a different tensor module"):
+            corr.vector_multiplier(TensorVector.lowest(weights))
+
     def test_rejects_negative_max_level(self):
         with pytest.raises(ValueError, match="max_level"):
             build_correlation(main_spec(), -1)
@@ -201,21 +249,29 @@ class TestWellDefined:
                     assert lhs == rhs
 
 
+def row_span_relations(spec: TripleSpec, max_level: int) -> int:
+    """Check the build against row_span_route level by level: monomials,
+    multipliers, the functional on every key and the relation values. Returns
+    the number of relations."""
+    corr = build_correlation(spec, max_level)
+    relations = 0
+    for level, (mons, mults, solver) in row_span_route(spec, max_level).items():
+        assert corr.monomials(level) == mons
+        assert [corr.multiplier(mon) for mon in mons] == mults
+        for key in space(spec.h3).keys(level):
+            e = TensorVector(spec.h3, {key: Fraction(1)})
+            assert corr.vector_multiplier(e) == dot(solver.solve(e.coordinates(level)), mults)
+        assert corr.relation_values(level) == [dot(k, mults) for k in solver.kernel()]
+        relations += len(solver.kernel())
+    return relations
+
+
 class TestAgainstRowSpanRoute:
     def test_functional_and_relations_match(self):
-        spec = main_spec()
-        corr = build_correlation(spec, 6)
-        old = row_span_route(spec, 6)
-        relations = 0
-        for level, (mons, mults, solver) in old.items():
-            assert corr.monomials(level) == mons
-            assert [corr.multiplier(mon) for mon in mons] == mults
-            for key in space(spec.h3).keys(level):
-                e = TensorVector(spec.h3, {key: Fraction(1)})
-                assert corr.vector_multiplier(e) == dot(solver.solve(e.coordinates(level)), mults)
-            assert corr.relation_values(level) == [dot(k, mults) for k in solver.kernel()]
-            relations += len(solver.kernel())
-        assert relations == 4
+        assert row_span_relations(main_spec(), 6) == 4
+
+    def test_functional_and_relations_match_on_hamming8(self):
+        assert row_span_relations(hamming_spec(), 3) == 211
 
     def test_relation_failures_match_on_ill_defined_triple(self):
         spec = TripleSpec(H_HALF, H_HALF, HVector.parse("1/2,1/2,1/2,1/2"),
@@ -228,6 +284,23 @@ class TestAgainstRowSpanRoute:
         )
         assert len(failures) == 35  # 2, 6 and 27 at levels 2, 3, 4
         assert report.relation_failures == failures
+
+    @pytest.mark.parametrize("h3, failures", [
+        ("1/2,1/2,1/2,1/2", 24), ("0,0,1/2,1/2", 20),
+    ])
+    def test_order_failures_match_lt_action_route(self, h3, failures):
+        spec = TripleSpec(H_HALF, H_HALF, HVector.parse(h3), even_code(4), Fraction(1))
+        corr = build_correlation(spec, 4)
+        report = check_well_defined(corr)
+        checks, order_failures = lt_action_order_checks(corr)
+        assert report.order_checks == checks == 147
+        assert report.order_failures == order_failures
+        assert len(order_failures) == failures
+        assert report.relation_failures == tuple(
+            level
+            for level, (_, mults, solver) in row_span_route(spec, 4).items()
+            for k in solver.kernel() if dot(k, mults)
+        )
 
 
 class TestVerdict:

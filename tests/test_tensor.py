@@ -15,8 +15,10 @@ from isingforms.tensor import (
     apply_factor_mode,
     commutator_symbolic,
     dimension_at_level,
+    factor_mode_sum,
     lt0_eigenvalue,
     lt_action,
+    lt_actions,
     omega_component,
     omega_total,
     space,
@@ -234,16 +236,25 @@ class TestModeActions:
         assert v == expected
 
 
+CODE_MODULES = [
+    (hamming8(), HVector.parse("1/2,1/2,0,0,0,0,0,0")),
+    (hamming8(), HVector.vacuum(8)),
+    (even_code(4), H4_HALF),
+    (even_code(4), H4_VAC),
+]
+SIXTEENTH_MODULES = [
+    (hamming8(), HVector.parse("1/16,1/16,1/16,1/16,1/16,1/16,1/16,1/16")),
+    (hamming8(), HVector.parse("1/16,1/2,0,1/16,0,0,1/2,1/16")),
+    (even_code(4), HVector.parse("1/16,1/16,1/16,1/16")),
+    (even_code(4), HVector.parse("1/16,0,1/2,1/16")),
+]
+
+
 @st.composite
-def code_vectors(draw):
-    """A code, a weight vector it admits and a random rational vector on a
-    random level of that module."""
-    code, weights = draw(st.sampled_from([
-        (hamming8(), HVector.parse("1/2,1/2,0,0,0,0,0,0")),
-        (hamming8(), HVector.vacuum(8)),
-        (even_code(4), H4_HALF),
-        (even_code(4), H4_VAC),
-    ]))
+def code_vectors(draw, modules=tuple(CODE_MODULES)):
+    """A code, a weight vector on its length and a random rational vector on
+    a random level of that module; by default the code admits the weights."""
+    code, weights = draw(st.sampled_from(modules))
     keys = space(weights).keys(draw(st.integers(min_value=0, max_value=4)))
     picked = draw(st.lists(st.sampled_from(keys), max_size=4)) if keys else []
     coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -261,6 +272,30 @@ class TestFactorImages:
             for i, image in enumerate(images, start=1):
                 total = total + (-1 if t.contains(i) else 1) * image
             assert total == lt_action(t, m, v)
+
+
+class TestLtActions:
+    @given(code_vectors(tuple(CODE_MODULES + SIXTEENTH_MODULES)))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_lt_action_per_word(self, case):
+        """Every word, m in -4..4: the shared factor images, signed per word,
+        give lt_action and the signed factor_mode_sum."""
+        code, v = case
+        words = code.words()
+        n = v.weights.n
+        for m in range(-4, 5):
+            got = lt_actions(words, m, v)
+            assert got == [lt_action(t, m, v) for t in words]
+            assert got == [factor_mode_sum(
+                [(i, -1 if t.contains(i) else 1) for i in range(1, n + 1)], m, v)
+                for t in words]
+
+    def test_rejects_a_word_of_another_length(self):
+        with pytest.raises(ValueError, match="subset on 3 points"):
+            lt_actions([word("0000"), word("110")], -1, TensorVector.lowest(H4_VAC))
+
+    def test_no_words(self):
+        assert lt_actions([], -1, TensorVector.lowest(H4_VAC)) == []
 
 
 class TestCommutatorSymbolic:
