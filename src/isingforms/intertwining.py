@@ -14,6 +14,12 @@ Every key is an L_T(0) eigenvector: L^(i)(0) = h_i + N_i on W_{H3}, N_i its
 factor-i level. So F(L_T(0) w) = lt0_eigenvalue(T, H3) F(w) + sum_i s_i(T)
 F(N_i w), s_i(T) = -1 on T and +1 off it, and a peel needs of w only its
 moments (F(w), F(N_1 w), ..., F(N_n w)), kept once per stored monomial.
+
+Each level solves on integer rows over one denominator. Rows independent mod
+the prime _PRIME have a nonzero minor mod p, so over Q: F solved exactly on as
+many of them as keys is unique. If no other row has a residual, multiplier -
+F . vector, F is what _rref on all rows gives, every relation value zero.
+Otherwise (rank short mod p, or a residual) _rref runs on all the rows.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import NamedTuple
 
 from .codes import BinaryCode, RequestError
@@ -32,11 +39,13 @@ from .tensor import (
     TensorVector,
     commutator_symbolic,
     form_nondegenerate,
+    lowered_rows,
     lt0_eigenvalue,
-    lt_actions,
     space,
 )
 from .virasoro import _as_fraction
+
+_PRIME = 2**31 - 1  # word-size: rows independent mod _PRIME are independent over Q
 
 
 class TripleSpec(namedtuple("TripleSpec", "h1 h2 h3 code lowest_coeff")):
@@ -81,14 +90,15 @@ class CorrelationFunctional:
                  multipliers: dict[int, dict[SpanningMonomial, Fraction]],
                  functional: dict[int, dict[tuple[int, ...], Fraction]],
                  relations: dict[int, list[Fraction]],
-                 vectors: dict[SpanningMonomial, TensorVector],
+                 rows: dict[SpanningMonomial, list[int]],
+                 denominators: dict[int, int],
                  moments: dict[SpanningMonomial, list[Fraction]]):
         self.spec = spec
         self.base_exponent = base_exponent
         self._multipliers = multipliers
         self._functional = functional
         self._relations = relations
-        self._vectors = vectors
+        self._rows, self._denominators = rows, denominators
         self._moments = moments
 
     @property
@@ -103,7 +113,9 @@ class CorrelationFunctional:
 
     def vector(self, mon: SpanningMonomial) -> TensorVector:
         """The monomial applied to the lowest weight vector of the third module."""
-        return self._vectors[mon]
+        keys, den = space(self.spec.h3).keys(mon.level), self._denominators[mon.level]
+        return TensorVector(self.spec.h3, {k: Fraction(c, den)
+                                           for k, c in zip(keys, self._rows[mon]) if c})
 
     def value(self, mon: SpanningMonomial) -> Fraction:
         return self.multiplier(mon) * self.spec.lowest_coeff
@@ -134,10 +146,12 @@ class CorrelationFunctional:
 def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional:
     """Propagate the lowest coefficient to every monomial level by level.
 
-    One elimination of the rows [monomial vector | multiplier] per level: its
-    pivot rows give the functional on the keys, the other rows the relation
-    values. Monomials that share the lowered mode and the rest map the rest's
-    vector once. Monomials that do not span their level raise ArithmeticError.
+    Monomials sharing the lowered mode and the rest lower its integer row
+    once (tensor.lowered_rows). F solved exactly on as many rows independent
+    mod _PRIME (so over Q) as keys is unique; if no row is left a residual,
+    multiplier - F . vector, every relation value is zero. Otherwise _rref on
+    all rows [monomial vector | multiplier] gives F and the relation values.
+    Monomials that do not span their level raise ArithmeticError.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
@@ -145,7 +159,7 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
     multipliers: dict[int, dict[SpanningMonomial, Fraction]] = {}
     functional: dict[int, dict[tuple[int, ...], Fraction]] = {}
     relations: dict[int, list[Fraction]] = {}
-    vectors = {SpanningMonomial(()): TensorVector.lowest(spec.h3)}
+    rows, denominators = {SpanningMonomial(()): [1]}, {}  # integer rows, per-level denominators
     moments: dict[SpanningMonomial, list[Fraction]] = {}
     labels, sp = _label_constants(spec), space(spec.h3)
     for level in range(max_level + 1):
@@ -155,39 +169,73 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
         for mon in mons:
             if mon.ops:
                 groups.setdefault((mon.ops[0][0], SpanningMonomial(mon.ops[1:])), []).append(mon)
-        for (m, rest), group in groups.items():
-            words = [mon.ops[0][1] for mon in group]
-            vectors.update(zip(group, lt_actions(words, -m, vectors[rest])))
-            mults.update((mon, _peel_multiplier(labels[t], m, moments[rest]))
-                         for mon, t in zip(group, words))
-        keys = sp.keys(level)
-        reduced, pivots = _rref(
-            [vectors[mon].coordinates(level) + [mults[mon]] for mon in mons], len(keys))
-        if len(pivots) < len(keys):
-            raise ArithmeticError(
-                f"level {level}: monomials span {len(pivots)} of {len(keys)} dimensions")
+        denominators[level], images = lowered_rows(spec.h3, level, [
+            (m, denominators[level - m], rows[rest], [labels[mon.ops[0][1]][0] for mon in group])
+            for (m, rest), group in groups.items()])
+        for ((m, rest), group), group_rows in zip(groups.items(), images):
+            rows.update(zip(group, group_rows))
+            mults.update((mon, _peel_multiplier(labels[mon.ops[0][1]], m, moments[rest]))
+                         for mon in group)
         multipliers[level] = {mon: mults[mon] for mon in mons}
-        f = functional[level] = {keys[c]: row[-1] for c, row in zip(pivots, reduced)}
-        relations[level] = [row[-1] for row in reduced[len(pivots):]]
-        # the moments on integers: d F on the keys, then each key's weights
-        d = lcm(*(x.denominator for x in f.values()))
-        scaled = {k: [(i, l * int(f[k] * d)) for i, l in enumerate((1,) + levels) if l]
-                  for k, levels in sp.factor_levels(level).items()}
-        for mon in mons:
-            terms = vectors[mon].terms
-            e = lcm(*(c.denominator for c in terms.values()))
-            sums = [0] * (sp.n + 1)
-            for k, c in terms.items():
-                for i, x in scaled[k]:
-                    sums[i] += x * c.numerator * (e // c.denominator)
-            moments[mon] = [Fraction(x, d * e) for x in sums]
+        f, relations[level], level_moments = _solve_level(
+            sp, level, [rows[x] for x in mons], [mults[x] for x in mons], denominators[level])
+        functional[level] = dict(zip(sp.keys(level), f))
+        moments.update(zip(mons, level_moments))
     return CorrelationFunctional(spec, base_exponent, multipliers, functional, relations,
-                                 vectors, moments)
+                                 rows, denominators, moments)
+
+
+def _solve_level(sp, level: int, rows: list[list[int]], mults: list[Fraction], den: int):
+    """(F on the keys, relation values, moments of each row) of the system
+    (row / den) . F = multiplier, as in build_correlation."""
+    ncols, levels = sp.dimension(level), list(sp.factor_levels(level).values())
+    chosen = _independent_rows(rows, ncols) if len(rows) > ncols else []
+    for picked in ([chosen] if len(chosen) == ncols else []) + [range(len(rows))]:
+        reduced, pivots = _rref([rows[i] + [den * mults[i]] for i in picked], ncols)
+        if len(pivots) < ncols:
+            raise ArithmeticError(
+                f"level {level}: monomials span {len(pivots)} of {ncols} dimensions")
+        f = [row[-1] for row in reduced[:ncols]]
+        e = lcm(*(x.denominator for x in f))
+        fint = [x.numerator * (e // x.denominator) for x in f]
+        weights = [fint] + [[x * l[i] for x, l in zip(fint, levels)] for i in range(sp.n)]
+        moments = [[Fraction(sum(map(mul, row, w)), den * e) for w in weights] for row in rows]
+        # a row left out has no residual when its F(w) = F . vector is its multiplier
+        if len(picked) == len(rows) or all(mom[0] == x for mom, x in zip(moments, mults)):
+            relations = [row[-1] / den for row in reduced[ncols:]]
+            return f, relations + [Fraction(0)] * (len(rows) - len(picked)), moments
+
+
+def _independent_rows(rows: list[list[int]], ncols: int) -> list[int]:
+    """Indices of the rows taken in order while they stay independent mod
+    _PRIME. Kept rows are held in reduced echelon form mod p on the free
+    columns, so r is dependent when r - sum_c r[c] * kept[c] vanishes there."""
+    free, pivots, chosen = list(range(ncols)), {}, []
+    for i, row in enumerate(rows):
+        if not free:
+            break
+        r = [row[j] for j in free]
+        for c, f in enumerate(row):
+            if f and c in pivots:
+                r = [x - f * y for x, y in zip(r, pivots[c])]
+        k = next((k for k, x in enumerate(r) if x % _PRIME), None)
+        if k is None:
+            continue
+        inv = pow(r[k], -1, _PRIME)
+        new = [x * inv % _PRIME for x in r]
+        for c, prow in pivots.items():
+            if f := prow[k]:
+                prow = pivots[c] = [(x - f * y) % _PRIME for x, y in zip(prow, new)]
+            del prow[k]
+        del new[k]
+        pivots[free.pop(k)] = new
+        chosen.append(i)
+    return chosen
 
 
 def _label_constants(spec: TripleSpec) -> dict:
-    """Per codeword T: which factors T holds, and L_T(0) on the lowest H1, H2, H3."""
-    return {t: (tuple(map(t.contains, range(1, t.n + 1))),
+    """Per codeword T: its signs s_i(T), and L_T(0) on the lowest H1, H2, H3."""
+    return {t: ([-1 if t.contains(i) else 1 for i in range(1, t.n + 1)],
                 *(lt0_eigenvalue(t, h) for h in (spec.h1, spec.h2, spec.h3)))
             for t in spec.code.words()}
 
@@ -196,8 +244,8 @@ def _peel_multiplier(label, m: int, moments: list[Fraction]) -> Fraction:
     """The recursion step lowering by m a stored vector w with the given
     moments: F(L_T(0) w) = lt0_eigenvalue(T, H3) F(w) + sum_i s_i(T) F(N_i w),
     s_i(T) = -1 on T and +1 off it, as L^(i)(0) = h_i + N_i on W_{H3}."""
-    on_t, a1, a2, a3 = label
-    f_lt0_w = a3 * moments[0] + sum(-x if on else x for on, x in zip(on_t, moments[1:]) if x)
+    signs, a1, a2, a3 = label
+    f_lt0_w = a3 * moments[0] + sum(x if s > 0 else -x for s, x in zip(signs, moments[1:]) if x)
     return cross_bracket_step(m, f_lt0_w, moments[0], a1, a2)
 
 

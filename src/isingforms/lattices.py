@@ -45,9 +45,9 @@ from .intmat import hermite_cofactors, hnf, hnf_solve
 from .tensor import (
     HVector,
     TensorVector,
-    _add_factor_map,
     factor_mode_sum,
     form_map,
+    lowered_rows,
     lt0_eigenvalue,
     lt_action,
     space,
@@ -221,43 +221,20 @@ def _generator_modes(min_mode: int, n: int) -> list[int]:
     return [m for m in range(n, min_mode - 1, -1) if m % 2 == 0 or m <= 2 * min_mode]
 
 
-def _signed_sum(images, signs, width: int) -> list[int]:
-    """The row sum_i signs[i] * images[i], each image (column, int) pairs."""
-    row = [0] * width
-    for sign, image in zip(signs, images):
-        for j, c in image:
-            row[j] += sign * c
-    return row
-
-
 @functools.cache
 def _level(code: BinaryCode, weights: HVector, n: int) -> LevelLattice:
-    """Level n of the lattice, built on integers from the lower levels.
-
-    A lower level is B / den, and factor i maps by s_i L^(i)(-m) on integers
-    (_Factor.mode_rows). With big the lcm of every s_i * den and unit = big
-    / den, that map times unit / s_i sends B to big L^(i)(-m) B / den, so
-    the signed sums are big times the generators."""
+    """Level n of the lattice, built on integers from the lower levels: each
+    Hermite row b of a lower level B / den lowered by every L_T(-m), T a
+    representative, as big times the generators (tensor.lowered_rows)."""
     if n == 0:
         return _from_rational_rows(weights, code, 0, [[1]])
-    sp = space(weights)
     signs = [[-1 if t.contains(i) else 1 for i in range(1, code.n + 1)]
              for t in complement_reduce(code)]
-    index = sp.index(n)
-    plan = [(_level(code, weights, n - m), [f.mode_rows(n - m, -m) for f in sp.factors])
-            for m in _generator_modes(_min_mode(weights), n)]
-    big = lcm(*(s * lower.denominator for lower, maps in plan for s, _ in maps))
-    rows = []
-    for lower, maps in plan:
-        keys, unit = sp.keys(lower.level), big // lower.denominator
-        for b in lower.basis:
-            vec = {keys[j]: c for j, c in enumerate(b) if c}
-            images = []
-            for pos, (s, fmap) in enumerate(maps):
-                image = _add_factor_map({}, vec, pos, fmap.__getitem__, unit // s)
-                images.append([(index[k], c) for k, c in image.items()])
-            rows.extend(_signed_sum(images, t, len(index)) for t in signs)
-    return _from_rational_rows(weights, code, n, rows, Fraction(1, big))
+    lowers = {m: _level(code, weights, n - m) for m in _generator_modes(_min_mode(weights), n)}
+    big, images = lowered_rows(weights, n, [(m, lower.denominator, b, signs)
+                                            for m, lower in lowers.items() for b in lower.basis])
+    return _from_rational_rows(weights, code, n, list(itertools.chain.from_iterable(images)),
+                               Fraction(1, big))
 
 
 def lattice_at_level(code: BinaryCode, weights: HVector, level: int) -> LevelLattice:

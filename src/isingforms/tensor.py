@@ -300,6 +300,31 @@ def _add_factor_map(terms: dict, vec: dict, pos: int, fmap, scale) -> dict:
     return terms
 
 
+def lowered_rows(weights: HVector, n: int, items) -> tuple[int, list[list[list[int]]]]:
+    """(big, images): per item (m, den, row, signs), big L_T(-m) (row / den)
+    at level n for the sign vector of each T in signs, as integer rows: big is
+    the lcm of every den * s_i, s_i L^(i)(-m) factor i's integer map
+    (_Factor.mode_rows). Each factor image is formed once per item."""
+    sp = space(weights)
+    index = sp.index(n)
+    maps = {m: [f.mode_rows(n - m, -m) for f in sp.factors] for m, *_ in items}
+    big = lcm(*{s * den for m, den, *_ in items for s, _ in maps[m]})
+    out = []
+    for m, den, row, signs in items:
+        keys, unit = sp.keys(n - m), big // den
+        vec = {keys[j]: c for j, c in enumerate(row) if c}
+        images = []
+        for pos, (s, fmap) in enumerate(maps[m]):
+            image = _add_factor_map({}, vec, pos, fmap.__getitem__, unit // s)
+            images.append([(index[k], c) for k, c in image.items()])
+        out.append([[0] * len(index) for _ in signs])
+        for t, total in zip(signs, out[-1]):
+            for sign, image in zip(t, images):
+                for j, c in image:
+                    total[j] += sign * c
+    return big, out
+
+
 def factor_mode_sum(coeffs, m: int, v: TensorVector) -> TensorVector:
     """sum_i u_i L^(i)(m) v over the (i, u_i) pairs, factors 1-based."""
     sp = space(v.weights)

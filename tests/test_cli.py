@@ -185,10 +185,19 @@ class TestGoldenReports:
           "--H3", "1/2,1/2,0,0,0,0,0,0", "--code", "hamming8", "--c", "1",
           "--max-level", "4"], 0,
          "8a8b59df0c4aeb02c7376b4648188f7d60649d778553afd5f016621c645ed394"),
+        (["corr", "--H1", "0,0,0,0,0,0,0,0", "--H2", "1/2,1/2,0,0,0,0,0,0",
+          "--H3", "1/2,1/2,0,0,0,0,0,0", "--code", "hamming8", "--c", "1",
+          "--max-level", "5"], 0,
+         "13b77bd032288c3007f6f9c844bb5d06f076c222ef20954238d672c088e3c164"),
+        # Ill-defined: the failing levels run through the full elimination.
+        (["corr", "--H1", "1/2,1/2,0,0", "--H2", "1/2,1/2,0,0", "--H3", "1/2,1/2,1/2,1/2",
+          "--code", "even:4", "--c", "1", "--max-level", "5"], 1,
+         "5e84d68c6d29b50d1f386df8ab5e873b1c258cbf11f7353572fa55b21eff8e09"),
     ], ids=["form-verify-hamming8-half-pair-5", "form-verify-hamming8-half-pair-6",
             "form-generated-power-8",
             "dual-hamming8-vacuum-4", "dual-hamming8-vacuum-5-json",
-            "dual-c16-sixteenth-2", "corr-even4-vacuum-8", "corr-hamming8-half-pair-4"])
+            "dual-c16-sixteenth-2", "corr-even4-vacuum-8", "corr-hamming8-half-pair-4",
+            "corr-hamming8-half-pair-5", "corr-even4-all-half-5"])
     def test_stdout_digest(self, capsys, argv, exit_code, digest):
         assert main(argv) == exit_code
         out = capsys.readouterr().out.encode()

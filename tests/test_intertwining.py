@@ -1,5 +1,6 @@
 """Forced coefficient systems: recursion values, consistency, integrality."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from isingforms.intertwining import (
     integrality_verdict,
     parse_lowest_table,
 )
-from isingforms.intmat import RowSpanSolver
+from isingforms.intmat import RowSpanSolver, _rref
 from isingforms.lattices import (
     SpanningMonomial,
     evaluate_monomial,
@@ -29,6 +30,7 @@ from isingforms.tensor import (
     commutator_symbolic,
     lt0_eigenvalue,
     lt_action,
+    lt_actions,
     space,
 )
 
@@ -43,6 +45,10 @@ def main_spec(c=1) -> TripleSpec:
 
 def hamming_spec() -> TripleSpec:
     return TripleSpec(HVector.vacuum(8), H8_HALF, H8_HALF, hamming8(), Fraction(1))
+
+
+def ill_defined_spec(h3: str) -> TripleSpec:
+    return TripleSpec(H_HALF, H_HALF, HVector.parse(h3), even_code(4), Fraction(1))
 
 
 def dot(xs, ys):
@@ -301,6 +307,115 @@ class TestAgainstRowSpanRoute:
             for level, (_, mults, solver) in row_span_route(spec, 4).items()
             for k in solver.kernel() if dot(k, mults)
         )
+
+
+@functools.cache
+def rref_route(spec: TripleSpec, max_level: int):
+    """The former build: each monomial vector as a TensorVector through
+    lt_actions, and per level one _rref over the dense Fraction coordinates
+    of every monomial, each with its multiplier as an extra column. Returns,
+    per level, (multipliers, functional on the keys, relation values), and
+    every monomial's vector and moments, the moments summed in Fractions."""
+    labels, sp = intertwining._label_constants(spec), space(spec.h3)
+    vectors = {SpanningMonomial(()): TensorVector.lowest(spec.h3)}
+    moments, levels = {}, {}
+    for level in range(max_level + 1):
+        mons = spanning_monomials(spec.code, spec.h3, level)
+        mults = {mon: Fraction(1) for mon in mons if not mon.ops}
+        groups = {}
+        for mon in mons:
+            if mon.ops:
+                groups.setdefault((mon.ops[0][0], SpanningMonomial(mon.ops[1:])), []).append(mon)
+        for (m, rest), group in groups.items():
+            words = [mon.ops[0][1] for mon in group]
+            vectors.update(zip(group, lt_actions(words, -m, vectors[rest])))
+            mults.update((mon, intertwining._peel_multiplier(labels[t], m, moments[rest]))
+                         for mon, t in zip(group, words))
+        keys = sp.keys(level)
+        reduced, pivots = _rref(
+            [vectors[mon].coordinates(level) + [mults[mon]] for mon in mons], len(keys))
+        assert len(pivots) == len(keys)
+        f = {keys[c]: row[-1] for c, row in zip(pivots, reduced)}
+        factor_levels = sp.factor_levels(level)
+        for mon in mons:
+            terms = vectors[mon].terms.items()
+            moments[mon] = [sum((f[k] * c for k, c in terms), Fraction(0))] + [
+                sum((f[k] * factor_levels[k][i] * c for k, c in terms), Fraction(0))
+                for i in range(sp.n)]
+        levels[level] = ([mults[mon] for mon in mons], f,
+                         [row[-1] for row in reduced[len(pivots):]])
+    return levels, vectors, moments
+
+
+def assert_matches_rref_route(corr):
+    """Multipliers, functional, relation values (in order), moments and
+    vector() of corr equal those of rref_route."""
+    levels, vectors, moments = rref_route(corr.spec, corr.max_level)
+    assert sorted(levels) == list(range(corr.max_level + 1))
+    for level, (mults, f, relations) in levels.items():
+        mons = corr.monomials(level)
+        assert [corr.multiplier(mon) for mon in mons] == mults
+        assert {k: corr.vector_multiplier(TensorVector(corr.spec.h3, {k: Fraction(1)}))
+                for k in f} == f
+        assert corr.relation_values(level) == relations
+        for mon in mons:
+            assert corr.vector(mon) == vectors[mon]
+            assert corr._moments[mon] == moments[mon]
+
+
+def rref_spy(monkeypatch) -> list[tuple[int, int]]:
+    """(rows, columns) of every _rref call build_correlation makes."""
+    calls = []
+
+    def spy(rows, ncols):
+        calls.append((len(rows), ncols))
+        return _rref(rows, ncols)
+
+    monkeypatch.setattr(intertwining, "_rref", spy)
+    return calls
+
+
+ROUTE_CASES = [
+    (main_spec(), 8),
+    (ill_defined_spec("1/2,1/2,1/2,1/2"), 5),
+    (ill_defined_spec("0,0,1/2,1/2"), 5),
+    (hamming_spec(), 4),
+]
+ROUTE_IDS = ["even4-vacuum-8", "even4-all-half-5", "even4-second-pair-5", "hamming8-4"]
+
+
+class TestAgainstRrefRoute:
+    """Certified pivot rows against one full elimination per level."""
+
+    @pytest.mark.parametrize("spec, max_level", ROUTE_CASES, ids=ROUTE_IDS)
+    def test_build_matches(self, spec, max_level):
+        assert_matches_rref_route(build_correlation(spec, max_level))
+
+    @pytest.mark.parametrize("spec, max_level", ROUTE_CASES, ids=ROUTE_IDS)
+    def test_rank_short_mod_two_falls_back(self, monkeypatch, spec, max_level):
+        monkeypatch.setattr(intertwining, "_PRIME", 2)
+        calls = rref_spy(monkeypatch)
+        corr = build_correlation(spec, max_level)
+        assert_matches_rref_route(corr)
+        # some level ran through _rref on all of its rows, more than its keys
+        assert any(rows > cols for rows, cols in calls)
+
+    def test_well_defined_triples_solve_square_systems(self, monkeypatch):
+        for spec, max_level in (ROUTE_CASES[0], ROUTE_CASES[3]):
+            calls = rref_spy(monkeypatch)
+            corr = build_correlation(spec, max_level)
+            assert check_well_defined(corr).well_defined
+            assert len(calls) == max_level + 1  # one square solve per level
+            assert all(rows <= cols for rows, cols in calls)
+
+    @pytest.mark.parametrize("spec, max_level", ROUTE_CASES[1:3], ids=ROUTE_IDS[1:3])
+    def test_failing_levels_run_every_row(self, monkeypatch, spec, max_level):
+        calls = rref_spy(monkeypatch)
+        corr = build_correlation(spec, max_level)
+        failing = set(check_well_defined(corr).relation_failures)
+        assert failing == {2, 3, 4, 5}
+        for level in failing:
+            assert (len(corr.monomials(level)), space(spec.h3).dimension(level)) in calls
 
 
 class TestVerdict:
