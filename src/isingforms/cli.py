@@ -221,6 +221,9 @@ def _cmd_form_generated(args) -> tuple[dict, bool]:
         raise RequestError(f"generator spec {text!r} not understood") from None
     if scale == 0:
         raise RequestError("the generator must be nonzero")
+    if args.max_level < 2 or args.mode_budget < 2:
+        raise RequestError("the generator sits at level 2 and enters by mode -2: "
+                           "--max-level and --mode-budget must be at least 2")
     gen = scale * omega_total(args.power)
     report = saturate_generated_form(
         [gen], args.max_level, args.mode_budget, max_rounds=args.rounds)
@@ -243,8 +246,7 @@ def _cmd_form_generated(args) -> tuple[dict, bool]:
         "message": report.message,
         "levels": rows,
     }
-    if args.max_level >= 2 and 2 in report.per_level:
-        out["omega_at_level_2"] = contains(report.per_level[2], omega_total(args.power))
+    out["omega_at_level_2"] = contains(report.per_level[2], omega_total(args.power))
     return out, report.stabilized
 
 

@@ -45,7 +45,6 @@ from .intmat import hermite_cofactors, hnf, hnf_solve
 from .tensor import (
     HVector,
     TensorVector,
-    factor_mode_sum,
     form_map,
     lowered_rows,
     lt0_eigenvalue,
@@ -390,18 +389,22 @@ class GeneratedFormReport(NamedTuple):
     message: str
 
 
-def _factor_coefficients(u: TensorVector) -> list[tuple[int, Fraction]]:
-    """The nonzero u_i of a level-2 vacuum-power vector u = sum_i u_i omega_i.
+def _factor_row(u: TensorVector) -> tuple[int, list[int]]:
+    """(d, row) with u = sum_i (row_i / d) omega_i for a level-2 vacuum-power
+    vector u, d the least common denominator.
 
     Level-1 factor states vanish in the vacuum module, so the level-2 piece has
     exactly one key per factor, omega_i = L^(i)(-2)v, in factor order. The
-    modes of u are then sum_i u_i L^(i)(m), which factor_mode_sum applies.
+    modes of u are then sum_i (row_i / d) L^(i)(m), which lowered_rows applies
+    with row as the sign vector and d folded into the denominator.
     """
     if any(e != 0 for e in u.weights.entries):
         raise ValueError("generators must live in a vacuum tensor power")
     if u.is_zero() or u.level() != 2:
         raise ValueError("generators must be homogeneous of level 2")
-    return [(i, c) for i, c in enumerate(u.coordinates(2), start=1) if c]
+    coords = u.coordinates(2)
+    d = lcm(*(c.denominator for c in coords))
+    return d, [c.numerator * (d // c.denominator) for c in coords]
 
 
 def saturate_generated_form(generators: list[TensorVector], max_level: int,
@@ -409,11 +412,14 @@ def saturate_generated_form(generators: list[TensorVector], max_level: int,
     """Close the Z-span of generator-mode products from the vacuum.
 
     Each round applies every generator mode with |m| <= mode_budget to the
-    current per-level bases, so products grow one operator per round. The
-    loop stops once two consecutive rounds leave every Hermite basis
-    unchanged; running out of rounds is reported, not raised. Closure at the
-    stopping point is a checked fixed point of single applications only,
-    hence the report wording "stabilized (heuristic)".
+    current per-level Hermite rows, on integers through tensor.lowered_rows as
+    the level build does, so products grow one operator per round. Each target
+    level is merged over the lcm of its denominators; Hermite form and the
+    reduced denominator are canonical, so a level is unchanged exactly when
+    the merged entry equals the old one. The loop stops once two consecutive
+    rounds leave every level unchanged; running out of rounds is reported, not
+    raised. Closure at the stopping point is a checked fixed point of single
+    applications only, hence the report wording "stabilized (heuristic)".
     """
     if max_level < 0 or mode_budget < 1 or max_rounds < 1:
         raise ValueError("budgets must be positive")
@@ -423,44 +429,31 @@ def saturate_generated_form(generators: list[TensorVector], max_level: int,
         weights = generators[0].weights
         if any(g.weights != weights for g in generators):
             raise ValueError("generators from different tensor powers")
-    ops = [_factor_coefficients(g) for g in generators]
-    state: dict[int, LevelLattice] = {}
-
-    def merge(level: int, vectors: list[TensorVector]) -> bool:
-        rows = [v.coordinates(level) for v in vectors if not v.is_zero()]
-        if not rows:
-            return False
-        prev = state.get(level)
-        if prev is not None:
-            rows = [
-                [Fraction(c, prev.denominator) for c in row] for row in prev.basis
-            ] + rows
-        new = _from_rational_rows(weights, None, level, rows)
-        if prev is not None and lattices_equal(prev, new):
-            return False
-        state[level] = new
-        return True
-
-    merge(0, [TensorVector.lowest(weights)])
-    rounds = 0
-    stable_streak = 0
+    ops = [_factor_row(g) for g in generators]
+    state = {0: _from_rational_rows(weights, None, 0, [[1]])}
+    rounds = stable_streak = 0
     while rounds < max_rounds and stable_streak < 2:
         rounds += 1
-        snapshot = {l: e.basis_vectors() for l, e in state.items()}
-        pending: dict[int, list[TensorVector]] = {}
-        for level, vectors in snapshot.items():
-            for v in vectors:
-                for coeffs in ops:
-                    for m in range(-mode_budget, mode_budget + 1):
-                        target = level - m
-                        if not 0 <= target <= max_level:
-                            continue
-                        image = factor_mode_sum(coeffs, m, v)
-                        if not image.is_zero():
-                            pending.setdefault(target, []).append(image)
+        pending: dict[int, list] = {}
+        for level, entry in state.items():
+            for m in range(-mode_budget, mode_budget + 1):
+                if 0 <= level - m <= max_level:
+                    pending.setdefault(level - m, []).extend(
+                        (-m, entry.denominator * d, b, [u])
+                        for b in entry.basis for d, u in ops)
         changed = False
         for level in sorted(pending):
-            if merge(level, pending[level]):
+            big, images = lowered_rows(weights, level, pending[level])
+            prev = state.get(level)
+            prev_den, prev_rows = (prev.denominator, prev.basis) if prev else (1, ())
+            den = lcm(big, prev_den)
+            rows = [[den // big * c for c in row] for [row] in images if any(row)]
+            if not rows:
+                continue
+            rows += [[den // prev_den * c for c in row] for row in prev_rows]
+            new = _from_rational_rows(weights, None, level, rows, Fraction(1, den))
+            if new != prev:
+                state[level] = new
                 changed = True
         stable_streak = 0 if changed else stable_streak + 1
     stabilized = stable_streak >= 2

@@ -304,7 +304,11 @@ def lowered_rows(weights: HVector, n: int, items) -> tuple[int, list[list[list[i
     """(big, images): per item (m, den, row, signs), big L_T(-m) (row / den)
     at level n for the sign vector of each T in signs, as integer rows: big is
     the lcm of every den * s_i, s_i L^(i)(-m) factor i's integer map
-    (_Factor.mode_rows). Each factor image is formed once per item."""
+    (_Factor.mode_rows). Each factor image is formed once per item.
+
+    m may be negative, a raising mode: row then sits above level n. A sign
+    row may be any integer vector u, giving sum_i u_i L^(i)(-m) in place of
+    L_T(-m)."""
     sp = space(weights)
     index = sp.index(n)
     maps = {m: [f.mode_rows(n - m, -m) for f in sp.factors] for m, *_ in items}
@@ -325,7 +329,7 @@ def lowered_rows(weights: HVector, n: int, items) -> tuple[int, list[list[list[i
     return big, out
 
 
-def factor_mode_sum(coeffs, m: int, v: TensorVector) -> TensorVector:
+def _factor_mode_sum(coeffs, m: int, v: TensorVector) -> TensorVector:
     """sum_i u_i L^(i)(m) v over the (i, u_i) pairs, factors 1-based."""
     sp = space(v.weights)
     terms: dict[tuple[int, ...], Fraction] = {}
@@ -339,29 +343,14 @@ def factor_mode_sum(coeffs, m: int, v: TensorVector) -> TensorVector:
 
 def apply_factor_mode(i: int, m: int, v: TensorVector) -> TensorVector:
     """L(m) on factor i (1-based), identity elsewhere."""
-    return factor_mode_sum([(i, 1)], m, v)
-
-
-def lt_actions(words, m: int, v: TensorVector) -> list[TensorVector]:
-    """[L_T(m) v for T in words], each factor's L^(i)(m) v formed once."""
-    images = [factor_mode_sum([(i, 1)], m, v).terms for i in range(1, v.weights.n + 1)]
-    out = []
-    for T in words:
-        if T.n != v.weights.n:
-            raise ValueError(f"subset on {T.n} points against a power of {v.weights.n} factors")
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for i, image in enumerate(images, start=1):
-            negate = T.contains(i)
-            for k, c in image.items():
-                c = -c if negate else c
-                terms[k] = terms[k] + c if k in terms else c
-        out.append(TensorVector(v.weights, terms))
-    return out
+    return _factor_mode_sum([(i, 1)], m, v)
 
 
 def lt_action(T: Word, m: int, v: TensorVector) -> TensorVector:
     """The signed diagonal operator L_T(m) applied to v."""
-    return lt_actions([T], m, v)[0]
+    if T.n != v.weights.n:
+        raise ValueError(f"subset on {T.n} points against a power of {v.weights.n} factors")
+    return _factor_mode_sum([(i, -1 if T.contains(i) else 1) for i in range(1, T.n + 1)], m, v)
 
 
 def form_map(weights: HVector, level: int, rows,

@@ -95,6 +95,10 @@ class TestExitCodes:
         ["form", "generated", "--gen", "0omega"],
         ["codes", "check", "--code", "even:30"],
         ["dual", "--code", "trivial:4", "--H", "1/2,0,0,0", "--level", "1"],
+        # the generator sits at level 2 and enters through mode -2 only
+        ["form", "generated", "--gen", "2omega", "--power", "4", "--max-level", "3",
+         "--mode-budget", "1"],
+        ["form", "generated", "--gen", "2omega", "--power", "4", "--max-level", "1"],
     ])
     def test_out_of_range_request_is_usage_error(self, capsys, argv):
         try:
@@ -168,6 +172,8 @@ class TestGoldenReports:
         (["form", "generated", "--gen", "2omega", "--power", "8", "--max-level", "4",
           "--mode-budget", "2", "--rounds", "3"], 1,
          "89e7f5994fbae0e8b695a1640df49143c4a8aa42b8ac36681efb82f581896796"),
+        (["form", "generated", "--gen", "2omega", "--power", "4", "--max-level", "8"], 0,
+         "fe386a55d8e76bc7aa7b378ca9ca54397e08b09dceae4b70d0f3b603d850cf68"),
         (["dual", "--power", "8", "--code", "hamming8", "--H", "0,0,0,0,0,0,0,0",
           "--level", "4", "--compare"], 0,
          "31a4dbda7a80735316330e6b20ec827f1638f51cb0172ab7fb28aa6b86b0a4da"),
@@ -194,7 +200,7 @@ class TestGoldenReports:
           "--code", "even:4", "--c", "1", "--max-level", "5"], 1,
          "5e84d68c6d29b50d1f386df8ab5e873b1c258cbf11f7353572fa55b21eff8e09"),
     ], ids=["form-verify-hamming8-half-pair-5", "form-verify-hamming8-half-pair-6",
-            "form-generated-power-8",
+            "form-generated-power-8", "form-generated-power-4-level-8",
             "dual-hamming8-vacuum-4", "dual-hamming8-vacuum-5-json",
             "dual-c16-sixteenth-2", "corr-even4-vacuum-8", "corr-hamming8-half-pair-4",
             "corr-hamming8-half-pair-5", "corr-even4-all-half-5"])

@@ -30,7 +30,6 @@ from isingforms.tensor import (
     commutator_symbolic,
     lt0_eigenvalue,
     lt_action,
-    lt_actions,
     space,
 )
 
@@ -312,7 +311,7 @@ class TestAgainstRowSpanRoute:
 @functools.cache
 def rref_route(spec: TripleSpec, max_level: int):
     """The former build: each monomial vector as a TensorVector through
-    lt_actions, and per level one _rref over the dense Fraction coordinates
+    lt_action, and per level one _rref over the dense Fraction coordinates
     of every monomial, each with its multiplier as an extra column. Returns,
     per level, (multipliers, functional on the keys, relation values), and
     every monomial's vector and moments, the moments summed in Fractions."""
@@ -328,7 +327,7 @@ def rref_route(spec: TripleSpec, max_level: int):
                 groups.setdefault((mon.ops[0][0], SpanningMonomial(mon.ops[1:])), []).append(mon)
         for (m, rest), group in groups.items():
             words = [mon.ops[0][1] for mon in group]
-            vectors.update(zip(group, lt_actions(words, -m, vectors[rest])))
+            vectors.update((mon, lt_action(t, -m, vectors[rest])) for mon, t in zip(group, words))
             mults.update((mon, intertwining._peel_multiplier(labels[t], m, moments[rest]))
                          for mon, t in zip(group, words))
         keys = sp.keys(level)

@@ -590,34 +590,78 @@ class TestSaturation:
         with pytest.raises(ValueError):
             saturate_generated_form([TensorVector.lowest(H4_VAC)], 2, 2)
 
-    @pytest.mark.parametrize("generator", [
-        2 * omega_total(4),
-        3 * omega_component(4, 1) + omega_component(4, 2),
-    ], ids=["2omega", "3omega1+omega2"])
-    def test_factor_modes_match_signed_word_decomposition(self, monkeypatch, generator):
-        """The generator's modes as sum_T a_T L_T(m) over all 2^(n-1) signed
-        conformal vectors, the a_T solved for by row span, close to the same
-        report as the per-factor modes sum_i u_i L^(i)(m)."""
-        new = saturate_generated_form([generator], 6, 6)
+    @pytest.mark.parametrize("generator, max_level, budget", [
+        (2 * omega_total(4), 6, 6),
+        (3 * omega_component(4, 1) + omega_component(4, 2), 6, 6),
+        (Fraction(1, 2) * omega_component(4, 1) + omega_component(4, 2), 6, 6),
+        (omega_total(1), 4, 4),
+    ], ids=["2omega", "3omega1+omega2", "half-omega1+omega2", "omega-diverging"])
+    def test_factor_modes_match_signed_word_decomposition(self, generator, max_level, budget):
+        """The per-factor integer modes sum_i u_i L^(i)(m) close to the same
+        report as the TensorVector saturation with the generator's modes
+        written as sum_T a_T L_T(m) over signed conformal vectors."""
+        assert (saturate_generated_form([generator], max_level, budget)
+                == tensor_vector_saturation([generator], max_level, budget))
 
-        def signed_words(u):
-            n = u.weights.n
-            reps = [Word(2 * b, n) for b in range(2 ** (n - 1))]  # avoid position 1
-            solver = RowSpanSolver([omega_word(t).coordinates(2) for t in reps])
-            coeffs = solver.solve(u.coordinates(2))
-            assert coeffs is not None
-            return [(t, a) for a, t in zip(coeffs, reps) if a]
 
-        def signed_modes(coeffs, m, v):
-            out = TensorVector(v.weights)
-            for t, a in coeffs:
-                out = out + a * lt_action(t, m, v)
-            return out
+def signed_word_modes(u: TensorVector):
+    """m, v -> sum_T a_T L_T(m) v over all 2^(n-1) signed conformal vectors,
+    the a_T solved for by row span."""
+    n = u.weights.n
+    reps = [Word(2 * b, n) for b in range(2 ** (n - 1))]  # avoid position 1
+    solver = RowSpanSolver([omega_word(t).coordinates(2) for t in reps])
+    coeffs = solver.solve(u.coordinates(2))
+    assert coeffs is not None
+    pairs = [(t, a) for a, t in zip(coeffs, reps) if a]
 
-        monkeypatch.setattr(lattices, "_factor_coefficients", signed_words)
-        monkeypatch.setattr(lattices, "factor_mode_sum", signed_modes)
-        old = saturate_generated_form([generator], 6, 6)
-        assert new == old
+    def act(m, v):
+        return sum((a * lt_action(t, m, v) for t, a in pairs), TensorVector(v.weights))
+    return act
+
+
+def tensor_vector_saturation(generators, max_level, mode_budget, max_rounds=8):
+    """The saturation on TensorVectors: each round snapshots every level's
+    basis vectors, applies signed_word_modes(g)(m, .) for every generator g
+    and |m| <= mode_budget, and merges each target level's Fraction
+    coordinates into its Hermite basis, a level changing when lattices_equal
+    says so."""
+    weights = generators[0].weights
+    ops = [signed_word_modes(g) for g in generators]
+    state = {}
+
+    def merge(level, vectors):
+        rows = [v.coordinates(level) for v in vectors if not v.is_zero()]
+        if not rows:
+            return False
+        prev = state.get(level)
+        if prev is not None:
+            rows = [[Fraction(c, prev.denominator) for c in row] for row in prev.basis] + rows
+        new = _from_rational_rows(weights, None, level, rows)
+        if prev is not None and lattices_equal(prev, new):
+            return False
+        state[level] = new
+        return True
+
+    merge(0, [TensorVector.lowest(weights)])
+    rounds = stable_streak = 0
+    while rounds < max_rounds and stable_streak < 2:
+        rounds += 1
+        pending = {}
+        for level, entry in list(state.items()):
+            for v in entry.basis_vectors():
+                for act in ops:
+                    for m in range(-mode_budget, mode_budget + 1):
+                        if 0 <= level - m <= max_level:
+                            pending.setdefault(level - m, []).append(act(m, v))
+        changed = [merge(level, pending[level]) for level in sorted(pending)]
+        stable_streak = 0 if any(changed) else stable_streak + 1
+    stabilized = stable_streak >= 2
+    return lattices.GeneratedFormReport(
+        per_level=state,
+        rounds=rounds,
+        stabilized=stabilized,
+        message="stabilized (heuristic)" if stabilized else "round budget exhausted",
+    )
 
 
 class TestStability:

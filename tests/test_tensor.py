@@ -1,9 +1,10 @@
 """Tensor power states, signed diagonal modes, and the commutator sweep."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isingforms import lattices, tensor
@@ -15,10 +16,8 @@ from isingforms.tensor import (
     apply_factor_mode,
     commutator_symbolic,
     dimension_at_level,
-    factor_mode_sum,
     lt0_eigenvalue,
     lt_action,
-    lt_actions,
     omega_component,
     omega_total,
     space,
@@ -278,24 +277,30 @@ class TestLtActions:
     @given(code_vectors(tuple(CODE_MODULES + SIXTEENTH_MODULES)))
     @settings(max_examples=40, deadline=None)
     def test_matches_lt_action_per_word(self, case):
-        """Every word, m in -4..4: the shared factor images, signed per word,
-        give lt_action and the signed factor_mode_sum."""
+        """Every word, m in -4..4: lowered_rows, given the words' sign vectors
+        and the integer vector u = (1, ..., n), gives [lt_action(t, m, v) for
+        t in words] and sum_i u_i L^(i)(m) v as integer rows over big."""
         code, v = case
-        words = code.words()
-        n = v.weights.n
+        assume(not v.is_zero())
+        words, n, level = code.words(), v.weights.n, v.level()
+        den = lcm(*(c.denominator for c in v.terms.values()))
+        row = [c.numerator * (den // c.denominator) for c in v.coordinates(level)]
+        u = list(range(1, n + 1))
+        signs = [[-1 if t.contains(i) else 1 for i in range(1, n + 1)] for t in words] + [u]
         for m in range(-4, 5):
-            got = lt_actions(words, m, v)
-            assert got == [lt_action(t, m, v) for t in words]
-            assert got == [factor_mode_sum(
-                [(i, -1 if t.contains(i) else 1) for i in range(1, n + 1)], m, v)
-                for t in words]
+            expected = [lt_action(t, m, v) for t in words] + [sum(
+                (c * apply_factor_mode(i, m, v) for i, c in enumerate(u, start=1)),
+                TensorVector(v.weights))]
+            if level - m < 0:
+                assert all(w.is_zero() for w in expected)
+                continue
+            big, [images] = tensor.lowered_rows(v.weights, level - m, [(-m, den, row, signs)])
+            assert ([[Fraction(c, big) for c in image] for image in images]
+                    == [w.coordinates(level - m) for w in expected])
 
     def test_rejects_a_word_of_another_length(self):
         with pytest.raises(ValueError, match="subset on 3 points"):
-            lt_actions([word("0000"), word("110")], -1, TensorVector.lowest(H4_VAC))
-
-    def test_no_words(self):
-        assert lt_actions([], -1, TensorVector.lowest(H4_VAC)) == []
+            lt_action(word("110"), -1, TensorVector.lowest(H4_VAC))
 
 
 class TestCommutatorSymbolic:
