@@ -59,16 +59,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return {"n": value.numerator, "d": value.denominator}
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _flatten(value, prefix=""):
     if isinstance(value, dict):
         for k, v in value.items():
@@ -90,7 +80,8 @@ def _flatten(value, prefix=""):
 
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2,
+                          default=lambda x: {"n": x.numerator, "d": x.denominator}) + "\n"
     rows = list(_flatten(report))
     if fmt == "tsv":
         return "".join(f"{k}\t{v}\n" for k, v in rows)

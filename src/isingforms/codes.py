@@ -80,6 +80,10 @@ class Word(namedtuple("Word", "bits n")):
             raise ValueError(f"position {pos} outside 1..{self.n}")
         return bool(self.bits >> (pos - 1) & 1)
 
+    def signs(self) -> tuple[int, ...]:
+        """The sign vector s(T): -1 at the positions in the word, +1 elsewhere."""
+        return tuple(-1 if self.bits >> pos & 1 else 1 for pos in range(self.n))
+
     def complement(self) -> "Word":
         return Word(self.bits ^ ((1 << self.n) - 1), self.n)
 

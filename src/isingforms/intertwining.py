@@ -235,8 +235,7 @@ def _independent_rows(rows: list[list[int]], ncols: int) -> list[int]:
 
 def _label_constants(spec: TripleSpec) -> dict:
     """Per codeword T: its signs s_i(T), and L_T(0) on the lowest H1, H2, H3."""
-    return {t: ([-1 if t.contains(i) else 1 for i in range(1, t.n + 1)],
-                *(lt0_eigenvalue(t, h) for h in (spec.h1, spec.h2, spec.h3)))
+    return {t: (t.signs(), *(lt0_eigenvalue(t, h) for h in (spec.h1, spec.h2, spec.h3)))
             for t in spec.code.words()}
 
 

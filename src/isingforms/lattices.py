@@ -165,40 +165,27 @@ class LevelLattice(NamedTuple):
     def full_rank(self) -> bool:
         return self.rank == self.ambient_dim
 
-    def basis_vectors(self) -> list[TensorVector]:
-        keys = space(self.weights).keys(self.level)
-        out = []
-        for row in self.basis:
-            terms = {
-                keys[j]: Fraction(c, self.denominator)
-                for j, c in enumerate(row) if c
-            }
-            out.append(TensorVector(self.weights, terms))
-        return out
 
+def _from_rows(weights: HVector, code: BinaryCode | None, level: int,
+               rows: list[list[int]], scale: Fraction = Fraction(1)) -> LevelLattice:
+    """The lattice spanned by scale times the integer rows, stored as its
+    Hermite basis over the least denominator that keeps it integral.
 
-def _from_rational_rows(weights: HVector, code: BinaryCode | None, level: int,
-                        rows, scale: Fraction = Fraction(1)) -> LevelLattice:
-    """The lattice spanned by scale times the rows (ints or Fractions),
-    stored as its Hermite basis over the least denominator that keeps it
-    integral.
-
-    The rows are cleared to integers over their common denominator den, and
-    their content g, the gcd of the entries, comes out before hnf, so hnf
-    sees the smallest entries. With scale * g / den = a / b in lowest terms
-    the lattice is a / b times that of the primitive rows, whose entries
-    have gcd 1: d times the lattice is integral exactly when b divides d,
-    and the stored basis is a times the primitive rows' Hermite basis. The
-    rows go to hnf latest leading column first, its fastest order.
+    The rows' content g, the gcd of their entries, comes out before hnf, so
+    hnf sees the smallest entries. With scale * g = a / b in lowest terms the
+    lattice is a / b times that of the primitive rows, whose entries have
+    gcd 1: d times the lattice is integral exactly when b divides d, and the
+    stored basis is a times the primitive rows' Hermite basis. All-zero or no
+    rows give g = 0: no basis rows, denominator 1. The rows go to hnf latest
+    leading column first, its fastest order.
     """
-    values = set(itertools.chain.from_iterable(rows))
-    den = lcm(*(c.denominator for c in values))
-    ints = {c: c.numerator * (den // c.denominator) for c in values}
-    g = gcd(*ints.values())
-    int_rows = [[ints[c] // (g or 1) for c in row] for row in rows]
-    int_rows.sort(key=lambda r: next(itertools.compress(itertools.count(), r), -1), reverse=True)
-    reduced = hnf(int_rows)
-    content = scale * Fraction(g, den)
+    g = gcd(*itertools.chain.from_iterable(rows))
+    if g > 1:
+        rows = [[c // g for c in row] for row in rows]
+    rows = sorted(rows, key=lambda r: next(itertools.compress(itertools.count(), r), -1),
+                  reverse=True)
+    reduced = hnf(rows)
+    content = scale * g
     if content.numerator != 1:
         reduced = [[c * content.numerator for c in row] for row in reduced]
     return LevelLattice(
@@ -215,7 +202,7 @@ def _generator_modes(min_mode: int, n: int) -> list[int]:
     """The modes m whose L_T(-m) span level n, largest first.
 
     Odd modes 2k + 1 with k >= min_mode are left out (module docstring). The
-    order is not the one hnf sees: _from_rational_rows sorts the rows.
+    order is not the one hnf sees: _from_rows sorts the rows.
     """
     return [m for m in range(n, min_mode - 1, -1) if m % 2 == 0 or m <= 2 * min_mode]
 
@@ -226,14 +213,13 @@ def _level(code: BinaryCode, weights: HVector, n: int) -> LevelLattice:
     Hermite row b of a lower level B / den lowered by every L_T(-m), T a
     representative, as big times the generators (tensor.lowered_rows)."""
     if n == 0:
-        return _from_rational_rows(weights, code, 0, [[1]])
-    signs = [[-1 if t.contains(i) else 1 for i in range(1, code.n + 1)]
-             for t in complement_reduce(code)]
+        return _from_rows(weights, code, 0, [[1]])
+    signs = [t.signs() for t in complement_reduce(code)]
     lowers = {m: _level(code, weights, n - m) for m in _generator_modes(_min_mode(weights), n)}
     big, images = lowered_rows(weights, n, [(m, lower.denominator, b, signs)
                                             for m, lower in lowers.items() for b in lower.basis])
-    return _from_rational_rows(weights, code, n, list(itertools.chain.from_iterable(images)),
-                               Fraction(1, big))
+    return _from_rows(weights, code, n, list(itertools.chain.from_iterable(images)),
+                      Fraction(1, big))
 
 
 def lattice_at_level(code: BinaryCode, weights: HVector, level: int) -> LevelLattice:
@@ -277,12 +263,6 @@ def _common_rows(a: LevelLattice, b: LevelLattice):
     den = lcm(a.denominator, b.denominator)
     return ([[den // a.denominator * c for c in row] for row in a.basis],
             [[den // b.denominator * c for c in row] for row in b.basis])
-
-
-def lattices_equal(a: LevelLattice, b: LevelLattice) -> bool:
-    """Exact equality of the spanned lattices, denominators normalized away."""
-    sa, sb = _common_rows(a, b)
-    return sa == sb
 
 
 class CompareReport(NamedTuple):
@@ -367,7 +347,7 @@ def graded_dual(entry: LevelLattice) -> DualReport:
     if ([sum(map(mul, g1, col)) for col in zip(*dual_rows)]
             != [s * delta * t * sum(col) for col in zip(*entry.basis)]):
         raise ValueError("degenerate Gram matrix")
-    dual = _from_rational_rows(weights, entry.code, level, dual_rows, Fraction(den, delta * t))
+    dual = _from_rows(weights, entry.code, level, dual_rows, Fraction(den, delta * t))
     q = s * den * den
     integral = all(g % q == 0 for row in gram for g in row)
     index = Fraction(_pivot_product(entry.basis) * dual.denominator ** n,
@@ -412,12 +392,16 @@ def saturate_generated_form(generators: list[TensorVector], max_level: int,
     """Close the Z-span of generator-mode products from the vacuum.
 
     Each round applies every generator mode with |m| <= mode_budget to the
-    current per-level Hermite rows, on integers through tensor.lowered_rows as
-    the level build does, so products grow one operator per round. Each target
+    per-level Hermite rows, on integers through tensor.lowered_rows as the
+    level build does, so products grow one operator per round. Each target
     level is merged over the lcm of its denominators; Hermite form and the
     reduced denominator are canonical, so a level is unchanged exactly when
-    the merged entry equals the old one. The loop stops once two consecutive
-    rounds leave every level unchanged; running out of rounds is reported, not
+    the merged entry equals the old one. A round lowers only the rows of the
+    levels the round before changed: an unchanged level's rows were lowered
+    then, and their images are still in their targets, which only grow. So
+    every round ends with the levels a round lowering all rows would give.
+    The loop stops once two consecutive rounds leave every level unchanged
+    (the second lowers nothing); running out of rounds is reported, not
     raised. Closure at the stopping point is a checked fixed point of single
     applications only, hence the report wording "stabilized (heuristic)".
     """
@@ -430,18 +414,20 @@ def saturate_generated_form(generators: list[TensorVector], max_level: int,
         if any(g.weights != weights for g in generators):
             raise ValueError("generators from different tensor powers")
     ops = [_factor_row(g) for g in generators]
-    state = {0: _from_rational_rows(weights, None, 0, [[1]])}
+    state = {0: _from_rows(weights, None, 0, [[1]])}
+    changed = [0]
     rounds = stable_streak = 0
     while rounds < max_rounds and stable_streak < 2:
         rounds += 1
         pending: dict[int, list] = {}
-        for level, entry in state.items():
+        for level in changed:
+            entry = state[level]
             for m in range(-mode_budget, mode_budget + 1):
                 if 0 <= level - m <= max_level:
                     pending.setdefault(level - m, []).extend(
                         (-m, entry.denominator * d, b, [u])
                         for b in entry.basis for d, u in ops)
-        changed = False
+        changed = []
         for level in sorted(pending):
             big, images = lowered_rows(weights, level, pending[level])
             prev = state.get(level)
@@ -451,10 +437,10 @@ def saturate_generated_form(generators: list[TensorVector], max_level: int,
             if not rows:
                 continue
             rows += [[den // prev_den * c for c in row] for row in prev_rows]
-            new = _from_rational_rows(weights, None, level, rows, Fraction(1, den))
+            new = _from_rows(weights, None, level, rows, Fraction(1, den))
             if new != prev:
                 state[level] = new
-                changed = True
+                changed.append(level)
         stable_streak = 0 if changed else stable_streak + 1
     stabilized = stable_streak >= 2
     return GeneratedFormReport(

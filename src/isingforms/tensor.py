@@ -19,6 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import lcm, prod
+from operator import mul
 from typing import NamedTuple
 
 from .codes import BinaryCode, RequestError, Word
@@ -350,7 +351,7 @@ def lt_action(T: Word, m: int, v: TensorVector) -> TensorVector:
     """The signed diagonal operator L_T(m) applied to v."""
     if T.n != v.weights.n:
         raise ValueError(f"subset on {T.n} points against a power of {v.weights.n} factors")
-    return _factor_mode_sum([(i, -1 if T.contains(i) else 1) for i in range(1, T.n + 1)], m, v)
+    return _factor_mode_sum(enumerate(T.signs(), start=1), m, v)
 
 
 def form_map(weights: HVector, level: int, rows,
@@ -411,8 +412,7 @@ def lt0_eigenvalue(T: Word, weights: HVector) -> Fraction:
     """
     if T.n != weights.n:
         raise ValueError(f"subset on {T.n} points against {weights.n} factors")
-    return sum((-h if T.contains(i) else h
-                for i, h in enumerate(weights.entries, start=1)), Fraction(0))
+    return sum(map(mul, T.signs(), weights.entries), Fraction(0))
 
 
 class CommutatorTerms(NamedTuple):
@@ -474,29 +474,27 @@ def verify_commutator_sweep(code: BinaryCode, weights: HVector,
     """Commutator identity for every ordered pair of codewords and mode pair.
 
     Same verdicts as verify_commutator over the grid |m|, |n| <= mode_bound,
-    read off the factor brackets. For each (m, n) and state key w, with
-    (linear, central) = bracket(m, n) and ell the factors' central charge,
+    read off the factor brackets. For i != j the operators L^(i)(m) and
+    L^(j)(n) act on different key positions, so [L^(i)(m), L^(j)(n)] w is
+    exactly 0. For each (m, n) and state key w, with (linear, central) =
+    bracket(m, n) and ell the factors' central charge,
 
-        E_ij = [L^(i)(m), L^(j)(n)] w
-               - delta_ij (linear L^(i)(m+n) w + central ell w)
+        E_i = [L^(i)(m), L^(i)(n)] w - linear L^(i)(m+n) w - central ell w
 
-    is computed once for every pair of factors, cross-factor ones included;
-    nothing is assumed to vanish. With s, t the sign vectors of S, T the sign
+    is computed once per factor. With s, t the sign vectors of S, T the sign
     of S+T is s_i t_i and sum_i s_i t_i = N - 2|S+T|, so both sides of the
     identity split over the factors and the pair (S, T) fails on w exactly
-    when sum_ij s_i t_j E_ij != 0. Those sums are formed only when some E_ij
-    is nonzero. Each failing (S, T, m, n, level) is recorded once, at its
-    first failing key in the order (m, n, level, key, S, T), and the report
-    keeps the first 20.
+    when sum_i s_i t_i E_i != 0. Those sums are formed only when some E_i is
+    nonzero. Each failing (S, T, m, n, level) is recorded once, at its first
+    failing key in the order (m, n, level, key, S, T), and the report keeps
+    the first 20.
     """
     sp = space(weights)
     if code.n != sp.n:
         raise ValueError(f"code length {code.n} against a power of {sp.n} factors")
     if mode_bound < 0 or max_level < 0:
         raise ValueError(f"mode bound and level must be >= 0, got {mode_bound} and {max_level}")
-    positions = range(sp.n)
-    words = [(w.to_string(), tuple(-1 if w.contains(i + 1) else 1 for i in positions))
-             for w in code.words()]
+    words = [(w.to_string(), w.signs()) for w in code.words()]
     failures: dict[tuple[str, str, int, int, int], None] = {}
     instances = 0
 
@@ -511,25 +509,22 @@ def verify_commutator_sweep(code: BinaryCode, weights: HVector,
         for level in range(max_level + 1):
             for key in sp.keys(level):
                 unit = {key: Fraction(1)}
-                first_m = [act({}, unit, i, m) for i in positions]
-                first_n = [act({}, unit, j, n) for j in positions]
                 errors = []
-                for i, j in itertools.product(positions, repeat=2):
-                    e = act({}, first_n[j], i, m)
-                    act(e, first_m[i], j, n, -1)
-                    if i == j:
-                        act(e, unit, i, m + n, -linear)
-                        e[key] = e.get(key, 0) - central * sp.factors[i].params.ell
+                for i in range(sp.n):
+                    e = act({}, act({}, unit, i, n), i, m)
+                    act(e, act({}, unit, i, m), i, n, -1)
+                    act(e, unit, i, m + n, -linear)
+                    e[key] = e.get(key, 0) - central * sp.factors[i].params.ell
                     if any(e.values()):
-                        errors.append((i, j, e))
+                        errors.append((i, e))
                 instances += len(words) ** 2
                 if not errors:
                     continue
                 for (s_name, s), (t_name, t) in itertools.product(words, repeat=2):
                     total: dict[tuple[int, ...], Fraction] = {}
-                    for i, j, e in errors:
+                    for i, e in errors:
                         for k, c in e.items():
-                            total[k] = total.get(k, 0) + s[i] * t[j] * c
+                            total[k] = total.get(k, 0) + s[i] * t[i] * c
                     if any(total.values()):
                         failures[s_name, t_name, m, n, level] = None
     return SweepReport(

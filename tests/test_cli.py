@@ -174,6 +174,8 @@ class TestGoldenReports:
          "89e7f5994fbae0e8b695a1640df49143c4a8aa42b8ac36681efb82f581896796"),
         (["form", "generated", "--gen", "2omega", "--power", "4", "--max-level", "8"], 0,
          "fe386a55d8e76bc7aa7b378ca9ca54397e08b09dceae4b70d0f3b603d850cf68"),
+        (["form", "generated", "--gen", "2omega", "--power", "8", "--max-level", "8"], 0,
+         "d5efe3e86a30c9e412a256c96a6f223dbc82754f1ee52f339378ddb222426ae7"),
         (["dual", "--power", "8", "--code", "hamming8", "--H", "0,0,0,0,0,0,0,0",
           "--level", "4", "--compare"], 0,
          "31a4dbda7a80735316330e6b20ec827f1638f51cb0172ab7fb28aa6b86b0a4da"),
@@ -201,6 +203,7 @@ class TestGoldenReports:
          "5e84d68c6d29b50d1f386df8ab5e873b1c258cbf11f7353572fa55b21eff8e09"),
     ], ids=["form-verify-hamming8-half-pair-5", "form-verify-hamming8-half-pair-6",
             "form-generated-power-8", "form-generated-power-4-level-8",
+            "form-generated-power-8-level-8",
             "dual-hamming8-vacuum-4", "dual-hamming8-vacuum-5-json",
             "dual-c16-sixteenth-2", "corr-even4-vacuum-8", "corr-hamming8-half-pair-4",
             "corr-hamming8-half-pair-5", "corr-even4-all-half-5"])

@@ -38,6 +38,12 @@ class TestWord:
         assert w.contains(1)
         assert not w.contains(4)
 
+    def test_signs_are_minus_one_on_the_word(self):
+        w = Word.from_string("10110")
+        assert w.signs() == (-1, 1, -1, -1, 1)
+        assert w.signs() == tuple(-1 if w.contains(i) else 1 for i in range(1, 6))
+        assert (w + w.complement()).signs() == (-1,) * 5
+
     def test_symmetric_difference(self):
         a = Word.from_string("1100")
         b = Word.from_string("0110")

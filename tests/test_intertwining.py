@@ -32,6 +32,7 @@ from isingforms.tensor import (
     lt_action,
     space,
 )
+from test_lattices import basis_vectors
 
 H_HALF = HVector.parse("1/2,1/2,0,0")
 H_VAC = HVector.vacuum(4)
@@ -237,7 +238,7 @@ class TestWellDefined:
         spec = main_spec()
         corr = build_correlation(spec, 4)
         code = even_code(4)
-        basis = lattice_at_level(code, H_VAC, 2).basis_vectors()
+        basis = basis_vectors(lattice_at_level(code, H_VAC, 2))
         for w in basis:
             for t in code.words():
                 a1 = lt0_eigenvalue(t, spec.h1)

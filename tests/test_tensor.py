@@ -370,6 +370,24 @@ class TestSweep:
         report = verify_commutator_sweep(even_code(4), HVector.sixteenth(4), 1, 1)
         assert report.ok
 
+    @pytest.mark.parametrize("entries", [(0, 0), (HALF, HALF), (SIXTEENTH, SIXTEENTH),
+                                         (0, HALF, SIXTEENTH)],
+                             ids=["vacuum", "half", "sixteenth", "mixed"])
+    def test_cross_factor_brackets_vanish(self, entries):
+        """[L^(i)(m), L^(j)(n)] w = 0 for i != j on every key up to level 2,
+        |m|, |n| <= 2: the sweep reads only the diagonal factor brackets."""
+        weights = HVector(entries)
+        pairs = [(i, j) for i in range(1, weights.n + 1)
+                 for j in range(1, weights.n + 1) if i != j]
+        for level in range(3):
+            for key in space(weights).keys(level):
+                w = TensorVector(weights, {key: Fraction(1)})
+                for m in range(-2, 3):
+                    for n in range(-2, 3):
+                        for i, j in pairs:
+                            assert (apply_factor_mode(i, m, apply_factor_mode(j, n, w))
+                                    == apply_factor_mode(j, n, apply_factor_mode(i, m, w)))
+
     def test_sweep_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             verify_commutator_sweep(even_code(6), H4_VAC, 1, 1)
