@@ -8,10 +8,12 @@ set. The pairing behind duality is the parity of the intersection size.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections import namedtuple
-from typing import NamedTuple
+
+from .intmat import hnf
 
 
 class RequestError(ValueError):
@@ -272,15 +274,11 @@ def c16() -> BinaryCode:
     return code
 
 
-class GoodFormReport(NamedTuple):
+class GoodFormReport(namedtuple("GoodFormReport", "n_multiple_of_4 inside_even_code "
+                                 "contains_full_set separating witnesses missing_pairs")):
     """Results of the four conditions a code must meet to index an integral form."""
 
-    n_multiple_of_4: bool
-    inside_even_code: bool
-    contains_full_set: bool
-    separating: bool
-    witnesses: tuple[tuple[tuple[int, int], Word], ...]
-    missing_pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -327,6 +325,17 @@ def complement_reduce(code: BinaryCode) -> list[Word]:
         raise ValueError("code does not contain the full set")
     reps = {w if not w.contains(1) else w.complement() for w in code.words()}
     return sorted(reps, key=lambda w: w.to_string())
+
+
+@functools.cache
+def sign_basis(code: BinaryCode) -> tuple[tuple[int, ...], ...]:
+    """Hermite basis of the sign lattice span_Z{s(T)}, T over complement_reduce.
+
+    s(T^c) = -s(T), so the representatives span the lattice of every
+    codeword's signs. Its rows are sparser than the sign vectors: on hamming8
+    they are (1^8), (0,2,0,2,0,2,0,2), ..., (0^7,8).
+    """
+    return tuple(map(tuple, hnf([t.signs() for t in complement_reduce(code)])))
 
 
 class CodeFileError(RequestError):

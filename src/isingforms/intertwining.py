@@ -29,7 +29,6 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import NamedTuple
 
 from .codes import BinaryCode, RequestError
 from .intmat import _rref
@@ -248,13 +247,9 @@ def _peel_multiplier(label, m: int, moments: list[Fraction]) -> Fraction:
     return cross_bracket_step(m, f_lt0_w, moments[0], a1, a2)
 
 
-class WellDefinedReport(NamedTuple):
-    well_defined: bool
-    order_checks: int
-    order_failures: tuple[str, ...]
-    relation_checks: int
-    relation_failures: tuple[int, ...]
-    nondegenerate_levels: dict[int, bool]
+class WellDefinedReport(namedtuple("WellDefinedReport", "well_defined order_checks order_failures "
+                                    "relation_checks relation_failures nondegenerate_levels")):
+    __slots__ = ()
 
 
 def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
@@ -303,10 +298,8 @@ def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
     )
 
 
-class VerdictReport(NamedTuple):
-    integral: bool
-    witness: SpanningMonomial | None
-    witness_value: Fraction | None
+class VerdictReport(namedtuple("VerdictReport", "integral witness witness_value")):
+    __slots__ = ()
 
 
 def integrality_verdict(corr: CorrelationFunctional) -> VerdictReport:
@@ -332,19 +325,12 @@ def framed_summands(n: int) -> list[HVector]:
     return out
 
 
-class TripleVerdict(NamedTuple):
-    h1: HVector
-    h2: HVector
-    h3: HVector
-    value: Fraction
-    integral: bool
-    confirmed: bool | None
+class TripleVerdict(namedtuple("TripleVerdict", "h1 h2 h3 value integral confirmed")):
+    __slots__ = ()
 
 
-class FramedReport(NamedTuple):
-    triples: tuple[TripleVerdict, ...]
-    satisfied: bool
-    conclusion: str
+class FramedReport(namedtuple("FramedReport", "triples satisfied conclusion")):
+    __slots__ = ()
 
 
 def framed_criterion(decomposition: list[tuple[HVector, int]], code: BinaryCode,

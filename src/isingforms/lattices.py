@@ -29,18 +29,33 @@ integer combination of Hermite rows there, so the two terms are integer
 combinations of generators with the modes k and k + 1: both at least
 min_mode, both below m, and E is a representative. By induction on m the
 generators with m even or m <= 2 min_mode span Lambda_n.
+
+Nor is one generator per representative T needed. With x_i = L^(i)(-m) v,
+L_T(-m) v = sum_i s_i(T) x_i is Z-linear in the sign vector s(T), so the
+L_T(-m) v span {sum_i a_i x_i : a in Lambda_C}, Lambda_C = span_Z{s(T)} the
+code's sign lattice, and the rows a of any Z-basis of Lambda_C give the same
+span. The build takes its Hermite basis (codes.sign_basis), whose rows are
+sparser than the sign vectors. The odd-mode pruning is per (m, v) and is
+unaffected.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
-from typing import NamedTuple
 
-from .codes import BinaryCode, RequestError, Word, complement_reduce, goodform_conditions
+from .codes import (
+    BinaryCode,
+    RequestError,
+    Word,
+    complement_reduce,
+    goodform_conditions,
+    sign_basis,
+)
 from .intmat import hermite_cofactors, hnf, hnf_solve
 from .tensor import (
     HVector,
@@ -88,7 +103,7 @@ def _check_inputs(code: BinaryCode, weights: HVector, level: int):
         raise ValueError("negative level")
 
 
-class SpanningMonomial(NamedTuple):
+class SpanningMonomial(namedtuple("SpanningMonomial", "ops")):
     """Ordered product of lowering operators, leftmost applied last.
 
     ops is a sequence of (mode, label) pairs with modes weakly decreasing;
@@ -96,7 +111,7 @@ class SpanningMonomial(NamedTuple):
     being implied by L_{T^c}(-m) = -L_T(-m).
     """
 
-    ops: tuple[tuple[int, Word], ...]
+    __slots__ = ()
 
     @property
     def level(self) -> int:
@@ -147,15 +162,10 @@ def evaluate_monomial(mon: SpanningMonomial, weights: HVector) -> TensorVector:
     return v
 
 
-class LevelLattice(NamedTuple):
+class LevelLattice(namedtuple("LevelLattice", "weights code level denominator basis ambient_dim")):
     """One graded piece: rows/denominator span the lattice in key coordinates."""
 
-    weights: HVector
-    code: BinaryCode | None
-    level: int
-    denominator: int
-    basis: tuple[tuple[int, ...], ...]
-    ambient_dim: int
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -210,11 +220,12 @@ def _generator_modes(min_mode: int, n: int) -> list[int]:
 @functools.cache
 def _level(code: BinaryCode, weights: HVector, n: int) -> LevelLattice:
     """Level n of the lattice, built on integers from the lower levels: each
-    Hermite row b of a lower level B / den lowered by every L_T(-m), T a
-    representative, as big times the generators (tensor.lowered_rows)."""
+    Hermite row b of a lower level B / den lowered by sum_i a_i L^(i)(-m) for
+    every row a of the sign lattice's Hermite basis (codes.sign_basis), as
+    big times the generators (tensor.lowered_rows)."""
     if n == 0:
         return _from_rows(weights, code, 0, [[1]])
-    signs = [t.signs() for t in complement_reduce(code)]
+    signs = sign_basis(code)
     lowers = {m: _level(code, weights, n - m) for m in _generator_modes(_min_mode(weights), n)}
     big, images = lowered_rows(weights, n, [(m, lower.denominator, b, signs)
                                             for m, lower in lowers.items() for b in lower.basis])
@@ -231,7 +242,8 @@ def lattice_at_level(code: BinaryCode, weights: HVector, level: int) -> LevelLat
     of level - m; level 0 is the lowest weight vector. The commutator
     arguments in the module docstring show that this spans the same lattice
     as the straightened products themselves. Each (m, b) maps every factor
-    once, and each T signs those images. Levels are built on demand, only
+    once, and each row a of the sign lattice's Hermite basis combines those
+    images as sum_i a_i L^(i)(-m) b. Levels are built on demand, only
     those the generators reach, and kept per (code, weights).
     """
     _check_inputs(code, weights, level)
@@ -265,11 +277,8 @@ def _common_rows(a: LevelLattice, b: LevelLattice):
             [[den // b.denominator * c for c in row] for row in b.basis])
 
 
-class CompareReport(NamedTuple):
-    a_in_b: bool
-    b_in_a: bool
-    equal: bool
-    index: int | None
+class CompareReport(namedtuple("CompareReport", "a_in_b b_in_a equal index")):
+    __slots__ = ()
 
 
 def _pivot_product(rows) -> int:
@@ -316,13 +325,8 @@ def gram_matrix(weights: HVector, level: int, rows) -> list[list[Fraction]]:
     return [[Fraction(g, s * d * d) for g in row] for row in gram]
 
 
-class DualReport(NamedTuple):
-    lattice: LevelLattice
-    gram: tuple[tuple[Fraction, ...], ...]
-    dual: LevelLattice
-    index: Fraction
-    contains_lattice: bool
-    self_dual: bool
+class DualReport(namedtuple("DualReport", "lattice gram dual index contains_lattice self_dual")):
+    __slots__ = ()
 
 
 def graded_dual(entry: LevelLattice) -> DualReport:
@@ -362,11 +366,8 @@ def graded_dual(entry: LevelLattice) -> DualReport:
     )
 
 
-class GeneratedFormReport(NamedTuple):
-    per_level: dict[int, LevelLattice]
-    rounds: int
-    stabilized: bool
-    message: str
+class GeneratedFormReport(namedtuple("GeneratedFormReport", "per_level rounds stabilized message")):
+    __slots__ = ()
 
 
 def _factor_row(u: TensorVector) -> tuple[int, list[int]]:

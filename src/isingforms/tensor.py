@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import cache
 from math import lcm, prod
 from operator import mul
-from typing import NamedTuple
 
 from .codes import BinaryCode, RequestError, Word
 from .virasoro import (
@@ -125,6 +124,7 @@ class _Factor:
                 f"factor states are limited to {_SID_STRIDE} per level")
         return b
 
+    @cache
     def dim(self, level: int) -> int:
         return self.basis(level).dimension if level >= 0 else 0
 
@@ -309,7 +309,7 @@ def lowered_rows(weights: HVector, n: int, items) -> tuple[int, list[list[list[i
 
     m may be negative, a raising mode: row then sits above level n. A sign
     row may be any integer vector u, giving sum_i u_i L^(i)(-m) in place of
-    L_T(-m)."""
+    L_T(-m); its zero entries add nothing and are skipped."""
     sp = space(weights)
     index = sp.index(n)
     maps = {m: [f.mode_rows(n - m, -m) for f in sp.factors] for m, *_ in items}
@@ -325,8 +325,9 @@ def lowered_rows(weights: HVector, n: int, items) -> tuple[int, list[list[list[i
         out.append([[0] * len(index) for _ in signs])
         for t, total in zip(signs, out[-1]):
             for sign, image in zip(t, images):
-                for j, c in image:
-                    total[j] += sign * c
+                if sign:
+                    for j, c in image:
+                        total[j] += sign * c
     return big, out
 
 
@@ -415,7 +416,7 @@ def lt0_eigenvalue(T: Word, weights: HVector) -> Fraction:
     return sum(map(mul, T.signs(), weights.entries), Fraction(0))
 
 
-class CommutatorTerms(NamedTuple):
+class CommutatorTerms(namedtuple("CommutatorTerms", "linear word central")):
     """Right hand side of the signed diagonal commutator.
 
     [L_S(m), L_T(mode)] = linear * L_word(m + mode) + central * identity,
@@ -424,9 +425,7 @@ class CommutatorTerms(NamedTuple):
     power is taken from the ground set size of the words, never from a mode.
     """
 
-    linear: int
-    word: Word
-    central: Fraction
+    __slots__ = ()
 
 
 def commutator_symbolic(S: Word, T: Word, m: int, n_mode: int) -> CommutatorTerms:
@@ -462,11 +461,8 @@ def verify_commutator(S: Word, T: Word, m: int, n_mode: int,
     return True
 
 
-class SweepReport(NamedTuple):
-    ok: bool
-    pairs: int
-    instances: int
-    failures: tuple[tuple[str, str, int, int, int], ...]
+class SweepReport(namedtuple("SweepReport", "ok pairs instances failures")):
+    __slots__ = ()
 
 
 def verify_commutator_sweep(code: BinaryCode, weights: HVector,
@@ -550,13 +546,9 @@ def dimension_at_level(weights: HVector, level: int) -> int:
     return series[level]
 
 
-class WeightOneReport(NamedTuple):
-    total: int
-    two_half_count: int
-    two_half_dimension: int
-    vacuum_dimension: int
-    sixteenth_copies: int
-    sixteenth_dimension: int
+class WeightOneReport(namedtuple("WeightOneReport", "total two_half_count two_half_dimension "
+                                  "vacuum_dimension sixteenth_copies sixteenth_dimension")):
+    __slots__ = ()
 
 
 def weight1_count_e8() -> WeightOneReport:

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, NamedTuple
 
 from .codes import RequestError
 
@@ -146,7 +146,7 @@ class VermaVector:
         return " + ".join(bits)
 
 
-class GradedBasis(NamedTuple):
+class GradedBasis(namedtuple("GradedBasis", "params level pivots gram inverse det")):
     """Pivot monomials of one graded piece of an irreducible quotient.
 
     pivots are chosen greedily in descending lexicographic order: a monomial
@@ -159,12 +159,7 @@ class GradedBasis(NamedTuple):
     determinant, the product of the kept Schur complements.
     """
 
-    params: CentralParams
-    level: int
-    pivots: tuple[Monomial, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
-    inverse: tuple[tuple[Fraction, ...], ...]
-    det: Fraction
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:

@@ -169,6 +169,13 @@ class TestGoldenReports:
         (["form", "verify", "--code", "hamming8", "--H", "1/2,1/2,0,0,0,0,0,0",
           "--max-level", "6"], 0,
          "2948c1be60afc8f2e9a213fed24c44ba6d85e40de1950cdd2f8964115efa63d7"),
+        # The codes whose sign lattice bases differ most from their sign vectors.
+        (["form", "verify", "--code", "even:8", "--H", "0,0,0,0,0,0,0,0",
+          "--max-level", "6"], 0,
+         "36cc5d56bd64a09fa5d504197fb5be0c0337d123d4125cb94539d9f376365c5c"),
+        (["form", "verify", "--code", "c16", "--H", ",".join(["1/16"] * 16),
+          "--max-level", "2"], 0,
+         "5a963b1a57feb6bc12aed5670a30042b1451dbf2580db54c9ca887719aa5bcf8"),
         (["form", "generated", "--gen", "2omega", "--power", "8", "--max-level", "4",
           "--mode-budget", "2", "--rounds", "3"], 1,
          "89e7f5994fbae0e8b695a1640df49143c4a8aa42b8ac36681efb82f581896796"),
@@ -202,6 +209,7 @@ class TestGoldenReports:
           "--code", "even:4", "--c", "1", "--max-level", "5"], 1,
          "5e84d68c6d29b50d1f386df8ab5e873b1c258cbf11f7353572fa55b21eff8e09"),
     ], ids=["form-verify-hamming8-half-pair-5", "form-verify-hamming8-half-pair-6",
+            "form-verify-even8-vacuum-6", "form-verify-c16-sixteenth-2",
             "form-generated-power-8", "form-generated-power-4-level-8",
             "form-generated-power-8-level-8",
             "dual-hamming8-vacuum-4", "dual-hamming8-vacuum-5-json",

@@ -16,6 +16,7 @@ from isingforms.codes import (
     complement_reduce,
     even_code,
     hamming8,
+    sign_basis,
     trivial_code,
 )
 from isingforms.intmat import (
@@ -50,6 +51,7 @@ from isingforms.tensor import (
     space,
 )
 from isingforms.virasoro import scaling_admissible
+from test_intmat import sweep_hnf
 
 H4_VAC = HVector.vacuum(4)
 H4_HALF = HVector.parse("1/2,1/2,0,0")
@@ -281,6 +283,51 @@ class TestOddModePruning:
     def test_levels_match_every_mode(self, code, weights, top):
         for level, want in enumerate(full_generator_route(code, weights, top)):
             assert lattice_at_level(code, weights, level) == want
+
+
+class TestSignBasis:
+    @pytest.mark.parametrize("code, rank", [(even_code(4), 4), (hamming8(), 8), (c16(), 16)],
+                             ids=["even4", "hamming8", "c16"])
+    def test_hermite_basis_of_every_codewords_signs(self, code, rank):
+        basis = [list(row) for row in sign_basis(code)]
+        signs = [t.signs() for t in code.words()]
+        assert hnf(basis) == basis == sweep_hnf(signs) == hnf(signs[::-1])
+        assert len(basis) == rank == RowSpanSolver(signs).rank
+        pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+        assert pivots == sorted(set(pivots))
+        for i, (row, c) in enumerate(zip(basis, pivots)):
+            assert row[c] > 0
+            assert all(0 <= above[c] < row[c] for above in basis[:i])
+
+
+def per_codeword_levels(monkeypatch, code, weights, top):
+    """Levels 0..top built on one sign row s(T) per complement-reduced
+    codeword T in place of the sign basis, each level built afresh."""
+    lattices._level.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(lattices, "sign_basis",
+                      lambda c: [t.signs() for t in complement_reduce(c)])
+        levels = [lattice_at_level(code, weights, level) for level in range(top + 1)]
+    lattices._level.cache_clear()
+    return levels
+
+
+class TestSignBasisRoute:
+    @pytest.mark.parametrize("code, weights, top", [
+        (even_code(4), H4_HALF, 7),
+        (even_code(8), HVector.vacuum(8), 5),
+        (even_code(8), HVector.parse("1/2,1/2,0,0,0,0,0,0"), 5),
+        (hamming8(), HVector.vacuum(8), 5),
+        (hamming8(), HVector.parse("1/2,1/2,0,0,0,0,0,0"), 5),
+        (c16(), HVector.sixteenth(16), 2),
+    ], ids=["even4-half-pair", "even8-vacuum", "even8-half-pair", "hamming8-vacuum",
+            "hamming8-half-pair", "c16-sixteenth"])
+    def test_levels_match_per_codeword_signs(self, monkeypatch, code, weights, top):
+        """The lattice is Z-linear in the sign vector, so the sign basis and
+        the codewords' own signs span the same levels."""
+        for level, want in enumerate(per_codeword_levels(monkeypatch, code, weights, top)):
+            got = lattice_at_level(code, weights, level)
+            assert (got.denominator, got.basis) == (want.denominator, want.basis)
 
 
 class TestRecursionAgainstMonomials:
