@@ -150,11 +150,17 @@ def _level_row(entry) -> dict:
     }
 
 
-def _cmd_form_verify(args) -> tuple[dict, bool]:
+def _code_and_weights(args):
+    """--code resolved and --H parsed, with --power checked against the weights."""
     code = codes_mod.resolve_code(args.code)
     weights = HVector.parse(args.H)
     if args.power is not None and args.power != weights.n:
         raise RequestError(f"--power {args.power} against {weights.n} weights")
+    return code, weights
+
+
+def _cmd_form_verify(args) -> tuple[dict, bool]:
+    code, weights = _code_and_weights(args)
     if weights.n != code.n:
         raise RequestError(f"weight vector length {weights.n} against code length {code.n}")
     ok, reason = admissible_weights(code, weights)
@@ -242,10 +248,7 @@ def _cmd_form_generated(args) -> tuple[dict, bool]:
 
 
 def _cmd_dual(args) -> tuple[dict, bool]:
-    code = codes_mod.resolve_code(args.code)
-    weights = HVector.parse(args.H)
-    if args.power is not None and args.power != weights.n:
-        raise RequestError(f"--power {args.power} against {weights.n} weights")
+    code, weights = _code_and_weights(args)
     entry = lattice_at_level(code, weights, args.level)
     if not entry.ambient_dim:
         raise RequestError(f"level {args.level} of {weights} has no states")

@@ -26,6 +26,7 @@ from .virasoro import (
     GradedBasis,
     VermaVector,
     _as_fraction,
+    _Combination,
     apply_mode,
     bracket,
     irreducible_basis,
@@ -216,6 +217,11 @@ class TensorSpace:
     def key_level(self, key: tuple[int, ...]) -> int:
         return sum(_sid_level(s) for s in key)
 
+    def _add_mode(self, terms: dict, vec: dict, pos: int, m: int, scale=1) -> dict:
+        """terms += scale * L(m) on factor pos (0-based) applied to vec; returns terms."""
+        factor = self.factors[pos]
+        return _add_factor_map(terms, vec, pos, lambda sid: factor.expansion(sid, m), scale)
+
     def factor_levels(self, level: int) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Each key at one level, with the level of each of its factor states."""
         return {k: tuple(_sid_level(s) for s in k) for k in self.keys(level)}
@@ -226,33 +232,18 @@ def space(weights: HVector) -> TensorSpace:
     return TensorSpace(weights)
 
 
-class TensorVector:
+class TensorVector(_Combination):
     """Rational combination of state keys of one tensor module."""
 
-    __slots__ = ("weights", "terms")
-
-    def __init__(self, weights: HVector, terms: dict[tuple[int, ...], Fraction] | None = None):
-        terms = terms or {}
-        if any(isinstance(c, float) for c in terms.values()):
-            raise TypeError("floats are not accepted; pass Fraction or int coefficients")
-        self.weights = weights
-        self.terms = {k: c for k, c in terms.items() if c}
+    __slots__ = ()
+    weights = property(lambda self: self._module)
 
     @classmethod
     def lowest(cls, weights: HVector) -> "TensorVector":
         return cls(weights, {(_sid(0, 0),) * weights.n: Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def level(self) -> int | None:
-        sp = space(self.weights)
-        levels = {sp.key_level(k) for k in self.terms}
-        if not levels:
-            return None
-        if len(levels) > 1:
-            raise ValueError("vector is not homogeneous")
-        return levels.pop()
+    def _key_level(self):
+        return space(self.weights).key_level
 
     def coordinates(self, level: int) -> list[Fraction]:
         sp = space(self.weights)
@@ -264,25 +255,6 @@ class TensorVector:
                 raise ValueError("vector has terms outside the requested level")
             out[pos] = c
         return out
-
-    def __add__(self, other: "TensorVector") -> "TensorVector":
-        if self.weights != other.weights:
-            raise ValueError("mixed tensor modules")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return TensorVector(self.weights, terms)
-
-    def __sub__(self, other: "TensorVector") -> "TensorVector":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "TensorVector":
-        s = _as_fraction(scalar)
-        return TensorVector(self.weights, {k: s * c for k, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TensorVector)
-                and self.weights == other.weights and self.terms == other.terms)
 
     def __repr__(self) -> str:
         return f"TensorVector({self.weights}, {len(self.terms)} terms)"
@@ -338,8 +310,7 @@ def _factor_mode_sum(coeffs, m: int, v: TensorVector) -> TensorVector:
     for i, u in coeffs:
         if not 1 <= i <= sp.n:
             raise ValueError(f"factor {i} outside 1..{sp.n}")
-        factor = sp.factors[i - 1]
-        _add_factor_map(terms, v.terms, i - 1, lambda sid: factor.expansion(sid, m), u)
+        sp._add_mode(terms, v.terms, i - 1, m, u)
     return TensorVector(v.weights, terms)
 
 
@@ -493,12 +464,7 @@ def verify_commutator_sweep(code: BinaryCode, weights: HVector,
     words = [(w.to_string(), w.signs()) for w in code.words()]
     failures: dict[tuple[str, str, int, int, int], None] = {}
     instances = 0
-
-    def act(terms: dict, vec: dict, pos: int, mode: int, scale=1) -> dict:
-        """terms += scale * L^(pos)(mode) vec, returning terms."""
-        factor = sp.factors[pos]
-        return _add_factor_map(terms, vec, pos, lambda sid: factor.expansion(sid, mode), scale)
-
+    act = sp._add_mode
     modes = range(-mode_bound, mode_bound + 1)
     for m, n in itertools.product(modes, repeat=2):
         linear, central = bracket(m, n)

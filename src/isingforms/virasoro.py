@@ -36,6 +36,53 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+class _Combination:
+    """A finite rational combination of basis keys of one module: the module
+    (params or weights, as the subclass names it) and the terms dict. Only
+    _key_level, the rule that reads a key's level, differs by subclass; a sum
+    across modules or across the two subclasses raises ValueError."""
+
+    __slots__ = ("_module", "terms")
+
+    def __init__(self, module, terms: dict | None = None):
+        terms = terms or {}
+        if any(isinstance(c, float) for c in terms.values()):
+            raise TypeError("floats are not accepted; pass Fraction or int coefficients")
+        self._module = module
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def level(self) -> int | None:
+        """Common level of all terms; None for the zero vector."""
+        levels = set(map(self._key_level(), self.terms))
+        if not levels:
+            return None
+        if len(levels) > 1:
+            raise ValueError("vector is not homogeneous")
+        return levels.pop()
+
+    def __add__(self, other: _Combination) -> _Combination:
+        if type(other) is not type(self) or self._module != other._module:
+            raise ValueError("mixed modules")
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, Fraction(0)) + c
+        return type(self)(self._module, terms)
+
+    def __sub__(self, other: _Combination) -> _Combination:
+        return self + (-1) * other
+
+    def __rmul__(self, scalar) -> _Combination:
+        s = _as_fraction(scalar)
+        return type(self)(self._module, {k: s * c for k, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self)
+                and self._module == other._module and self.terms == other.terms)
+
+
 class CentralParams(namedtuple("CentralParams", "ell h")):
     """Central charge ell and highest weight h of a Verma module, as Fractions."""
 
@@ -79,17 +126,11 @@ def partitions(level: int) -> list[Monomial]:
     return out
 
 
-class VermaVector:
+class VermaVector(_Combination):
     """A finite rational combination of PBW monomials in one Verma module."""
 
-    __slots__ = ("params", "terms")
-
-    def __init__(self, params: CentralParams, terms: dict[Monomial, Fraction] | None = None):
-        terms = terms or {}
-        if any(isinstance(c, float) for c in terms.values()):
-            raise TypeError("floats are not accepted; pass Fraction or int coefficients")
-        self.params = params
-        self.terms = {m: c for m, c in terms.items() if c}
+    __slots__ = ()
+    params = property(lambda self: self._module)
 
     @classmethod
     def lowest(cls, params: CentralParams) -> "VermaVector":
@@ -105,36 +146,8 @@ class VermaVector:
     def coefficient(self, modes: Monomial) -> Fraction:
         return self.terms.get(tuple(modes), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def level(self) -> int | None:
-        """Common level of all terms; None for the zero vector."""
-        levels = {sum(m) for m in self.terms}
-        if not levels:
-            return None
-        if len(levels) > 1:
-            raise ValueError("vector is not homogeneous")
-        return levels.pop()
-
-    def __add__(self, other: "VermaVector") -> "VermaVector":
-        if self.params != other.params:
-            raise ValueError("mixed module parameters")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return VermaVector(self.params, terms)
-
-    def __sub__(self, other: "VermaVector") -> "VermaVector":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "VermaVector":
-        s = _as_fraction(scalar)
-        return VermaVector(self.params, {m: s * c for m, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, VermaVector)
-                and self.params == other.params and self.terms == other.terms)
+    def _key_level(self):
+        return sum
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from isingforms import cli, virasoro
 from isingforms.intmat import frac_det
+from isingforms.tensor import HVector, TensorVector
 from isingforms.virasoro import (
     CentralParams,
     VermaVector,
@@ -539,6 +540,14 @@ class TestVermaVectorAlgebra:
         b = VermaVector.lowest(ising_params(F(1, 2)))
         with pytest.raises(ValueError):
             _ = a + b
+        t = TensorVector.lowest(HVector.vacuum(2))
+        with pytest.raises(ValueError):
+            _ = a + t
+        with pytest.raises(ValueError):
+            _ = t + a
+        with pytest.raises(ValueError):
+            _ = t + TensorVector.lowest(HVector.vacuum(3))
+        assert a != t and t != a
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):
