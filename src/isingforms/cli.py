@@ -59,30 +59,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _flatten(value, prefix=""):
-    if isinstance(value, dict):
-        for k, v in value.items():
-            yield from _flatten(v, f"{prefix}{k}.")
-        return
-    if isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            yield from _flatten(v, f"{prefix}{i}.")
-        return
-    key = prefix[:-1] if prefix.endswith(".") else prefix
-    if isinstance(value, Fraction):
-        value = str(value)
-    elif value is None:
-        value = "-"
-    elif isinstance(value, bool):
-        value = "true" if value else "false"
-    yield key, str(value)
+def _flatten(value, prefix="", out=None) -> list[tuple[str, str]]:
+    """The (dotted key, text) rows of a dict or list report, appended to out
+    in order."""
+    if out is None:
+        out = []
+    for k, v in value.items() if isinstance(value, dict) else enumerate(value):
+        key = f"{prefix}{k}"
+        if isinstance(v, (dict, list, tuple)):
+            _flatten(v, key + ".", out)
+        elif v is None:
+            out.append((key, "-"))
+        elif isinstance(v, bool):
+            out.append((key, "true" if v else "false"))
+        else:
+            out.append((key, str(v)))
+    return out
 
 
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2,
                           default=lambda x: {"n": x.numerator, "d": x.denominator}) + "\n"
-    rows = list(_flatten(report))
+    rows = _flatten(report)
     if fmt == "tsv":
         return "".join(f"{k}\t{v}\n" for k, v in rows)
     width = max((len(k) for k, _ in rows), default=0)
@@ -253,6 +252,7 @@ def _cmd_dual(args) -> tuple[dict, bool]:
     if not entry.ambient_dim:
         raise RequestError(f"level {args.level} of {weights} has no states")
     rep = graded_dual(entry)
+    zero = Fraction(0)
     out = {
         "code": args.code,
         "weights": str(weights),
@@ -265,7 +265,8 @@ def _cmd_dual(args) -> tuple[dict, bool]:
         "dual_contains_lattice": rep.contains_lattice,
         "self_dual": rep.self_dual,
         "dual_basis": [
-            [Fraction(c, rep.dual.denominator) for c in row] for row in rep.dual.basis
+            [Fraction(c, rep.dual.denominator) if c else zero for c in row]
+            for row in rep.dual.basis
         ],
     }
     if args.compare:

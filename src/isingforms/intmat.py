@@ -28,7 +28,7 @@ so repeated runs on equal input produce identical output.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
@@ -251,6 +251,12 @@ def hnf(rows):
     return [[pivot_rows[c].get(j, 0) for j in range(width)] for c in cols]
 
 
+def sparse_rows(rows) -> list[dict[int, int]]:
+    """Integer rows as {column: entry} dicts of their nonzeros, columns
+    increasing, so a nonzero row's first key is its leading column."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 def hermite_cofactors(rows):
     """(delta, C) for a square full-rank Hermite basis H: delta = det H and
     C = delta * H^-T, the cofactor matrix, as integer rows.
@@ -258,35 +264,46 @@ def hermite_cofactors(rows):
     H is upper triangular with its pivots on the diagonal, so delta is their
     product and H^-1 is upper triangular too. Row j of C is column j of
     adj H, found by back-substitution on H x = delta e_j from x_j = delta /
-    H_jj upwards; every division is exact, since each quotient is an entry
-    of adj H.
+    H_jj upwards, each step over the nonzeros of row i up to column j; every
+    division is exact, since each quotient is an entry of adj H.
     """
     n = len(rows)
     delta = prod(rows[i][i] for i in range(n))
+    sparse = [(list(row), list(row.values())) for row in sparse_rows(rows)]
     out = []
     for j in range(n):
         x = [0] * n
         x[j] = delta // rows[j][j]
         for i in range(j - 1, -1, -1):
-            row = rows[i]
-            x[i] = -sum(map(mul, row[i + 1:j + 1], x[i + 1:j + 1])) // row[i]
+            cols, vals = sparse[i]
+            k = bisect_right(cols, j)  # x is 0 right of j, and x[i] is still 0
+            x[i] = -sum(map(mul, vals[:k], map(x.__getitem__, cols[:k]))) // rows[i][i]
         out.append(x)
     return delta, out
 
 
 def hnf_solve(hrows, vector):
-    """Integer coefficients over the HNF rows, or None if not in the lattice."""
-    v = list(map(int, vector))
+    """Integer coefficients over the HNF rows, or None if not in the lattice.
+
+    Rows and vector are dense integer sequences or sparse_rows dicts. Each
+    row's pivot divides the vector's entry in its leading column exactly, or
+    the vector is outside; the quotient clears that entry, and the rest of
+    the row updates the vector on the row's nonzeros only.
+    """
+    if hrows and not isinstance(hrows[0], dict):
+        hrows = sparse_rows(hrows)
+    v = dict(vector) if isinstance(vector, dict) else dict(enumerate(map(int, vector)))
     coeffs = []
     for row in hrows:
-        c = next(i for i, x in enumerate(row) if x)
-        q, rem = divmod(v[c], row[c])
-        if rem != 0:
+        c, a = next(iter(row.items()))
+        q, rem = divmod(v.pop(c, 0), a)
+        if rem:
             return None
         if q:
-            v = [a - q * b for a, b in zip(v, row)]
+            _axpy(v, row, q)
+            del v[c]  # _axpy left -q * a here; q * a was the popped entry
         coeffs.append(q)
-    if any(v):
+    if any(v.values()):
         return None
     return coeffs
 

@@ -56,7 +56,7 @@ from .codes import (
     goodform_conditions,
     sign_basis,
 )
-from .intmat import hermite_cofactors, hnf, hnf_solve
+from .intmat import hermite_cofactors, hnf, hnf_solve, sparse_rows
 from .tensor import (
     HVector,
     TensorVector,
@@ -269,12 +269,12 @@ def contains(entry: LevelLattice, v: TensorVector) -> bool:
 
 
 def _common_rows(a: LevelLattice, b: LevelLattice):
-    """Both Hermite bases as integer rows over the lcm of their denominators."""
+    """Both Hermite bases as sparse integer rows over the lcm of their denominators."""
     if a.weights != b.weights or a.level != b.level:
         raise ValueError("lattices in different ambient spaces")
     den = lcm(a.denominator, b.denominator)
-    return ([[den // a.denominator * c for c in row] for row in a.basis],
-            [[den // b.denominator * c for c in row] for row in b.basis])
+    return tuple([{j: den // x.denominator * c for j, c in row.items()}
+                  for row in sparse_rows(x.basis)] for x in (a, b))
 
 
 class CompareReport(namedtuple("CompareReport", "a_in_b b_in_a equal index")):
@@ -282,8 +282,8 @@ class CompareReport(namedtuple("CompareReport", "a_in_b b_in_a equal index")):
 
 
 def _pivot_product(rows) -> int:
-    """Covolume of echelon integer rows, measured on their pivot columns."""
-    return prod(next(c for c in row if c) for row in rows)
+    """Covolume of echelon sparse integer rows, measured on their pivot columns."""
+    return prod(next(iter(row.values())) for row in rows)
 
 
 def compare(a: LevelLattice, b: LevelLattice) -> CompareReport:
@@ -304,9 +304,11 @@ def compare(a: LevelLattice, b: LevelLattice) -> CompareReport:
 
 
 def _scaled_gram(weights: HVector, level: int, rows) -> tuple[int, list[list[int]]]:
-    """(S, rows . S P rows^T) for integer coordinate rows, S from form_map."""
+    """(S, rows . S P rows^T) for integer coordinate rows, S from form_map;
+    each product runs over the nonzeros of the row on the left."""
     s, images = form_map(weights, level, rows)
-    return s, [[sum(map(mul, row, y)) for y in images] for row in rows]
+    return s, [[sum(map(mul, r.values(), map(y.__getitem__, r))) for y in images]
+               for r in sparse_rows(rows)]
 
 
 def gram_matrix(weights: HVector, level: int, rows) -> list[list[Fraction]]:
@@ -354,11 +356,12 @@ def graded_dual(entry: LevelLattice) -> DualReport:
     dual = _from_rows(weights, entry.code, level, dual_rows, Fraction(den, delta * t))
     q = s * den * den
     integral = all(g % q == 0 for row in gram for g in row)
-    index = Fraction(_pivot_product(entry.basis) * dual.denominator ** n,
-                     _pivot_product(dual.basis) * den ** n)
+    index = Fraction(delta * dual.denominator ** n,
+                     _pivot_product(sparse_rows(dual.basis)) * den ** n)
+    zero = Fraction(0)
     return DualReport(
         lattice=entry,
-        gram=tuple(tuple(Fraction(g, q) for g in row) for row in gram),
+        gram=tuple(tuple(Fraction(g, q) if g else zero for g in row) for row in gram),
         dual=dual,
         index=index,
         contains_lattice=integral,

@@ -217,10 +217,30 @@ class TensorSpace:
     def key_level(self, key: tuple[int, ...]) -> int:
         return sum(_sid_level(s) for s in key)
 
+    @cache
+    def table(self, level: int, pos: int, op) -> tuple[int, list]:
+        """(s, rows) for factor pos's integer map on the keys at one level:
+        op "form" or "inverse" for the pivot Grams or their inverses
+        (_Factor.form_rows), an int m for L(m) (_Factor.mode_rows), whose
+        images sit at level - m. rows[i] is key i's image as (key index, int)
+        pairs, and s the map's scale."""
+        factor, form = self.factors[pos], isinstance(op, str)
+        s, fmap = factor.form_rows(level, op == "inverse") if form else factor.mode_rows(level, op)
+        index = self.index(level if form else level - op)
+        return s, [[(index[key[:pos] + (sid,) + key[pos + 1:]], c) for sid, c in fmap[key[pos]]]
+                   for key in self.keys(level)]
+
     def _add_mode(self, terms: dict, vec: dict, pos: int, m: int, scale=1) -> dict:
-        """terms += scale * L(m) on factor pos (0-based) applied to vec; returns terms."""
-        factor = self.factors[pos]
-        return _add_factor_map(terms, vec, pos, lambda sid: factor.expansion(sid, m), scale)
+        """terms += scale * L(m) on factor pos (0-based) applied to vec, both
+        keyed by key tuples; returns terms."""
+        expansion = self.factors[pos].expansion
+        for key, c in vec.items():
+            sc = scale * c
+            head, tail = key[:pos], key[pos + 1:]
+            for sid, x in expansion(key[pos], m):
+                nk = head + (sid,) + tail
+                terms[nk] = terms.get(nk, 0) + sc * x
+        return terms
 
     def factor_levels(self, level: int) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Each key at one level, with the level of each of its factor states."""
@@ -260,45 +280,40 @@ class TensorVector(_Combination):
         return f"TensorVector({self.weights}, {len(self.terms)} terms)"
 
 
-def _add_factor_map(terms: dict, vec: dict, pos: int, fmap, scale) -> dict:
-    """terms += scale * (fmap on factor pos, identity elsewhere) applied to vec,
-    fmap sending a factor state sid to its image as (sid, coefficient) pairs;
-    returns terms."""
-    for key, c in vec.items():
-        sc = scale * c
-        head, tail = key[:pos], key[pos + 1:]
-        for sid2, c2 in fmap(key[pos]):
-            nk = head + (sid2,) + tail
-            terms[nk] = terms.get(nk, 0) + sc * c2
-    return terms
+def _apply(table: list, vec: dict, scale: int = 1) -> dict:
+    """scale times a table's map on a {key index: int} vector."""
+    out: dict[int, int] = {}
+    for i, c in vec.items():
+        c *= scale
+        for j, x in table[i]:
+            out[j] = out.get(j, 0) + c * x
+    return out
 
 
 def lowered_rows(weights: HVector, n: int, items) -> tuple[int, list[list[list[int]]]]:
     """(big, images): per item (m, den, row, signs), big L_T(-m) (row / den)
     at level n for the sign vector of each T in signs, as integer rows: big is
     the lcm of every den * s_i, s_i L^(i)(-m) factor i's integer map
-    (_Factor.mode_rows). Each factor image is formed once per item.
+    (TensorSpace.table). Each factor image is formed once per item, on
+    the row's nonzeros only.
 
     m may be negative, a raising mode: row then sits above level n. A sign
     row may be any integer vector u, giving sum_i u_i L^(i)(-m) in place of
     L_T(-m); its zero entries add nothing and are skipped."""
     sp = space(weights)
-    index = sp.index(n)
-    maps = {m: [f.mode_rows(n - m, -m) for f in sp.factors] for m, *_ in items}
-    big = lcm(*{s * den for m, den, *_ in items for s, _ in maps[m]})
+    width = sp.dimension(n)
+    tables = {m: [sp.table(n - m, pos, -m) for pos in range(sp.n)] for m, *_ in items}
+    big = lcm(*{s * den for m, den, *_ in items for s, _ in tables[m]})
     out = []
     for m, den, row, signs in items:
-        keys, unit = sp.keys(n - m), big // den
-        vec = {keys[j]: c for j, c in enumerate(row) if c}
-        images = []
-        for pos, (s, fmap) in enumerate(maps[m]):
-            image = _add_factor_map({}, vec, pos, fmap.__getitem__, unit // s)
-            images.append([(index[k], c) for k, c in image.items()])
-        out.append([[0] * len(index) for _ in signs])
+        unit = big // den
+        vec = {j: c for j, c in enumerate(row) if c}
+        images = [_apply(table, vec, unit // s) for s, table in tables[m]]
+        out.append([[0] * width for _ in signs])
         for t, total in zip(signs, out[-1]):
             for sign, image in zip(t, images):
                 if sign:
-                    for j, c in image:
+                    for j, c in image.items():
                         total[j] += sign * c
     return big, out
 
@@ -336,18 +351,21 @@ def form_map(weights: HVector, level: int, rows,
     factors' pivot Grams at those levels, so P is the composition over the
     positions of the factor Gram maps, and P^-1 that of the factor inverse
     maps. Each factor map is scaled to integers by its own lcm, and S (T) is
-    the product of those lcms, so the images are integer rows.
+    the product of those lcms, so the images are integer rows. Rows go in
+    and come out dense; in between each is a {key index: int} dict on its
+    nonzeros, walked through the cached factor tables (TensorSpace.table).
+    A row of the wrong length raises ValueError.
     """
     sp = space(weights)
-    keys = sp.keys(level)
-    maps = [f.form_rows(level, inverse) for f in sp.factors]
+    width = sp.dimension(level)
+    tables = [sp.table(level, pos, "inverse" if inverse else "form") for pos in range(sp.n)]
     out = []
     for row in rows:
-        terms = {k: c for k, c in zip(keys, row, strict=True) if c}
-        for pos, (_, fmap) in enumerate(maps):
-            terms = _add_factor_map({}, terms, pos, fmap.__getitem__, 1)
-        out.append([terms.get(k, 0) for k in keys])
-    return prod(s for s, _ in maps), out
+        terms = {j: c for j, c in zip(range(width), row, strict=True) if c}
+        for _, table in tables:
+            terms = _apply(table, terms)
+        out.append(list(map(terms.get, range(width), itertools.repeat(0))))
+    return prod(s for s, _ in tables), out
 
 
 def form_nondegenerate(weights: HVector, level: int) -> bool:

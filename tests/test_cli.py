@@ -189,6 +189,13 @@ class TestGoldenReports:
         (["dual", "--power", "8", "--code", "hamming8", "--H", "0,0,0,0,0,0,0,0",
           "--level", "5", "--compare", "--format", "json"], 0,
          "5f47d12d63cfb00809bfa49d70d63257bf79652f0e04a7b37eab926094b01b8a"),
+        # The tsv renderer, and the deepest dual: 2,731,728 bytes.
+        (["dual", "--power", "8", "--code", "hamming8", "--H", "0,0,0,0,0,0,0,0",
+          "--level", "4", "--compare", "--format", "tsv"], 0,
+         "58661016609638b7e71a340447696561b18cc5ec8dda8107b96ee78721af2e8e"),
+        (["dual", "--power", "8", "--code", "hamming8", "--H", "0,0,0,0,0,0,0,0",
+          "--level", "6", "--compare"], 0,
+         "94d81a23e2fe79c9b66ce83c590b91c2a5bbe57773821e82363614f97b5dae14"),
         # The only digest that reads the h = 1/16 pivot Grams and their inverses.
         (["dual", "--power", "16", "--code", "c16", "--H", ",".join(["1/16"] * 16),
           "--level", "2", "--compare"], 0,
@@ -213,6 +220,7 @@ class TestGoldenReports:
             "form-generated-power-8", "form-generated-power-4-level-8",
             "form-generated-power-8-level-8",
             "dual-hamming8-vacuum-4", "dual-hamming8-vacuum-5-json",
+            "dual-hamming8-vacuum-4-tsv", "dual-hamming8-vacuum-6",
             "dual-c16-sixteenth-2", "corr-even4-vacuum-8", "corr-hamming8-half-pair-4",
             "corr-hamming8-half-pair-5", "corr-even4-all-half-5"])
     def test_stdout_digest(self, capsys, argv, exit_code, digest):

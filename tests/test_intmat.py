@@ -19,6 +19,8 @@ from isingforms.intmat import (
     frac_solve,
     hermite_cofactors,
     hnf,
+    hnf_solve,
+    sparse_rows,
 )
 from isingforms.tensor import HVector
 
@@ -335,3 +337,72 @@ class TestHermiteCofactors:
         assert delta == det_bareiss(rows)
         inverse_transpose = [list(col) for col in zip(*frac_inverse(rows))]
         assert [[Fraction(c, delta) for c in row] for row in cofactors] == inverse_transpose
+
+
+def lattice_coefficients(hrows, vector):
+    """The coefficients of vector over independent rows by the rational
+    solve, or None when it is outside their Z-span: outside their Q-span, or
+    with a coefficient that is not an integer."""
+    coeffs = RowSpanSolver(hrows).solve(vector)
+    if coeffs is None or any(c.denominator != 1 for c in coeffs):
+        return None
+    return [int(c) for c in coeffs]
+
+
+@st.composite
+def membership_cases(draw):
+    """A Hermite basis of any rank (of doubled rows half the time) and vectors
+    around its lattice: the zero vector, an integer combination of its rows,
+    one of the last rows only (leading zeros), each undoubled row (half a
+    lattice row when doubled), and random vectors with leading zeros."""
+    rows = draw(integer_matrices())
+    width = len(rows[0]) if rows else 3
+    doubled = draw(st.booleans())
+    h = hnf([[2 * x for x in row] for row in rows] if doubled else rows)
+    plain = hnf(rows)
+    ints = st.integers(min_value=-3, max_value=3)
+    coeffs = draw(st.lists(ints, min_size=len(h), max_size=len(h)))
+    vectors = [[0] * width, [sum(c * row[j] for c, row in zip(coeffs, h)) for j in range(width)]]
+    if h:
+        tail = draw(st.integers(min_value=0, max_value=len(h) - 1))
+        vectors.append([sum(c * row[j] for c, row in zip(coeffs[tail:], h[tail:]))
+                        for j in range(width)])
+    vectors += plain
+    for _ in range(2):
+        lead = draw(st.integers(min_value=0, max_value=width))
+        vectors.append([0] * lead + draw(st.lists(ints, min_size=width - lead,
+                                                  max_size=width - lead)))
+    return h, vectors
+
+
+class TestHnfSolve:
+    """Membership in a Hermite lattice against the rational solve."""
+
+    @given(membership_cases())
+    @example(([[2, 0], [0, 1]], [[1, 0], [0, 0], [2, 3]]))
+    @example(([[2, 1, 0], [0, 0, 3]], [[1, 0, 0], [0, 0, 0], [0, 0, 3], [4, 2, 6], [0, 1, 0]]))
+    @example(([[4, 2, 6]], [[2, 1, 3], [0, 0, 0], [8, 4, 12]]))
+    @example(([], [[0, 0], [0, 1]]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_rational_solve(self, case):
+        h, vectors = case
+        for v in vectors:
+            want = lattice_coefficients(h, v)
+            assert hnf_solve(h, v) == want
+            assert hnf_solve(sparse_rows(h), {j: x for j, x in enumerate(v) if x}) == want
+
+    @given(hermite_bases().flatmap(lambda rows: st.tuples(st.just(rows), st.lists(
+        st.integers(min_value=-20, max_value=20), min_size=len(rows), max_size=len(rows)))))
+    @example(([[2, 0], [0, 4]], [1, 2]))
+    @example(([[4, 2, 0], [0, 6, 4], [0, 0, 2]], [4, 8, 6]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_square_solve(self, case):
+        """On square full-rank bases, frac_solve on the transpose gives the
+        coefficients, and half of a row with even entries is outside."""
+        rows, v = case
+        coeffs = frac_solve([list(col) for col in zip(*rows)], v) if rows else []
+        want = [int(c) for c in coeffs] if all(c.denominator == 1 for c in coeffs) else None
+        assert hnf_solve(rows, v) == want
+        for row in rows:
+            if all(x % 2 == 0 for x in row):
+                assert hnf_solve(rows, [x // 2 for x in row]) is None

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingforms import intertwining, lattices, tensor
@@ -51,7 +51,7 @@ from isingforms.tensor import (
     space,
 )
 from isingforms.virasoro import scaling_admissible
-from test_intmat import sweep_hnf
+from test_intmat import lattice_coefficients, sweep_hnf
 
 H4_VAC = HVector.vacuum(4)
 H4_HALF = HVector.parse("1/2,1/2,0,0")
@@ -624,6 +624,112 @@ class TestCompare:
         report = compare(a, b)
         assert report.index == expected
         assert report.a_in_b if a is small else report.b_in_a
+
+
+def in_span(rows, over) -> tuple[bool, list]:
+    """Whether every rational row is an integer combination of the
+    independent rows over, by the rational solve, with the coefficients."""
+    coeffs = [lattice_coefficients(over, row) for row in rows]
+    return None not in coeffs, coeffs
+
+
+def rational_rows(entry):
+    return [[Fraction(c, entry.denominator) for c in row] for row in entry.basis]
+
+
+@st.composite
+def drawn_lattices(draw, min_rows=0, level=None):
+    """A lattice at H4_VAC level 2 (4 coordinates) or 4 (14), spanned by up
+    to four random rows over random denominators."""
+    if level is None:
+        level = draw(st.sampled_from([2, 4]))
+    width = space(H4_VAC).dimension(level)
+    rows = draw(st.lists(st.lists(st.integers(min_value=-4, max_value=4), min_size=width,
+                                  max_size=width), min_size=min_rows, max_size=4))
+    den = st.integers(min_value=1, max_value=4)
+    return from_fraction_rows(H4_VAC, None, level,
+                              [[Fraction(c, draw(den)) for c in row] for row in rows])
+
+
+@st.composite
+def lattice_pairs(draw):
+    """A drawn lattice and another equal to it (a unimodular mix of its
+    basis), inside it (an integer mix, possibly of lower rank), around it
+    (its basis and more rows) or drawn on its own; in either order."""
+    first = draw(drawn_lattices())
+    basis, r, width = rational_rows(first), first.rank, first.ambient_dim
+    ints = st.integers(min_value=-4, max_value=4)
+    kind = draw(st.sampled_from(["equal", "inside", "around", "apart"]))
+    if kind == "equal":
+        mixed = [list(row) for row in basis]
+        for _ in range(draw(st.integers(min_value=0, max_value=4)) if r > 1 else 0):
+            i, j = draw(st.permutations(range(r)))[:2]
+            k = draw(ints)
+            mixed[i] = [a + k * b for a, b in zip(mixed[i], mixed[j])]
+    elif kind == "inside":
+        mix = draw(st.lists(st.lists(ints, min_size=r, max_size=r), max_size=r))
+        mixed = [[sum((m * row[j] for m, row in zip(coeffs, basis)), Fraction(0))
+                  for j in range(width)] for coeffs in mix]
+    else:
+        extra = rational_rows(draw(drawn_lattices(level=first.level)))
+        mixed = basis + extra if kind == "around" else extra
+    second = from_fraction_rows(H4_VAC, None, first.level, mixed)
+    return (first, second) if draw(st.booleans()) else (second, first)
+
+
+@st.composite
+def membership_vectors(draw):
+    """A drawn lattice and vectors around it: the zero vector, an integer
+    combination of its basis, half of each basis row and random rational
+    vectors, some with leading zeros."""
+    entry = draw(drawn_lattices(min_rows=1))
+    basis, width = rational_rows(entry), entry.ambient_dim
+    ints = st.integers(min_value=-4, max_value=4)
+    coeffs = draw(st.lists(ints, min_size=entry.rank, max_size=entry.rank))
+    vectors = [[Fraction(0)] * width,
+               [sum((c * row[j] for c, row in zip(coeffs, basis)), Fraction(0))
+                for j in range(width)]]
+    vectors += [[x / 2 for x in row] for row in basis]
+    for _ in range(2):
+        lead = draw(st.integers(min_value=0, max_value=width))
+        tail = draw(st.lists(ints, min_size=width - lead, max_size=width - lead))
+        vectors.append([Fraction(0)] * lead + [Fraction(c, draw(st.sampled_from(
+            [1, 2, entry.denominator]))) for c in tail])
+    return entry, vectors
+
+
+# 2 Z^4 at H4_VAC level 2, and Z^4: each unit vector is half a row of the first.
+DOUBLED = from_fraction_rows(H4_VAC, None, 2, [[2 * int(i == j) for j in range(4)]
+                                               for i in range(4)])
+UNIT = from_fraction_rows(H4_VAC, None, 2, [[int(i == j) for j in range(4)] for i in range(4)])
+
+
+class TestMembership:
+    """compare and contains against the rational solve."""
+
+    @given(lattice_pairs())
+    @example((UNIT, DOUBLED))
+    @example((DOUBLED, UNIT))
+    @settings(max_examples=200, deadline=None)
+    def test_compare_matches_the_rational_solve(self, pair):
+        a, b = pair
+        ra, rb = rational_rows(a), rational_rows(b)
+        a_in_b, ta = in_span(ra, rb)
+        b_in_a, tb = in_span(rb, ra)
+        index = None
+        if (a_in_b or b_in_a) and a.rank == b.rank:
+            index = int(abs(frac_det(ta if a_in_b else tb)))
+        assert compare(a, b) == (a_in_b, b_in_a, a_in_b and b_in_a, index)
+
+    @given(membership_vectors())
+    @example((DOUBLED, [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]))
+    @settings(max_examples=150, deadline=None)
+    def test_contains_matches_the_rational_solve(self, case):
+        entry, vectors = case
+        keys = space(H4_VAC).keys(entry.level)
+        for coords in vectors:
+            v = TensorVector(H4_VAC, dict(zip(keys, coords)))
+            assert contains(entry, v) == in_span([coords], rational_rows(entry))[0]
 
 
 class TestSaturation:

@@ -1,7 +1,8 @@
 """Tensor power states, signed diagonal modes, and the commutator sweep."""
 
+import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -412,6 +413,7 @@ class TestSweep:
 
         def clear():
             tensor._Factor.mode_rows.cache_clear()
+            tensor.TensorSpace.table.cache_clear()
             lattices._level.cache_clear()
 
         monkeypatch.setattr(tensor._Factor, "expansion", faulty)
@@ -475,6 +477,97 @@ class TestModeRows:
                     coeffs += [c for _, c in want]
                 for p in prime_factors(s):
                     assert any((s // p * c).denominator != 1 for c in coeffs)
+
+
+def tuple_walk(terms: dict, vec: dict, pos: int, fmap, scale) -> dict:
+    """terms += scale * (fmap on factor pos, identity elsewhere) applied to
+    vec, on key tuples: fmap sends a factor state sid to (sid, coefficient)
+    pairs. The factor-map step as it ran before the tables, kept as their
+    reference."""
+    for key, c in vec.items():
+        sc = scale * c
+        head, tail = key[:pos], key[pos + 1:]
+        for sid2, c2 in fmap(key[pos]):
+            nk = head + (sid2,) + tail
+            terms[nk] = terms.get(nk, 0) + sc * c2
+    return terms
+
+
+def walked_form_map(weights, level, rows, inverse=False):
+    """tensor.form_map by the tuple walk over each factor's form_rows."""
+    sp = space(weights)
+    keys = sp.keys(level)
+    maps = [f.form_rows(level, inverse) for f in sp.factors]
+    out = []
+    for row in rows:
+        terms = {k: c for k, c in zip(keys, row, strict=True) if c}
+        for pos, (_, fmap) in enumerate(maps):
+            terms = tuple_walk({}, terms, pos, fmap.__getitem__, 1)
+        out.append([terms.get(k, 0) for k in keys])
+    return prod(s for s, _ in maps), out
+
+
+def walked_lowered_rows(weights, n, items):
+    """tensor.lowered_rows by the tuple walk over each factor's mode_rows."""
+    sp = space(weights)
+    index = sp.index(n)
+    maps = {m: [f.mode_rows(n - m, -m) for f in sp.factors] for m, *_ in items}
+    big = lcm(*{s * den for m, den, *_ in items for s, _ in maps[m]})
+    out = []
+    for m, den, row, signs in items:
+        keys, unit = sp.keys(n - m), big // den
+        vec = {keys[j]: c for j, c in enumerate(row) if c}
+        images = [tuple_walk({}, vec, pos, fmap.__getitem__, unit // s)
+                  for pos, (s, fmap) in enumerate(maps[m])]
+        totals = [[0] * len(index) for _ in signs]
+        for t, total in zip(signs, totals):
+            for sign, image in zip(t, images):
+                for k, c in image.items():
+                    total[index[k]] += sign * c
+        out.append(totals)
+    return big, out
+
+
+TABLE_WEIGHTS = [H4_VAC, H4_HALF, HVector.sixteenth(4), HVector.vacuum(8)]
+
+
+class TestFactorTables:
+    """form_map and lowered_rows on the cached factor tables against the
+    tuple walk, on random integer rows at levels 0-4."""
+
+    @staticmethod
+    def random_rows(rng, width, count):
+        return [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(width)]
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("weights", TABLE_WEIGHTS, ids=str)
+    def test_form_map_matches_the_tuple_walk(self, weights):
+        rng = random.Random(27)
+        for level in range(5):
+            rows = self.random_rows(rng, space(weights).dimension(level), 3)
+            for inverse in (False, True):
+                assert (tensor.form_map(weights, level, rows, inverse)
+                        == walked_form_map(weights, level, rows, inverse))
+
+    @pytest.mark.parametrize("weights", TABLE_WEIGHTS, ids=str)
+    def test_lowered_rows_match_the_tuple_walk(self, weights):
+        """Modes from -2 (raising, the row above level n) up to n, and sign
+        rows with zero entries."""
+        rng = random.Random(28)
+        n_factors = weights.n
+        signs = [[1] * n_factors, [-1, 0] * (n_factors // 2),
+                 [rng.randint(-2, 2) for _ in range(n_factors)]]
+        for n in range(5):
+            items = [(m, rng.randint(1, 4),
+                      self.random_rows(rng, space(weights).dimension(n - m), 1)[0], signs)
+                     for m in range(-2, n + 1)]
+            assert tensor.lowered_rows(weights, n, items) == walked_lowered_rows(weights, n, items)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_form_map_rejects_a_row_of_the_wrong_length(self, extra):
+        width = space(H4_HALF).dimension(3)
+        with pytest.raises(ValueError):
+            tensor.form_map(H4_HALF, 3, [[1] * (width + extra)])
 
 
 class TestWeightOne:
