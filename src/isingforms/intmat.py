@@ -285,14 +285,12 @@ def hermite_cofactors(rows):
 def hnf_solve(hrows, vector):
     """Integer coefficients over the HNF rows, or None if not in the lattice.
 
-    Rows and vector are dense integer sequences or sparse_rows dicts. Each
+    Rows are sparse_rows dicts and the vector a {column: int} dict. Each
     row's pivot divides the vector's entry in its leading column exactly, or
     the vector is outside; the quotient clears that entry, and the rest of
     the row updates the vector on the row's nonzeros only.
     """
-    if hrows and not isinstance(hrows[0], dict):
-        hrows = sparse_rows(hrows)
-    v = dict(vector) if isinstance(vector, dict) else dict(enumerate(map(int, vector)))
+    v = dict(vector)
     coeffs = []
     for row in hrows:
         c, a = next(iter(row.items()))

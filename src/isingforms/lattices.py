@@ -259,13 +259,11 @@ def contains(entry: LevelLattice, v: TensorVector) -> bool:
         raise ValueError(f"vector at level {v.level()}, lattice at level {entry.level}")
     if not entry.basis:
         return False
-    scaled = []
-    for c in v.coordinates(entry.level):
-        s = c * entry.denominator
-        if s.denominator != 1:
-            return False
-        scaled.append(int(s))
-    return hnf_solve(entry.basis, scaled) is not None
+    scaled = [c * entry.denominator for c in v.coordinates(entry.level)]
+    if any(s.denominator != 1 for s in scaled):
+        return False
+    vector = {j: int(s) for j, s in enumerate(scaled) if s}
+    return hnf_solve(sparse_rows(entry.basis), vector) is not None
 
 
 def _common_rows(a: LevelLattice, b: LevelLattice):
@@ -305,10 +303,13 @@ def compare(a: LevelLattice, b: LevelLattice) -> CompareReport:
 
 def _scaled_gram(weights: HVector, level: int, rows) -> tuple[int, list[list[int]]]:
     """(S, rows . S P rows^T) for integer coordinate rows, S from form_map;
-    each product runs over the nonzeros of the row on the left."""
+    each product runs over the nonzeros of the row on the left. S P is
+    symmetric, so only the entries on and right of the diagonal are formed,
+    and the rest mirrored."""
     s, images = form_map(weights, level, rows)
-    return s, [[sum(map(mul, r.values(), map(y.__getitem__, r))) for y in images]
-               for r in sparse_rows(rows)]
+    upper = [[sum(map(mul, r.values(), map(y.__getitem__, r))) for y in images[i:]]
+             for i, r in enumerate(sparse_rows(rows))]
+    return s, [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(len(upper))]
 
 
 def gram_matrix(weights: HVector, level: int, rows) -> list[list[Fraction]]:

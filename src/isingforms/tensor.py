@@ -142,28 +142,13 @@ class _Factor:
         return tuple((_sid(target, j), c) for j, c in enumerate(coords) if c)
 
     @cache
-    def form_rows(self, top: int, inverse: bool) -> tuple[int, dict]:
-        """(s, rows) for the pivot Grams, or their inverses, at levels <= top:
-        each sid's row of its level's matrix, scaled by _integer_rows."""
-        mats = [self.basis(l).inverse if inverse else self.basis(l).gram
-                for l in range(top + 1)]
-        return _integer_rows({_sid(l, i): [(_sid(l, j), x) for j, x in enumerate(row) if x]
-                              for l, mat in enumerate(mats) for i, row in enumerate(mat)})
-
-    @cache
-    def mode_rows(self, top: int, m: int) -> tuple[int, dict]:
-        """(s, rows) for L(m) on every sid at levels <= top: its expansion,
-        scaled by _integer_rows."""
-        return _integer_rows({_sid(l, i): self.expansion(_sid(l, i), m)
-                              for l in range(top + 1) for i in range(self.dim(l))})
-
-
-def _integer_rows(rows: dict) -> tuple[int, dict]:
-    """(s, s * rows) for a map from sids to (sid, rational) pairs: s is the
-    lcm of the denominators, and each image comes back as (sid, int) pairs."""
-    s = lcm(*(x.denominator for pairs in rows.values() for _, x in pairs))
-    return s, {sid: tuple((sid2, x.numerator * (s // x.denominator)) for sid2, x in pairs)
-               for sid, pairs in rows.items()}
+    def form_row(self, sid: int, inverse: bool) -> tuple[tuple[int, Fraction], ...]:
+        """sid's row of its level's pivot Gram, or of the inverse, as (sid,
+        entry) pairs."""
+        level, i = divmod(sid, _SID_STRIDE)
+        b = self.basis(level)
+        row = (b.inverse if inverse else b.gram)[i]
+        return tuple((_sid(level, j), x) for j, x in enumerate(row) if x)
 
 
 @cache
@@ -221,14 +206,20 @@ class TensorSpace:
     def table(self, level: int, pos: int, op) -> tuple[int, list]:
         """(s, rows) for factor pos's integer map on the keys at one level:
         op "form" or "inverse" for the pivot Grams or their inverses
-        (_Factor.form_rows), an int m for L(m) (_Factor.mode_rows), whose
-        images sit at level - m. rows[i] is key i's image as (key index, int)
-        pairs, and s the map's scale."""
-        factor, form = self.factors[pos], isinstance(op, str)
-        s, fmap = factor.form_rows(level, op == "inverse") if form else factor.mode_rows(level, op)
+        (_Factor.form_row), an int m for L(m) (_Factor.expansion), whose
+        images sit at level - m. s is the lcm of the denominators of the
+        images of the factor states these keys use, and rows[i] is key i's
+        image times s as (key index, int) pairs."""
+        factor, keys = self.factors[pos], self.keys(level)
+        form = isinstance(op, str)
+        images = {sid: factor.form_row(sid, op == "inverse") if form else factor.expansion(sid, op)
+                  for sid in dict.fromkeys(key[pos] for key in keys)}
+        s = lcm(*(x.denominator for pairs in images.values() for _, x in pairs))
+        scaled = {sid: [(t, x.numerator * (s // x.denominator)) for t, x in pairs]
+                  for sid, pairs in images.items()}
         index = self.index(level if form else level - op)
-        return s, [[(index[key[:pos] + (sid,) + key[pos + 1:]], c) for sid, c in fmap[key[pos]]]
-                   for key in self.keys(level)]
+        return s, [[(index[key[:pos] + (t,) + key[pos + 1:]], c) for t, c in scaled[key[pos]]]
+                   for key in keys]
 
     def _add_mode(self, terms: dict, vec: dict, pos: int, m: int, scale=1) -> dict:
         """terms += scale * L(m) on factor pos (0-based) applied to vec, both

@@ -179,6 +179,10 @@ class TestGoldenReports:
         (["form", "generated", "--gen", "2omega", "--power", "8", "--max-level", "4",
           "--mode-budget", "2", "--rounds", "3"], 1,
          "89e7f5994fbae0e8b695a1640df49143c4a8aa42b8ac36681efb82f581896796"),
+        # One factor: each key uses one factor level, so each table's scale
+        # clears the images of that level's states only.
+        (["form", "generated", "--gen", "2omega", "--power", "1", "--max-level", "6"], 0,
+         "72bac7159aa8df0ca1daf2c980f5028f4c9506f2026ed9bdf804e1c035be695b"),
         (["form", "generated", "--gen", "2omega", "--power", "4", "--max-level", "8"], 0,
          "fe386a55d8e76bc7aa7b378ca9ca54397e08b09dceae4b70d0f3b603d850cf68"),
         (["form", "generated", "--gen", "2omega", "--power", "8", "--max-level", "8"], 0,
@@ -217,7 +221,8 @@ class TestGoldenReports:
          "5e84d68c6d29b50d1f386df8ab5e873b1c258cbf11f7353572fa55b21eff8e09"),
     ], ids=["form-verify-hamming8-half-pair-5", "form-verify-hamming8-half-pair-6",
             "form-verify-even8-vacuum-6", "form-verify-c16-sixteenth-2",
-            "form-generated-power-8", "form-generated-power-4-level-8",
+            "form-generated-power-8", "form-generated-power-1-level-6",
+            "form-generated-power-4-level-8",
             "form-generated-power-8-level-8",
             "dual-hamming8-vacuum-4", "dual-hamming8-vacuum-5-json",
             "dual-hamming8-vacuum-4-tsv", "dual-hamming8-vacuum-6",

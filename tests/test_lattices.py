@@ -26,6 +26,7 @@ from isingforms.intmat import (
     frac_inverse,
     hnf,
     hnf_solve,
+    sparse_rows,
 )
 from isingforms.lattices import (
     _from_rows,
@@ -618,7 +619,7 @@ class TestCompare:
         common = lcm(small.denominator, big.denominator)
         scaled = [[common // small.denominator * c for c in row] for row in small.basis]
         over = [[common // big.denominator * c for c in row] for row in big.basis]
-        transition = [hnf_solve(over, row) for row in scaled]
+        transition = [hnf_solve(sparse_rows(over), row) for row in sparse_rows(scaled)]
         expected = abs(det_bareiss(transition)) if small.rank == r else None
         a, b = (small, big) if data.draw(st.booleans()) else (big, small)
         report = compare(a, b)
@@ -929,7 +930,7 @@ class TestHermiteProperties:
         vec = [0, 0, 0]
         for c, row in zip(coeffs, rows):
             vec = [a + c * b for a, b in zip(vec, row)]
-        sol = hnf_solve(h, vec)
+        sol = hnf_solve(sparse_rows(h), {j: x for j, x in enumerate(vec) if x})
         assert sol is not None
         rebuilt = [0, 0, 0]
         for c, row in zip(sol, h):

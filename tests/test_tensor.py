@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,7 +26,7 @@ from isingforms.tensor import (
     verify_commutator_sweep,
     weight1_count_e8,
 )
-from isingforms.virasoro import ISING_WEIGHTS
+from isingforms.virasoro import ISING_WEIGHTS, irreducible_basis
 
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
@@ -401,7 +401,7 @@ class TestSweep:
     @pytest.fixture
     def doubled_raising_mode(self, monkeypatch):
         """Double L(-1) on the lowest state of the 1/2 factor. The caches built
-        on expansion are emptied before and after, so no test sees a map
+        on expansion are emptied before and after, so no test sees a table
         built on the other side of the fault."""
         original = tensor._Factor.expansion
 
@@ -412,7 +412,6 @@ class TestSweep:
             return exp
 
         def clear():
-            tensor._Factor.mode_rows.cache_clear()
             tensor.TensorSpace.table.cache_clear()
             lattices._level.cache_clear()
 
@@ -453,30 +452,51 @@ class TestSweep:
         }
         assert {f[:4] for f in report.failures} == direct
 
-    def test_mode_rows_see_the_fault(self, doubled_raising_mode):
-        # the last fault test: TestModeRows below finds a map it leaves behind
-        s, rows = tensor._factor(HALF).mode_rows(2, -1)
-        assert rows[tensor._sid(0, 0)] == ((tensor._sid(1, 0), 2 * s),)
+    def test_tables_see_the_fault(self, doubled_raising_mode):
+        # the last fault test: TestTableScale below finds a table it leaves behind
+        sp = space(H4_HALF)
+        raised = sp.index(1)[(tensor._sid(1, 0),) + (tensor._sid(0, 0),) * 3]
+        assert sp.table(0, 0, -1) == (1, [[(raised, 2)]])
 
 
-class TestModeRows:
-    """Runs after TestSweep, whose fault fixture must not leave its maps behind."""
+def factor_image(factor, sid: int, op) -> list:
+    """A factor state's image as (sid, coefficient) pairs: its row of the
+    irreducible_basis Gram (op "form") or inverse (op "inverse") at its
+    level, or L(m) on it by expansion for an int op m."""
+    if not isinstance(op, str):
+        return list(factor.expansion(sid, op))
+    level, i = divmod(sid, tensor._SID_STRIDE)
+    b = irreducible_basis(factor.params, level)
+    row = (b.inverse if op == "inverse" else b.gram)[i]
+    return [(tensor._sid(level, j), x) for j, x in enumerate(row) if x]
+
+
+TABLE_OPS = ["form", "inverse", *range(-4, 5)]
+
+
+class TestTableScale:
+    """Runs after TestSweep, whose fault fixture must not leave its tables behind."""
 
     @pytest.mark.parametrize("h", ISING_WEIGHTS)
-    def test_mode_rows_are_the_least_integer_multiple_of_expansion(self, h):
-        factor = tensor._factor(h)
-        for top in range(7):
-            for m in range(-4, 5):
-                s, rows = factor.mode_rows(top, m)
-                sids = [tensor._sid(l, i) for l in range(top + 1) for i in range(factor.dim(l))]
-                assert list(rows) == sids
-                coeffs = []
-                for sid in sids:
-                    want = factor.expansion(sid, m)
-                    assert rows[sid] == tuple((t, s * c) for t, c in want)
-                    coeffs += [c for _, c in want]
-                for p in prime_factors(s):
-                    assert any((s // p * c).denominator != 1 for c in coeffs)
+    def test_tables_are_the_least_integer_multiple_of_the_images(self, h):
+        """Each factor next to a vacuum factor, whose level 1 is empty, so the
+        keys at a level L never put the other factor at L - 1: the scale
+        clears the images of the states the keys use and no others."""
+        sp = space(HVector((Fraction(h), Fraction(0))))
+        for level in range(7):
+            keys = sp.keys(level)
+            for pos, factor in enumerate(sp.factors):
+                for op in TABLE_OPS:
+                    s, rows = sp.table(level, pos, op)
+                    index = sp.index(level if isinstance(op, str) else level - op)
+                    coeffs = []
+                    for key, row in zip(keys, rows, strict=True):
+                        image = factor_image(factor, key[pos], op)
+                        assert row == [(index[key[:pos] + (t,) + key[pos + 1:]], s * c)
+                                       for t, c in image]
+                        coeffs += [c for _, c in image]
+                    for p in prime_factors(s):
+                        assert any((s // p * c).denominator != 1 for c in coeffs)
 
 
 def tuple_walk(terms: dict, vec: dict, pos: int, fmap, scale) -> dict:
@@ -494,38 +514,38 @@ def tuple_walk(terms: dict, vec: dict, pos: int, fmap, scale) -> dict:
 
 
 def walked_form_map(weights, level, rows, inverse=False):
-    """tensor.form_map by the tuple walk over each factor's form_rows."""
+    """P r (P^-1 r with inverse) for each row r, as rational rows, by the
+    tuple walk over each factor's irreducible_basis Gram (inverse) rows."""
     sp = space(weights)
     keys = sp.keys(level)
-    maps = [f.form_rows(level, inverse) for f in sp.factors]
+    op = "inverse" if inverse else "form"
     out = []
     for row in rows:
         terms = {k: c for k, c in zip(keys, row, strict=True) if c}
-        for pos, (_, fmap) in enumerate(maps):
-            terms = tuple_walk({}, terms, pos, fmap.__getitem__, 1)
+        for pos, f in enumerate(sp.factors):
+            terms = tuple_walk({}, terms, pos, lambda sid: factor_image(f, sid, op), 1)
         out.append([terms.get(k, 0) for k in keys])
-    return prod(s for s, _ in maps), out
+    return out
 
 
 def walked_lowered_rows(weights, n, items):
-    """tensor.lowered_rows by the tuple walk over each factor's mode_rows."""
+    """Per item (m, den, row, signs), sum_i u_i L^(i)(-m) (row / den) for
+    each sign row u, as rational rows, by the tuple walk over expansion."""
     sp = space(weights)
     index = sp.index(n)
-    maps = {m: [f.mode_rows(n - m, -m) for f in sp.factors] for m, *_ in items}
-    big = lcm(*{s * den for m, den, *_ in items for s, _ in maps[m]})
     out = []
     for m, den, row, signs in items:
-        keys, unit = sp.keys(n - m), big // den
-        vec = {keys[j]: c for j, c in enumerate(row) if c}
-        images = [tuple_walk({}, vec, pos, fmap.__getitem__, unit // s)
-                  for pos, (s, fmap) in enumerate(maps[m])]
+        keys = sp.keys(n - m)
+        vec = {keys[j]: Fraction(c, den) for j, c in enumerate(row) if c}
+        images = [tuple_walk({}, vec, pos, lambda sid: f.expansion(sid, -m), 1)
+                  for pos, f in enumerate(sp.factors)]
         totals = [[0] * len(index) for _ in signs]
         for t, total in zip(signs, totals):
             for sign, image in zip(t, images):
                 for k, c in image.items():
                     total[index[k]] += sign * c
         out.append(totals)
-    return big, out
+    return out
 
 
 TABLE_WEIGHTS = [H4_VAC, H4_HALF, HVector.sixteenth(4), HVector.vacuum(8)]
@@ -546,7 +566,8 @@ class TestFactorTables:
         for level in range(5):
             rows = self.random_rows(rng, space(weights).dimension(level), 3)
             for inverse in (False, True):
-                assert (tensor.form_map(weights, level, rows, inverse)
+                s, images = tensor.form_map(weights, level, rows, inverse)
+                assert ([[Fraction(x, s) for x in row] for row in images]
                         == walked_form_map(weights, level, rows, inverse))
 
     @pytest.mark.parametrize("weights", TABLE_WEIGHTS, ids=str)
@@ -561,7 +582,9 @@ class TestFactorTables:
             items = [(m, rng.randint(1, 4),
                       self.random_rows(rng, space(weights).dimension(n - m), 1)[0], signs)
                      for m in range(-2, n + 1)]
-            assert tensor.lowered_rows(weights, n, items) == walked_lowered_rows(weights, n, items)
+            big, images = tensor.lowered_rows(weights, n, items)
+            assert ([[[Fraction(x, big) for x in row] for row in item] for item in images]
+                    == walked_lowered_rows(weights, n, items))
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_form_map_rejects_a_row_of_the_wrong_length(self, extra):
