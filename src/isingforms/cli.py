@@ -131,7 +131,7 @@ def _cmd_vir_dims(args) -> tuple[dict, bool]:
     h = _parse_fraction(args.h)
     dims = virasoro.graded_dimensions(virasoro.ising_params(h), args.max_level)
     return {
-        "central": Fraction(1, 2),
+        "central": virasoro.ISING_ELL,
         "h": h,
         "max_level": args.max_level,
         "dims": list(dims),

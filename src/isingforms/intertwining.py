@@ -314,15 +314,8 @@ def integrality_verdict(corr: CorrelationFunctional) -> VerdictReport:
 
 def framed_summands(n: int) -> list[HVector]:
     """All weight vectors over {0, 1/2} with integral total, support ascending."""
-    half = Fraction(1, 2)
-    out = []
-    for size in range(0, n + 1, 2):
-        for support in itertools.combinations(range(n), size):
-            entries = [Fraction(0)] * n
-            for i in support:
-                entries[i] = half
-            out.append(HVector(tuple(entries)))
-    return out
+    return [HVector.half(n, support) for size in range(0, n + 1, 2)
+            for support in itertools.combinations(range(n), size)]
 
 
 class TripleVerdict(namedtuple("TripleVerdict", "h1 h2 h3 value integral confirmed")):
@@ -339,12 +332,14 @@ def framed_criterion(decomposition: list[tuple[HVector, int]], code: BinaryCode,
     """Integrality of all lowest coefficients across a module decomposition.
 
     Each ordered triple of summands needs an entry in lowest_table (a
-    missing one is a RequestError); triples with an integral entry are
-    additionally confirmed through max_level via the recursion. A passing
-    report means the candidate map sends the form into the graded dual form;
-    it never asserts the dual equals the form.
+    missing one, or no summand at all, is a RequestError); triples with an
+    integral entry are additionally confirmed through max_level via the
+    recursion. A passing report means the candidate map sends the form into
+    the graded dual form; it never asserts the dual equals the form.
     """
     summands = [h for h, _ in decomposition]
+    if not summands:
+        raise RequestError("empty decomposition: no triples to check")
     missing = [
         (a, b, c)
         for a in summands for b in summands for c in summands

@@ -74,8 +74,8 @@ def admissible_weights(code: BinaryCode, weights: HVector) -> tuple[bool, str]:
 
     For weights in {0, 1/2} the signed zero-mode eigenvalues are integers
     exactly when the 1/2-support has even size. For the all-1/16 vector the
-    requirement is (N - 2|T|)/16 in Z for every codeword T. Mixed 1/16
-    entries are rejected outright.
+    requirement is lt0_eigenvalue(T, H) = (N - 2|T|)/16 in Z for every
+    codeword T. Mixed 1/16 entries are rejected outright.
     """
     if weights.n != code.n:
         return False, f"weight vector length {weights.n} against code length {code.n}"
@@ -83,7 +83,7 @@ def admissible_weights(code: BinaryCode, weights: HVector) -> tuple[bool, str]:
         if not weights.all_sixteenth:
             return False, "mixed 1/16 entries are not supported"
         for t in code.words():
-            if (weights.n - 2 * t.weight) % 16:
+            if lt0_eigenvalue(t, weights).denominator != 1:
                 return False, (
                     f"zero-mode eigenvalue not integral for codeword {t.to_string()}"
                 )

@@ -23,6 +23,8 @@ from operator import mul
 
 from .codes import BinaryCode, RequestError, Word
 from .virasoro import (
+    ISING_ELL,
+    ISING_WEIGHTS,
     GradedBasis,
     VermaVector,
     _as_fraction,
@@ -54,9 +56,8 @@ class HVector(namedtuple("HVector", "entries")):
     __slots__ = ()
 
     def __new__(cls, entries: tuple[Fraction, ...]):
-        allowed = {Fraction(0), Fraction(1, 2), Fraction(1, 16)}
         entries = tuple(_as_fraction(e) for e in entries)
-        bad = [e for e in entries if e not in allowed]
+        bad = [e for e in entries if e not in ISING_WEIGHTS]
         if bad:
             raise RequestError(
                 f"factor weights must be 0, 1/2 or 1/16; got {', '.join(map(str, bad))}")
@@ -81,6 +82,12 @@ class HVector(namedtuple("HVector", "entries")):
     @classmethod
     def sixteenth(cls, n: int) -> "HVector":
         return cls((Fraction(1, 16),) * n)
+
+    @classmethod
+    def half(cls, n: int, positions) -> "HVector":
+        """Weight 1/2 at the given 0-based positions, 0 elsewhere."""
+        support = set(positions)
+        return cls(tuple(Fraction(1, 2) if i in support else Fraction(0) for i in range(n)))
 
     @property
     def n(self) -> int:
@@ -174,22 +181,16 @@ class TensorSpace:
         """
         out: list[tuple[int, ...]] = []
 
-        def rec(pos: int, remaining: int, prefix: list[int]):
-            if pos == self.n - 1:
-                d = self.factors[pos].dim(remaining)
-                for idx in range(d):
-                    out.append(tuple(prefix + [_sid(remaining, idx)]))
+        def rec(pos: int, remaining: int, prefix: tuple[int, ...]):
+            if pos == self.n:
+                if not remaining:
+                    out.append(prefix)
                 return
             for part in range(remaining, -1, -1):
-                d = self.factors[pos].dim(part)
-                if d == 0:
-                    continue
-                for idx in range(d):
-                    prefix.append(_sid(part, idx))
-                    rec(pos + 1, remaining - part, prefix)
-                    prefix.pop()
+                for idx in range(self.factors[pos].dim(part)):
+                    rec(pos + 1, remaining - part, prefix + (_sid(part, idx),))
 
-        rec(0, level, [])
+        rec(0, level, ())
         return out
 
     @cache
@@ -401,8 +402,9 @@ class CommutatorTerms(namedtuple("CommutatorTerms", "linear word central")):
 
     [L_S(m), L_T(mode)] = linear * L_word(m + mode) + central * identity,
     with word = S + T and central nonzero only when m + mode = 0. The central
-    scalar is (N - 2|S+T|)/4 * binom(m+1, 3), N being the tensor power; the
-    power is taken from the ground set size of the words, never from a mode.
+    scalar is (N - 2|S+T|) ell times the central part of bracket(m, mode), N
+    being the tensor power; the power is taken from the ground set size of
+    the words, never from a mode.
     """
 
     __slots__ = ()
@@ -412,12 +414,8 @@ def commutator_symbolic(S: Word, T: Word, m: int, n_mode: int) -> CommutatorTerm
     if S.n != T.n:
         raise ValueError("subsets on different ground sets")
     word = S + T
-    power = S.n
-    if m + n_mode == 0:
-        central = Fraction(power - 2 * word.weight, 4) * Fraction((m + 1) * m * (m - 1), 6)
-    else:
-        central = Fraction(0)
-    return CommutatorTerms(linear=m - n_mode, word=word, central=central)
+    linear, central = bracket(m, n_mode)
+    return CommutatorTerms(linear, word, (S.n - 2 * word.weight) * ISING_ELL * central)
 
 
 def verify_commutator(S: Word, T: Word, m: int, n_mode: int,
@@ -536,24 +534,16 @@ def weight1_count_e8() -> WeightOneReport:
     """
     n = 16
     vacuum_dim = dimension_at_level(HVector.vacuum(n), 1)
-    two_half_count = 0
-    two_half_dim = 0
-    half = Fraction(1, 2)
-    for pair in itertools.combinations(range(n), 2):
-        entries = [Fraction(0)] * n
-        entries[pair[0]] = half
-        entries[pair[1]] = half
-        d = dimension_at_level(HVector(tuple(entries)), 0)
-        two_half_count += 1
-        two_half_dim += d
+    two_half = [dimension_at_level(HVector.half(n, pair), 0)
+                for pair in itertools.combinations(range(n), 2)]
     # supports of size 4 or more sit at total weight 2 or more: nothing at weight 1
     sixteenth_dim = dimension_at_level(HVector.sixteenth(n), 0)
     copies = 2 ** 7
-    total = vacuum_dim + two_half_dim + copies * sixteenth_dim
+    total = vacuum_dim + sum(two_half) + copies * sixteenth_dim
     return WeightOneReport(
         total=total,
-        two_half_count=two_half_count,
-        two_half_dimension=two_half_dim,
+        two_half_count=len(two_half),
+        two_half_dimension=sum(two_half),
         vacuum_dimension=vacuum_dim,
         sixteenth_copies=copies,
         sixteenth_dimension=sixteenth_dim,

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from isingforms import intertwining
-from isingforms.codes import RequestError, Word, even_code, hamming8
+from isingforms.codes import RequestError, Word, c16, even_code, hamming8
 from isingforms.intertwining import (
     TripleSpec,
     build_correlation,
@@ -25,6 +25,7 @@ from isingforms.lattices import (
     spanning_monomials,
 )
 from isingforms.tensor import (
+    _SID_STRIDE,
     HVector,
     TensorVector,
     commutator_symbolic,
@@ -32,6 +33,7 @@ from isingforms.tensor import (
     lt_action,
     space,
 )
+from isingforms.virasoro import irreducible_basis, ising_params
 from test_lattices import basis_vectors
 
 H_HALF = HVector.parse("1/2,1/2,0,0")
@@ -418,6 +420,49 @@ class TestAgainstRrefRoute:
             assert (len(corr.monomials(level)), space(spec.h3).dimension(level)) in calls
 
 
+def closed_form(spec: TripleSpec, key) -> Fraction:
+    """F(key) / c on a well-defined triple: the product over the factors of
+    the single-factor recursion f(L(-m) w) = (h3 + N(w) + m h1 - h2) f(w)
+    run along the factor's pivot monomial L(-m_1)...L(-m_k), N_j = m_{j+1} +
+    ... + m_k the level it lowers."""
+    out = Fraction(1)
+    for h1, h2, h3, sid in zip(spec.h1.entries, spec.h2.entries, spec.h3.entries, key):
+        level, idx = divmod(sid, _SID_STRIDE)
+        modes = irreducible_basis(ising_params(h3), level).pivots[idx]
+        for j, m in enumerate(modes):
+            out *= h3 + sum(modes[j + 1:]) + m * h1 - h2
+    return out
+
+
+def closed_form_misses(spec: TripleSpec, max_level: int) -> list[int]:
+    """Levels where the built functional differs from closed_form on some key."""
+    corr = build_correlation(spec, max_level)
+    return [level for level in range(max_level + 1)
+            if any(corr.vector_multiplier(TensorVector(spec.h3, {key: Fraction(1)}))
+                   != closed_form(spec, key) for key in space(spec.h3).keys(level))]
+
+
+class TestClosedForm:
+    """A second route to the functional: on a well-defined triple F is the
+    tensor product of the single-factor Ising functionals."""
+
+    @pytest.mark.parametrize("spec, max_level", [
+        (main_spec(), 8),
+        (hamming_spec(), 4),
+        (TripleSpec(HVector.sixteenth(16), HVector.sixteenth(16), HVector.vacuum(16),
+                    c16(), 1), 2),
+        (TripleSpec(HVector.vacuum(16), HVector.sixteenth(16), HVector.sixteenth(16),
+                    c16(), 1), 1),
+    ], ids=["even4-main", "hamming8-half-pair", "c16-sixteenth-to-vacuum",
+            "c16-vacuum-to-sixteenth"])
+    def test_well_defined_triples_match(self, spec, max_level):
+        assert closed_form_misses(spec, max_level) == []
+
+    @pytest.mark.parametrize("h3", ["1/2,1/2,1/2,1/2", "0,0,1/2,1/2"])
+    def test_ill_defined_triples_differ(self, h3):
+        assert closed_form_misses(ill_defined_spec(h3), 4) == [2, 3, 4]
+
+
 class TestVerdict:
     def test_true_at_integer_coefficient(self):
         report = integrality_verdict(build_correlation(main_spec(1), 4))
@@ -469,6 +514,10 @@ class TestFramed:
         flagged = [v for v in report.triples if not v.integral]
         assert len(flagged) == 1
         assert flagged[0].value == Fraction(1, 2)
+
+    def test_empty_decomposition_raises(self):
+        with pytest.raises(RequestError, match="empty decomposition"):
+            framed_criterion([], even_code(4), {})
 
     def test_missing_entries_raise(self):
         decomposition = [(H_VAC, 1), (H_HALF, 1)]

@@ -97,6 +97,10 @@ class TestAdmissibility:
         # length 4 cannot make (4 - 2|T|)/16 integral for the empty word
         ok, reason = admissible_weights(even_code(4), HVector.sixteenth(4))
         assert not ok and "eigenvalue" in reason
+        # N - 2|T| a multiple of 8 on every codeword is not enough: the
+        # eigenvalue is 1/2 on hamming8's empty word
+        assert admissible_weights(hamming8(), HVector.sixteenth(8)) == (
+            False, "zero-mode eigenvalue not integral for codeword 00000000")
 
     def test_mixed_sixteenth_rejected(self):
         ok, reason = admissible_weights(even_code(4), HVector.parse("1/16,1/16,0,0"))

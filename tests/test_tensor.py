@@ -82,6 +82,8 @@ class TestHVector:
     def test_constructors(self):
         assert HVector.vacuum(3).entries == (0, 0, 0)
         assert HVector.sixteenth(2).all_sixteenth
+        assert HVector.half(4, (0, 1)) == H4_HALF
+        assert HVector.half(3, ()) == HVector.vacuum(3)
         assert str(H4_HALF) == "1/2,1/2,0,0"
 
 
