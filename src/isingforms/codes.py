@@ -90,12 +90,9 @@ class Word(namedtuple("Word", "bits n")):
         return Word(self.bits ^ ((1 << self.n) - 1), self.n)
 
     def __add__(self, other: "Word") -> "Word":
-        self._check(other)
-        return Word(self.bits ^ other.bits, self.n)
-
-    def _check(self, other: "Word"):
         if self.n != other.n:
             raise ValueError(f"mixed ground sets: {self.n} vs {other.n}")
+        return Word(self.bits ^ other.bits, self.n)
 
     def __repr__(self) -> str:
         return f"Word({self.to_string()})"

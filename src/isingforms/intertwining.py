@@ -15,11 +15,12 @@ factor-i level. So F(L_T(0) w) = lt0_eigenvalue(T, H3) F(w) + sum_i s_i(T)
 F(N_i w), s_i(T) = -1 on T and +1 off it, and a peel needs of w only its
 moments (F(w), F(N_1 w), ..., F(N_n w)), kept once per stored monomial.
 
-Each level solves on integer rows over one denominator. Rows independent mod
-the prime _PRIME have a nonzero minor mod p, so over Q: F solved exactly on as
-many of them as keys is unique. If no other row has a residual, multiplier -
-F . vector, F is what _rref on all rows gives, every relation value zero.
-Otherwise (rank short mod p, or a residual) _rref runs on all the rows.
+On a tensor product an intertwining operator is the tensor product of the
+factors' operators (Frenkel-Huang-Lepowsky, Mem. AMS 494, 1993, 4.6), so on a
+well-defined triple F on a key is the product of the single-factor recursions
+run up its factors' pivot monomials. A level keeps that F when no row has a
+residual, multiplier - F . vector, and the rows have full rank mod the prime
+_PRIME (so over Q); otherwise _rref runs on all of the level's rows.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from math import lcm, prod
 from operator import mul
 
 from .codes import BinaryCode, RequestError
@@ -76,8 +78,8 @@ class CorrelationFunctional:
     Values are stored as multipliers of the formal scalar c, so linearity in
     c is structural. The attached x-exponent of a level-k monomial is
     base_exponent + k. Per level it keeps the multiplier of each monomial (in
-    enumeration order), one functional value per state key (read off a maximal
-    independent set of monomial vectors), and the value each linear relation
+    enumeration order), one functional value per state key (the factors'
+    product formula, or _rref where it fails), and the value each linear relation
     among the monomial vectors takes on the multipliers, and each monomial's
     vector and moments. Dropping the first or the second operator of an
     enumerated monomial leaves an enumerated monomial, because modes stay weakly
@@ -122,9 +124,6 @@ class CorrelationFunctional:
     def exponent(self, level: int) -> Fraction:
         return self.base_exponent + level
 
-    def table(self) -> dict[int, dict[SpanningMonomial, Fraction]]:
-        return {level: dict(mults) for level, mults in sorted(self._multipliers.items())}
-
     def relation_values(self, level: int) -> list[Fraction]:
         """Each relation among the monomial vectors applied to the multipliers."""
         return list(self._relations[level])
@@ -146,11 +145,11 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
     """Propagate the lowest coefficient to every monomial level by level.
 
     Monomials sharing the lowered mode and the rest lower its integer row
-    once (tensor.lowered_rows). F solved exactly on as many rows independent
-    mod _PRIME (so over Q) as keys is unique; if no row is left a residual,
-    multiplier - F . vector, every relation value is zero. Otherwise _rref on
-    all rows [monomial vector | multiplier] gives F and the relation values.
-    Monomials that do not span their level raise ArithmeticError.
+    once (tensor.lowered_rows). The product formula F solves them uniquely,
+    every relation value zero, when no row has a residual and the rows have
+    full rank mod _PRIME. Otherwise _rref on all rows [monomial vector |
+    multiplier] gives F and the relation values. Monomials that do not span
+    their level raise ArithmeticError.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
@@ -177,40 +176,55 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
                          for mon in group)
         multipliers[level] = {mon: mults[mon] for mon in mons}
         f, relations[level], level_moments = _solve_level(
-            sp, level, [rows[x] for x in mons], [mults[x] for x in mons], denominators[level])
+            spec, level, [rows[x] for x in mons], [mults[x] for x in mons], denominators[level])
         functional[level] = dict(zip(sp.keys(level), f))
         moments.update(zip(mons, level_moments))
     return CorrelationFunctional(spec, base_exponent, multipliers, functional, relations,
                                  rows, denominators, moments)
 
 
-def _solve_level(sp, level: int, rows: list[list[int]], mults: list[Fraction], den: int):
+def _solve_level(spec, level: int, rows: list[list[int]], mults: list[Fraction], den: int):
     """(F on the keys, relation values, moments of each row) of the system
     (row / den) . F = multiplier, as in build_correlation."""
-    ncols, levels = sp.dimension(level), list(sp.factor_levels(level).values())
-    chosen = _independent_rows(rows, ncols) if len(rows) > ncols else []
-    for picked in ([chosen] if len(chosen) == ncols else []) + [range(len(rows))]:
-        reduced, pivots = _rref([rows[i] + [den * mults[i]] for i in picked], ncols)
-        if len(pivots) < ncols:
-            raise ArithmeticError(
-                f"level {level}: monomials span {len(pivots)} of {ncols} dimensions")
-        f = [row[-1] for row in reduced[:ncols]]
-        e = lcm(*(x.denominator for x in f))
-        fint = [x.numerator * (e // x.denominator) for x in f]
-        weights = [fint] + [[x * l[i] for x, l in zip(fint, levels)] for i in range(sp.n)]
-        moments = [[Fraction(sum(map(mul, row, w)), den * e) for w in weights] for row in rows]
-        # a row left out has no residual when its F(w) = F . vector is its multiplier
-        if len(picked) == len(rows) or all(mom[0] == x for mom, x in zip(moments, mults)):
-            relations = [row[-1] / den for row in reduced[ncols:]]
-            return f, relations + [Fraction(0)] * (len(rows) - len(picked)), moments
+    sp = space(spec.h3)
+    ncols = sp.dimension(level)
+    f = [prod(map(_factor_value, sp.factors, spec.h1.entries, spec.h2.entries, key),
+              start=Fraction(1)) for key in sp.keys(level)]
+    moments = _moments(sp, level, rows, den, f)
+    if all(mom[0] == x for mom, x in zip(moments, mults)) and _rank_mod_p(rows, ncols) == ncols:
+        return f, [Fraction(0)] * (len(rows) - ncols), moments
+    reduced, pivots = _rref([row + [den * x] for row, x in zip(rows, mults)], ncols)
+    if len(pivots) < ncols:
+        raise ArithmeticError(f"level {level}: monomials span {len(pivots)} of {ncols} dimensions")
+    f = [row[-1] for row in reduced[:ncols]]
+    return f, [row[-1] / den for row in reduced[ncols:]], _moments(sp, level, rows, den, f)
 
 
-def _independent_rows(rows: list[list[int]], ncols: int) -> list[int]:
-    """Indices of the rows taken in order while they stay independent mod
-    _PRIME. Kept rows are held in reduced echelon form mod p on the free
-    columns, so r is dependent when r - sum_c r[c] * kept[c] vanishes there."""
-    free, pivots, chosen = list(range(ncols)), {}, []
-    for i, row in enumerate(rows):
+@cache
+def _factor_value(factor, h1: Fraction, h2: Fraction, sid: int) -> Fraction:
+    """F / c on one factor state of weight h3 = factor.h: the recursion step
+    with L(0) w = (h3 + N(w)) w, run up the state's pivot monomial."""
+    value, level = Fraction(1), 0
+    for m in reversed(factor.pivot(sid)):
+        value = cross_bracket_step(m, (factor.h + level) * value, value, h1, h2)
+        level += m
+    return value
+
+
+def _moments(sp, level: int, rows: list[list[int]], den: int, f: list[Fraction]):
+    """Each row's (F(w), F(N_1 w), ..., F(N_n w)), w = row / den."""
+    e, levels = lcm(*(x.denominator for x in f)), sp.factor_levels(level).values()
+    fint = [x.numerator * (e // x.denominator) for x in f]
+    weights = [fint] + [[x * l[i] for x, l in zip(fint, levels)] for i in range(sp.n)]
+    return [[Fraction(sum(map(mul, row, w)), den * e) for w in weights] for row in rows]
+
+
+def _rank_mod_p(rows: list[list[int]], ncols: int) -> int:
+    """Rank mod _PRIME of the rows, taken in order until it reaches ncols.
+    Kept rows are held in reduced echelon form mod p on the free columns, so
+    r is dependent when r - sum_c r[c] * kept[c] vanishes there."""
+    free, pivots = list(range(ncols)), {}
+    for row in rows:
         if not free:
             break
         r = [row[j] for j in free]
@@ -228,8 +242,7 @@ def _independent_rows(rows: list[list[int]], ncols: int) -> list[int]:
             del prow[k]
         del new[k]
         pivots[free.pop(k)] = new
-        chosen.append(i)
-    return chosen
+    return len(pivots)
 
 
 def _label_constants(spec: TripleSpec) -> dict:
@@ -247,9 +260,8 @@ def _peel_multiplier(label, m: int, moments: list[Fraction]) -> Fraction:
     return cross_bracket_step(m, f_lt0_w, moments[0], a1, a2)
 
 
-class WellDefinedReport(namedtuple("WellDefinedReport", "well_defined order_checks order_failures "
-                                    "relation_checks relation_failures nondegenerate_levels")):
-    __slots__ = ()
+WellDefinedReport = namedtuple("WellDefinedReport", "well_defined order_checks order_failures "
+                               "relation_checks relation_failures nondegenerate_levels")
 
 
 def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
@@ -298,8 +310,7 @@ def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
     )
 
 
-class VerdictReport(namedtuple("VerdictReport", "integral witness witness_value")):
-    __slots__ = ()
+VerdictReport = namedtuple("VerdictReport", "integral witness witness_value")
 
 
 def integrality_verdict(corr: CorrelationFunctional) -> VerdictReport:
@@ -318,12 +329,10 @@ def framed_summands(n: int) -> list[HVector]:
             for support in itertools.combinations(range(n), size)]
 
 
-class TripleVerdict(namedtuple("TripleVerdict", "h1 h2 h3 value integral confirmed")):
-    __slots__ = ()
+TripleVerdict = namedtuple("TripleVerdict", "h1 h2 h3 value integral confirmed")
 
 
-class FramedReport(namedtuple("FramedReport", "triples satisfied conclusion")):
-    __slots__ = ()
+FramedReport = namedtuple("FramedReport", "triples satisfied conclusion")
 
 
 def framed_criterion(decomposition: list[tuple[HVector, int]], code: BinaryCode,
@@ -340,28 +349,22 @@ def framed_criterion(decomposition: list[tuple[HVector, int]], code: BinaryCode,
     summands = [h for h, _ in decomposition]
     if not summands:
         raise RequestError("empty decomposition: no triples to check")
-    missing = [
-        (a, b, c)
-        for a in summands for b in summands for c in summands
-        if (a, b, c) not in lowest_table
-    ]
+    triples = list(itertools.product(summands, repeat=3))
+    missing = [t for t in triples if t not in lowest_table]
     if missing:
         a, b, c = missing[0]
         raise RequestError(
             f"lowest_table is missing {len(missing)} triples, first ({a}; {b}; {c})"
         )
     verdicts = []
-    for a in summands:
-        for b in summands:
-            for c in summands:
-                value = Fraction(lowest_table[(a, b, c)])
-                integral = value.denominator == 1
-                confirmed: bool | None = None
-                if integral and max_level > 0:
-                    spec = TripleSpec(a, b, c, code, value)
-                    confirmed = integrality_verdict(
-                        build_correlation(spec, max_level)).integral
-                verdicts.append(TripleVerdict(a, b, c, value, integral, confirmed))
+    for a, b, c in triples:
+        value = Fraction(lowest_table[(a, b, c)])
+        integral = value.denominator == 1
+        confirmed: bool | None = None
+        if integral and max_level > 0:
+            spec = TripleSpec(a, b, c, code, value)
+            confirmed = integrality_verdict(build_correlation(spec, max_level)).integral
+        verdicts.append(TripleVerdict(a, b, c, value, integral, confirmed))
     satisfied = all(v.integral and v.confirmed is not False for v in verdicts)
     conclusion = (
         "coefficients land in the graded dual of the candidate form; "

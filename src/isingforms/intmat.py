@@ -2,8 +2,8 @@
 
 One Gauss-Jordan routine, ``_rref``, serves every rational kernel. It takes
 and returns rational rows but eliminates fraction-free on integer rows,
-dividing only at the end. The correlation levels call it on their certified
-pivot rows, and on all their rows where a level fails. The integer side
+dividing only at the end. The correlation levels call it on all their rows
+where a level fails the check of the factors' product formula. The integer side
 is the row-style Hermite normal form (echelon shape, positive pivots,
 entries above a pivot reduced into [0, pivot)), the unique canonical basis
 of an integer row lattice, and membership solves over it; every lattice

@@ -275,8 +275,7 @@ def _common_rows(a: LevelLattice, b: LevelLattice):
                   for row in sparse_rows(x.basis)] for x in (a, b))
 
 
-class CompareReport(namedtuple("CompareReport", "a_in_b b_in_a equal index")):
-    __slots__ = ()
+CompareReport = namedtuple("CompareReport", "a_in_b b_in_a equal index")
 
 
 def _pivot_product(rows) -> int:
@@ -328,8 +327,7 @@ def gram_matrix(weights: HVector, level: int, rows) -> list[list[Fraction]]:
     return [[Fraction(g, s * d * d) for g in row] for row in gram]
 
 
-class DualReport(namedtuple("DualReport", "lattice gram dual index contains_lattice self_dual")):
-    __slots__ = ()
+DualReport = namedtuple("DualReport", "lattice gram dual index contains_lattice self_dual")
 
 
 def graded_dual(entry: LevelLattice) -> DualReport:
@@ -370,8 +368,7 @@ def graded_dual(entry: LevelLattice) -> DualReport:
     )
 
 
-class GeneratedFormReport(namedtuple("GeneratedFormReport", "per_level rounds stabilized message")):
-    __slots__ = ()
+GeneratedFormReport = namedtuple("GeneratedFormReport", "per_level rounds stabilized message")
 
 
 def _factor_row(u: TensorVector) -> tuple[int, list[int]]:

@@ -81,13 +81,13 @@ class HVector(namedtuple("HVector", "entries")):
 
     @classmethod
     def sixteenth(cls, n: int) -> "HVector":
-        return cls((Fraction(1, 16),) * n)
+        return cls((ISING_WEIGHTS[2],) * n)
 
     @classmethod
     def half(cls, n: int, positions) -> "HVector":
         """Weight 1/2 at the given 0-based positions, 0 elsewhere."""
         support = set(positions)
-        return cls(tuple(Fraction(1, 2) if i in support else Fraction(0) for i in range(n)))
+        return cls(tuple(ISING_WEIGHTS[1] if i in support else ISING_WEIGHTS[0] for i in range(n)))
 
     @property
     def n(self) -> int:
@@ -101,17 +101,17 @@ class HVector(namedtuple("HVector", "entries")):
     def support(self) -> Word:
         """Positions carrying weight 1/2, as a subset word."""
         return Word.from_set(
-            {i for i, e in enumerate(self.entries, start=1) if e == Fraction(1, 2)},
+            {i for i, e in enumerate(self.entries, start=1) if e == ISING_WEIGHTS[1]},
             self.n,
         )
 
     @property
     def all_sixteenth(self) -> bool:
-        return all(e == Fraction(1, 16) for e in self.entries)
+        return all(e == ISING_WEIGHTS[2] for e in self.entries)
 
     @property
     def has_sixteenth(self) -> bool:
-        return any(e == Fraction(1, 16) for e in self.entries)
+        return ISING_WEIGHTS[2] in self.entries
 
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.entries)
@@ -136,15 +136,17 @@ class _Factor:
     def dim(self, level: int) -> int:
         return self.basis(level).dimension if level >= 0 else 0
 
+    def pivot(self, sid: int) -> tuple[int, ...]:
+        """The PBW monomial of factor state sid."""
+        return self.basis(_sid_level(sid)).pivots[sid % _SID_STRIDE]
+
     @cache
     def expansion(self, sid: int, m: int) -> tuple[tuple[int, Fraction], ...]:
         """L(m) on pivot state sid, as (sid, coefficient) pairs at level - m."""
-        level = _sid_level(sid)
-        target = level - m
+        target = _sid_level(sid) - m
         if target < 0 or self.dim(target) == 0:
             return ()
-        pivot = self.basis(level).pivots[sid % _SID_STRIDE]
-        image = apply_mode(m, VermaVector(self.params, {pivot: Fraction(1)}))
+        image = apply_mode(m, VermaVector(self.params, {self.pivot(sid): Fraction(1)}))
         coords = reduce_vector(image, self.basis(target))
         return tuple((_sid(target, j), c) for j, c in enumerate(coords) if c)
 
@@ -439,8 +441,7 @@ def verify_commutator(S: Word, T: Word, m: int, n_mode: int,
     return True
 
 
-class SweepReport(namedtuple("SweepReport", "ok pairs instances failures")):
-    __slots__ = ()
+SweepReport = namedtuple("SweepReport", "ok pairs instances failures")
 
 
 def verify_commutator_sweep(code: BinaryCode, weights: HVector,
@@ -519,9 +520,8 @@ def dimension_at_level(weights: HVector, level: int) -> int:
     return series[level]
 
 
-class WeightOneReport(namedtuple("WeightOneReport", "total two_half_count two_half_dimension "
-                                  "vacuum_dimension sixteenth_copies sixteenth_dimension")):
-    __slots__ = ()
+WeightOneReport = namedtuple("WeightOneReport", "total two_half_count two_half_dimension "
+                             "vacuum_dimension sixteenth_copies sixteenth_dimension")
 
 
 def weight1_count_e8() -> WeightOneReport:

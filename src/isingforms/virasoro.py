@@ -389,10 +389,10 @@ def character_dimension(params: CentralParams, level: int) -> int | None:
         return None
     if level < 0:
         return 0
-    if params.h == Fraction(1, 16):
+    if params.h == ISING_WEIGHTS[2]:
         degree, parts = level, range(1, level + 1)
     else:
-        degree = 2 * level + (params.h == Fraction(1, 2))
+        degree = 2 * level + (params.h == ISING_WEIGHTS[1])
         parts = range(1, degree + 1, 2)
     coeffs = [1] + [0] * degree
     for e in parts:

@@ -219,11 +219,20 @@ class TestGoldenReports:
         (["corr", "--H1", "1/2,1/2,0,0", "--H2", "1/2,1/2,0,0", "--H3", "1/2,1/2,1/2,1/2",
           "--code", "even:4", "--c", "1", "--max-level", "5"], 1,
          "5e84d68c6d29b50d1f386df8ab5e873b1c258cbf11f7353572fa55b21eff8e09"),
+        # Both routes in one report: levels 0-1 keep the product formula, and
+        # levels 2-5 fail its check and run the full elimination.
+        (["corr", "--H1", "1/2,1/2,0,0", "--H2", "1/2,1/2,0,0", "--H3", "0,0,1/2,1/2",
+          "--code", "even:4", "--c", "1", "--max-level", "5"], 1,
+         "e254ec834b8da2ff3c72003ab5dc40e6180e6803c8f44420ad8854f33fa4f858"),
         # The first corr digest on a 1/16 module: 136 order checks through
         # commutator_symbolic's central term.
         (["corr", "--H1", ",".join(["1/16"] * 16), "--H2", ",".join(["1/16"] * 16),
           "--H3", ",".join(["0"] * 16), "--code", "c16", "--c", "1", "--max-level", "4"], 0,
          "96a0259fad4c9b4bee70a55fff2b996ca61b27809a157a486be33968c90c8d94"),
+        # The product formula over h = 1/16 pivot monomials.
+        (["corr", "--H1", ",".join(["0"] * 16), "--H2", ",".join(["1/16"] * 16),
+          "--H3", ",".join(["1/16"] * 16), "--code", "c16", "--c", "1", "--max-level", "2"], 0,
+         "bf36b38fcf9eb79a2a916cd3fa30d7e8fd857a0b37eaa1a4136950f9a9399c24"),
         (["e8", "weight1"], 0,
          "87d96429f65d2b0a8eb57484000158340e5f835a350ec18dfa2d83542e80f373"),
     ], ids=["form-verify-hamming8-half-pair-5", "form-verify-hamming8-half-pair-6",
@@ -234,7 +243,8 @@ class TestGoldenReports:
             "dual-hamming8-vacuum-4", "dual-hamming8-vacuum-5-json",
             "dual-hamming8-vacuum-4-tsv", "dual-hamming8-vacuum-6",
             "dual-c16-sixteenth-2", "corr-even4-vacuum-8", "corr-hamming8-half-pair-4",
-            "corr-hamming8-half-pair-5", "corr-even4-all-half-5", "corr-c16-sixteenth-4",
+            "corr-hamming8-half-pair-5", "corr-even4-all-half-5", "corr-even4-second-pair-5",
+            "corr-c16-sixteenth-4", "corr-c16-vacuum-to-sixteenth-2",
             "e8-weight1"])
     def test_stdout_digest(self, capsys, argv, exit_code, digest):
         assert main(argv) == exit_code

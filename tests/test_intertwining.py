@@ -164,7 +164,10 @@ class TestBuildCorrelation:
     def test_multipliers_do_not_depend_on_c(self):
         a = build_correlation(main_spec(1), 4)
         b = build_correlation(main_spec(Fraction(7, 3)), 4)
-        assert a.table() == b.table()
+        for level in range(5):
+            assert a.monomials(level) == b.monomials(level)
+            assert [a.multiplier(mon) for mon in a.monomials(level)] == \
+                [b.multiplier(mon) for mon in b.monomials(level)]
 
     def test_values_scale_linearly_with_c(self):
         a = build_correlation(main_spec(1), 3)
@@ -384,10 +387,18 @@ ROUTE_CASES = [
     (hamming_spec(), 4),
 ]
 ROUTE_IDS = ["even4-vacuum-8", "even4-all-half-5", "even4-second-pair-5", "hamming8-4"]
+# well-defined triples: even:4 main, hamming8 half-pair and both c16 triples with a 1/16 pair
+WELL_DEFINED_CASES = [
+    ROUTE_CASES[0],
+    ROUTE_CASES[3],
+    (TripleSpec(HVector.sixteenth(16), HVector.sixteenth(16), HVector.vacuum(16), c16(), 1), 2),
+    (TripleSpec(HVector.vacuum(16), HVector.sixteenth(16), HVector.sixteenth(16), c16(), 1), 1),
+]
 
 
 class TestAgainstRrefRoute:
-    """Certified pivot rows against one full elimination per level."""
+    """The product formula, checked on each level's rows, against one full
+    elimination per level."""
 
     @pytest.mark.parametrize("spec, max_level", ROUTE_CASES, ids=ROUTE_IDS)
     def test_build_matches(self, spec, max_level):
@@ -402,13 +413,11 @@ class TestAgainstRrefRoute:
         # some level ran through _rref on all of its rows, more than its keys
         assert any(rows > cols for rows, cols in calls)
 
-    def test_well_defined_triples_solve_square_systems(self, monkeypatch):
-        for spec, max_level in (ROUTE_CASES[0], ROUTE_CASES[3]):
-            calls = rref_spy(monkeypatch)
-            corr = build_correlation(spec, max_level)
-            assert check_well_defined(corr).well_defined
-            assert len(calls) == max_level + 1  # one square solve per level
-            assert all(rows <= cols for rows, cols in calls)
+    def test_well_defined_triples_run_no_elimination(self, monkeypatch):
+        calls = rref_spy(monkeypatch)
+        for spec, max_level in WELL_DEFINED_CASES:
+            assert check_well_defined(build_correlation(spec, max_level)).well_defined
+        assert calls == []  # every level took F from the product formula
 
     @pytest.mark.parametrize("spec, max_level", ROUTE_CASES[1:3], ids=ROUTE_IDS[1:3])
     def test_failing_levels_run_every_row(self, monkeypatch, spec, max_level):
@@ -434,33 +443,30 @@ def closed_form(spec: TripleSpec, key) -> Fraction:
     return out
 
 
-def closed_form_misses(spec: TripleSpec, max_level: int) -> list[int]:
+def closed_form_misses(corr) -> list[int]:
     """Levels where the built functional differs from closed_form on some key."""
-    corr = build_correlation(spec, max_level)
-    return [level for level in range(max_level + 1)
+    spec = corr.spec
+    return [level for level in range(corr.max_level + 1)
             if any(corr.vector_multiplier(TensorVector(spec.h3, {key: Fraction(1)}))
                    != closed_form(spec, key) for key in space(spec.h3).keys(level))]
 
 
 class TestClosedForm:
-    """A second route to the functional: on a well-defined triple F is the
-    tensor product of the single-factor Ising functionals."""
+    """The test's own closed form against the build, which takes F from the
+    same product formula on a well-defined triple; so each of these builds
+    is also checked against the _rref route, which does not use it."""
 
-    @pytest.mark.parametrize("spec, max_level", [
-        (main_spec(), 8),
-        (hamming_spec(), 4),
-        (TripleSpec(HVector.sixteenth(16), HVector.sixteenth(16), HVector.vacuum(16),
-                    c16(), 1), 2),
-        (TripleSpec(HVector.vacuum(16), HVector.sixteenth(16), HVector.sixteenth(16),
-                    c16(), 1), 1),
-    ], ids=["even4-main", "hamming8-half-pair", "c16-sixteenth-to-vacuum",
-            "c16-vacuum-to-sixteenth"])
+    @pytest.mark.parametrize("spec, max_level", WELL_DEFINED_CASES,
+                             ids=["even4-main", "hamming8-half-pair", "c16-sixteenth-to-vacuum",
+                                  "c16-vacuum-to-sixteenth"])
     def test_well_defined_triples_match(self, spec, max_level):
-        assert closed_form_misses(spec, max_level) == []
+        corr = build_correlation(spec, max_level)
+        assert closed_form_misses(corr) == []
+        assert_matches_rref_route(corr)
 
     @pytest.mark.parametrize("h3", ["1/2,1/2,1/2,1/2", "0,0,1/2,1/2"])
     def test_ill_defined_triples_differ(self, h3):
-        assert closed_form_misses(ill_defined_spec(h3), 4) == [2, 3, 4]
+        assert closed_form_misses(build_correlation(ill_defined_spec(h3), 4)) == [2, 3, 4]
 
 
 class TestVerdict:
