@@ -314,11 +314,14 @@ def _scaled_gram(weights: HVector, level: int, rows) -> tuple[int, list[list[int
 def gram_matrix(weights: HVector, level: int, rows) -> list[list[Fraction]]:
     """Pairwise invariant-form values of the given homogeneous rows.
 
-    Rows may be TensorVectors or coordinate sequences in key order, with
-    Fraction, int or str entries; a float raises TypeError. The pairings run
-    on the integer rows r = d * row, d the common denominator: entry (i, j)
-    is r_i . S P r_j / (S d^2).
+    Rows may be TensorVectors of this module or coordinate sequences in key
+    order, with Fraction, int or str entries; a float raises TypeError. The
+    pairings run on the integer rows r = d * row, d the common denominator:
+    entry (i, j) is r_i . S P r_j / (S d^2).
     """
+    rows = list(rows)
+    if any(isinstance(r, TensorVector) and r.weights != weights for r in rows):
+        raise ValueError("vector from a different tensor module")
     coords = [r.coordinates(level) if isinstance(r, TensorVector)
               else [_as_fraction(c) for c in r] for r in rows]
     d = lcm(*(c.denominator for row in coords for c in row))

@@ -212,7 +212,8 @@ class TensorSpace:
         (_Factor.form_row), an int m for L(m) (_Factor.expansion), whose
         images sit at level - m. s is the lcm of the denominators of the
         images of the factor states these keys use, and rows[i] is key i's
-        image times s as (key index, int) pairs."""
+        image times s as (key index, int) pairs. Every factor map in the
+        package is walked on these tables (_apply), integer or rational."""
         factor, keys = self.factors[pos], self.keys(level)
         form = isinstance(op, str)
         images = {sid: factor.form_row(sid, op == "inverse") if form else factor.expansion(sid, op)
@@ -223,18 +224,6 @@ class TensorSpace:
         index = self.index(level if form else level - op)
         return s, [[(index[key[:pos] + (t,) + key[pos + 1:]], c) for t, c in scaled[key[pos]]]
                    for key in keys]
-
-    def _add_mode(self, terms: dict, vec: dict, pos: int, m: int, scale=1) -> dict:
-        """terms += scale * L(m) on factor pos (0-based) applied to vec, both
-        keyed by key tuples; returns terms."""
-        expansion = self.factors[pos].expansion
-        for key, c in vec.items():
-            sc = scale * c
-            head, tail = key[:pos], key[pos + 1:]
-            for sid, x in expansion(key[pos], m):
-                nk = head + (sid,) + tail
-                terms[nk] = terms.get(nk, 0) + sc * x
-        return terms
 
     def factor_levels(self, level: int) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Each key at one level, with the level of each of its factor states."""
@@ -260,23 +249,19 @@ class TensorVector(_Combination):
         return space(self.weights).key_level
 
     def coordinates(self, level: int) -> list[Fraction]:
-        sp = space(self.weights)
-        idx = sp.index(level)
-        out = [Fraction(0)] * len(idx)
-        for k, c in self.terms.items():
-            pos = idx.get(k)
-            if pos is None:
-                raise ValueError("vector has terms outside the requested level")
-            out[pos] = c
-        return out
+        index, zero = space(self.weights).index(level), Fraction(0)
+        if not index.keys() >= self.terms.keys():
+            raise ValueError("vector has terms outside the requested level")
+        return [self.terms.get(k, zero) for k in index]
 
     def __repr__(self) -> str:
         return f"TensorVector({self.weights}, {len(self.terms)} terms)"
 
 
-def _apply(table: list, vec: dict, scale: int = 1) -> dict:
-    """scale times a table's map on a {key index: int} vector."""
-    out: dict[int, int] = {}
+def _apply(table: list, vec: dict, scale=1, out=None) -> dict:
+    """out (a new dict by default) plus scale times a table's map on a
+    {key index: coefficient} vector; returns out."""
+    out = {} if out is None else out
     for i, c in vec.items():
         c *= scale
         for j, x in table[i]:
@@ -312,27 +297,34 @@ def lowered_rows(weights: HVector, n: int, items) -> tuple[int, list[list[list[i
     return big, out
 
 
-def _factor_mode_sum(coeffs, m: int, v: TensorVector) -> TensorVector:
-    """sum_i u_i L^(i)(m) v over the (i, u_i) pairs, factors 1-based."""
-    sp = space(v.weights)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for i, u in coeffs:
-        if not 1 <= i <= sp.n:
-            raise ValueError(f"factor {i} outside 1..{sp.n}")
-        sp._add_mode(terms, v.terms, i - 1, m, u)
+def _factor_mode_sum(u, m: int, v: TensorVector) -> TensorVector:
+    """sum_i u_i L^(i)(m) v for an integer vector u over the factors, walked
+    level by level on key indices through the factor tables at scale u_i / s_i."""
+    sp, terms = space(v.weights), {}
+    for level in set(map(sp.key_level, v.terms)):
+        index, out = sp.index(level), {}
+        vec = {index[k]: c for k, c in v.terms.items() if sp.key_level(k) == level}
+        for pos, x in enumerate(u):
+            if x:
+                s, table = sp.table(level, pos, m)
+                _apply(table, vec, Fraction(x, s), out)
+        keys = sp.keys(level - m)
+        terms.update((keys[j], c) for j, c in out.items())
     return TensorVector(v.weights, terms)
 
 
 def apply_factor_mode(i: int, m: int, v: TensorVector) -> TensorVector:
     """L(m) on factor i (1-based), identity elsewhere."""
-    return _factor_mode_sum([(i, 1)], m, v)
+    if not 1 <= i <= v.weights.n:
+        raise ValueError(f"factor {i} outside 1..{v.weights.n}")
+    return _factor_mode_sum([int(pos == i) for pos in range(1, v.weights.n + 1)], m, v)
 
 
 def lt_action(T: Word, m: int, v: TensorVector) -> TensorVector:
     """The signed diagonal operator L_T(m) applied to v."""
     if T.n != v.weights.n:
         raise ValueError(f"subset on {T.n} points against a power of {v.weights.n} factors")
-    return _factor_mode_sum(enumerate(T.signs(), start=1), m, v)
+    return _factor_mode_sum(T.signs(), m, v)
 
 
 def form_map(weights: HVector, level: int, rows,
@@ -472,26 +464,30 @@ def verify_commutator_sweep(code: BinaryCode, weights: HVector,
     words = [(w.to_string(), w.signs()) for w in code.words()]
     failures: dict[tuple[str, str, int, int, int], None] = {}
     instances = 0
-    act = sp._add_mode
+
+    def act(vec: dict, level: int, i: int, mode: int, out=None, scale=1) -> dict:
+        s, table = sp.table(level, i, mode)
+        return _apply(table, vec, Fraction(scale, s), out)
+
     modes = range(-mode_bound, mode_bound + 1)
     for m, n in itertools.product(modes, repeat=2):
         linear, central = bracket(m, n)
         for level in range(max_level + 1):
-            for key in sp.keys(level):
-                unit = {key: Fraction(1)}
+            for j in range(sp.dimension(level)):
+                unit = {j: 1}
                 errors = []
-                for i in range(sp.n):
-                    e = act({}, act({}, unit, i, n), i, m)
-                    act(e, act({}, unit, i, m), i, n, -1)
-                    act(e, unit, i, m + n, -linear)
-                    e[key] = e.get(key, 0) - central * sp.factors[i].params.ell
+                for i, factor in enumerate(sp.factors):
+                    e = act(act(unit, level, i, n), level - n, i, m)
+                    act(act(unit, level, i, m), level - m, i, n, e, -1)
+                    act(unit, level, i, m + n, e, -linear)
+                    e[j] = e.get(j, 0) - central * factor.params.ell
                     if any(e.values()):
                         errors.append((i, e))
                 instances += len(words) ** 2
                 if not errors:
                     continue
                 for (s_name, s), (t_name, t) in itertools.product(words, repeat=2):
-                    total: dict[tuple[int, ...], Fraction] = {}
+                    total: dict[int, Fraction] = {}
                     for i, e in errors:
                         for k, c in e.items():
                             total[k] = total.get(k, 0) + s[i] * t[i] * c

@@ -394,6 +394,15 @@ class TestGram:
         with pytest.raises(TypeError):
             gram_matrix(H4_HALF, 1, [[0.5, 0]])
 
+    def test_vector_of_another_module_rejected(self):
+        """A level 2 vector of W_(0,1/2) has the norm 1/4 there; paired under
+        (1/2, 0) its coordinates would read 9/4."""
+        own = HVector.parse("0,1/2")
+        v = TensorVector(own, {space(own).keys(2)[0]: Fraction(1)})
+        assert gram_matrix(own, 2, [v]) == [[Fraction(1, 4)]]
+        with pytest.raises(ValueError, match="different tensor module"):
+            gram_matrix(HVector.parse("1/2,0"), 2, [v])
+
 
 def dense_key_gram(weights, level):
     """The invariant form on the state keys as one dense matrix: entry

@@ -225,6 +225,8 @@ class TestModeActions:
             lt_action(word("110"), 0, TensorVector.lowest(H4_VAC))
         with pytest.raises(ValueError):
             apply_factor_mode(5, -1, TensorVector.lowest(H4_VAC))
+        with pytest.raises(ValueError, match="factor 5 outside"):
+            apply_factor_mode(5, -1, TensorVector(H4_VAC))
 
     @given(st.integers(min_value=0, max_value=15))
     @settings(max_examples=16, deadline=None)
@@ -282,7 +284,8 @@ class TestLtActions:
     def test_matches_lt_action_per_word(self, case):
         """Every word, m in -4..4: lowered_rows, given the words' sign vectors
         and the integer vector u = (1, ..., n), gives [lt_action(t, m, v) for
-        t in words] and sum_i u_i L^(i)(m) v as integer rows over big."""
+        t in words] and sum_i u_i L^(i)(m) v as integer rows over big. Both
+        read the factor tables, so both are also held to the tuple walk."""
         code, v = case
         assume(not v.is_zero())
         words, n, level = code.words(), v.weights.n, v.level()
@@ -294,12 +297,28 @@ class TestLtActions:
             expected = [lt_action(t, m, v) for t in words] + [sum(
                 (c * apply_factor_mode(i, m, v) for i, c in enumerate(u, start=1)),
                 TensorVector(v.weights))]
+            assert expected == [walked_action(v, m, sign) for sign in signs]
             if level - m < 0:
                 assert all(w.is_zero() for w in expected)
                 continue
             big, [images] = tensor.lowered_rows(v.weights, level - m, [(-m, den, row, signs)])
             assert ([[Fraction(c, big) for c in image] for image in images]
                     == [w.coordinates(level - m) for w in expected])
+
+    def test_vector_across_levels_matches_the_tuple_walk(self):
+        """A vector with terms at levels 0, 2 and 3: every word and every
+        single factor, m in -3..3, against the tuple walk over expansion."""
+        weights = HVector.parse("1/2,1/16,0,1/16")
+        sp = space(weights)
+        v = TensorVector(weights, {sp.keys(0)[0]: Fraction(2), sp.keys(2)[1]: Fraction(-1, 3),
+                                   sp.keys(3)[0]: Fraction(5), sp.keys(3)[-1]: Fraction(1, 2)})
+        for m in range(-3, 4):
+            for t in (Word(bits, 4) for bits in range(16)):
+                assert lt_action(t, m, v) == walked_action(v, m, t.signs())
+            for i in range(1, 5):
+                unit = [int(pos == i - 1) for pos in range(4)]
+                assert apply_factor_mode(i, m, v) == walked_action(v, m, unit)
+        assert len(set(map(sp.key_level, lt_action(Word.empty(4), -1, v).terms))) == 3
 
     def test_rejects_a_word_of_another_length(self):
         with pytest.raises(ValueError, match="subset on 3 points"):
@@ -513,6 +532,14 @@ def tuple_walk(terms: dict, vec: dict, pos: int, fmap, scale) -> dict:
             nk = head + (sid2,) + tail
             terms[nk] = terms.get(nk, 0) + sc * c2
     return terms
+
+
+def walked_action(v: TensorVector, m: int, u) -> TensorVector:
+    """sum_i u_i L^(i)(m) v by the tuple walk over expansion."""
+    terms: dict = {}
+    for pos, f in enumerate(space(v.weights).factors):
+        tuple_walk(terms, v.terms, pos, lambda sid: f.expansion(sid, m), u[pos])
+    return TensorVector(v.weights, terms)
 
 
 def walked_form_map(weights, level, rows, inverse=False):
