@@ -6,12 +6,17 @@ produce byte-identical output. Exit codes: 0 all checks pass, 1 a
 mathematical check failed, 2 a bad request. main maps exceptions to exit
 codes in one place: a RequestError (unparsable or out-of-range input, a size
 limit) or an OSError writing --out exits 2, any other ValueError exits 1.
+
+Both entry points, python -m isingforms and the isingforms command, exit
+through run: it flushes stdout and stderr and ends the process with
+os._exit, skipping interpreter teardown, which no answer needs. A failed
+write to stdout exits 2, like an unwritable --out.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from fractions import Fraction
 
@@ -79,6 +84,8 @@ def _flatten(value, prefix="", out=None) -> list[tuple[str, str]]:
 
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
+        import json  # only json reports need it
+
         return json.dumps(report, sort_keys=True, indent=2,
                           default=lambda x: {"n": x.numerator, "d": x.denominator}) + "\n"
     rows = _flatten(report)
@@ -444,5 +451,33 @@ def main(argv=None) -> int:
     return 0 if passed else 1
 
 
+def run():
+    """Run main and end the process with its status, without interpreter
+    teardown: atexit callbacks that other code registers do not run.
+
+    argparse's SystemExit (--help, usage errors) gives the status too. A
+    failed stdout flush, such as a closed pipe, prints one error line and
+    exits 2. An uncaught exception propagates with its traceback and the
+    interpreter's own exit.
+    """
+    try:
+        status = main()
+    except SystemExit as exc:
+        status = exc.code or 0
+    # A stream is None when the process started with its descriptor closed.
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        status = 2
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

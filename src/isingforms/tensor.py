@@ -29,6 +29,7 @@ from .virasoro import (
     VermaVector,
     _as_fraction,
     _Combination,
+    _pivot_count,
     apply_mode,
     bracket,
     irreducible_basis,
@@ -125,16 +126,19 @@ class _Factor:
         self.params = ising_params(h)
 
     def basis(self, level: int) -> GradedBasis:
-        b = irreducible_basis(self.params, level)
-        if b.dimension > _SID_STRIDE:
-            raise RequestError(
-                f"weight {self.h} level {level} has {b.dimension} states; "
-                f"factor states are limited to {_SID_STRIDE} per level")
-        return b
+        self.dim(level)  # rejects a level past the sid stride
+        return irreducible_basis(self.params, level)
 
     @cache
     def dim(self, level: int) -> int:
-        return self.basis(level).dimension if level >= 0 else 0
+        if level < 0:
+            return 0
+        dim = _pivot_count(self.params, level)
+        if dim > _SID_STRIDE:
+            raise RequestError(
+                f"weight {self.h} level {level} has {dim} states; "
+                f"factor states are limited to {_SID_STRIDE} per level")
+        return dim
 
     def pivot(self, sid: int) -> tuple[int, ...]:
         """The PBW monomial of factor state sid."""

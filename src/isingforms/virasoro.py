@@ -248,17 +248,17 @@ class _Engine:
         return current.get((), 0)
 
     @cache
-    def basis(self, level: int) -> GradedBasis:
-        """Greedy pivot basis of one level, bordered on integers.
+    def bordering(self, level: int) -> tuple[tuple[Monomial, ...], list, list, int]:
+        """Greedy pivot scan of one level on integers: (pivots, rows, adj, det').
 
         The scan stops once the kept count reaches character_dimension, an
         upper bound; each kept pivot is a nonzero principal minor, so the
         count is also a lower bound, and a scan that runs out of candidates
         short of the character raises ValueError. It borders K' = S K S with
-        S = diag(den^len(pivot)), the integer pairings, as an integer adjugate
-        adj and determinant det'. A congruence keeps every bordered minor
-        nonzero where it was, so the pivots are those of the Gram block K, and
-        K^-1 = S adj S / det', det(K) = det' / prod den^(2 len).
+        S = diag(den^len(pivot)), the integer pairings (rows[i][j] for j <= i),
+        as an integer adjugate adj and determinant det'. A congruence keeps
+        every bordered minor nonzero where it was, so the pivots are those of
+        the Gram block K. Callers that need only the dimension stop here.
         """
         monos = partitions(level)
         cap = character_dimension(self.params, level)
@@ -291,11 +291,18 @@ class _Engine:
             raise ValueError(
                 f"weight {self.params.h}: the pivot scan found {len(kept)} states at "
                 f"level {level}, the character gives {cap}")
-        scale = [self.den ** len(monos[i]) for i in kept]
+        return tuple(monos[i] for i in kept), rows, adj, det
+
+    @cache
+    def basis(self, level: int) -> GradedBasis:
+        """The bordering as Fractions: K^-1 = S adj S / det' and
+        det(K) = det' / prod den^(2 len)."""
+        pivots, rows, adj, det = self.bordering(level)
+        scale = [self.den ** len(mono) for mono in pivots]
         return GradedBasis(
             params=self.params,
             level=level,
-            pivots=tuple(monos[i] for i in kept),
+            pivots=pivots,
             gram=tuple(tuple(Fraction(rows[max(i, j)][min(i, j)], si * sj)
                              for j, sj in enumerate(scale)) for i, si in enumerate(scale)),
             inverse=tuple(tuple(Fraction(si * a * sj, det) for a, sj in zip(row, scale))
@@ -349,9 +356,15 @@ def reduce_vector(v: VermaVector, basis: GradedBasis) -> list[Fraction]:
             for row in basis.inverse]
 
 
+def _pivot_count(params: CentralParams, level: int) -> int:
+    """Dimension of the level piece of the irreducible quotient, read from the
+    integer bordering: no Fraction of the basis is formed."""
+    return len(_engine(params).bordering(level)[0])
+
+
 def graded_dimensions(params: CentralParams, max_level: int) -> list[int]:
     """Dimensions of the irreducible quotient at levels 0..max_level."""
-    return [irreducible_basis(params, lvl).dimension for lvl in range(max_level + 1)]
+    return [_pivot_count(params, lvl) for lvl in range(max_level + 1)]
 
 
 def scaling_admissible(k, c) -> bool:

@@ -398,6 +398,88 @@ class TestFormats:
         assert "Fraction" not in out
 
 
+# The children of TestProcessContract: each takes the package from the source
+# tree these tests import and buffers stdout, as an installed command does.
+SRC = str(Path(isingforms.__file__).resolve().parents[1])
+CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+CHILD_ENV.update(PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+                 COLUMNS="80")
+
+
+def child(argv, **kwargs):
+    """One python -m isingforms child: (exit code, stdout bytes, stderr text)."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    proc = subprocess.run([sys.executable, "-m", "isingforms", *argv],
+                          stderr=subprocess.PIPE, env=CHILD_ENV, **kwargs)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+class TestProcessContract:
+    """python -m isingforms ends through cli.run, without interpreter
+    teardown: what a child prints and its exit code are main's."""
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["vir", "dims", "--h", "1/16", "--max-level", "6"], 0),
+        (["corr", "--H1", "1/2,1/2,0,0", "--H2", "1/2,1/2,0,0", "--H3", "1/2,1/2,1/2,1/2",
+          "--code", "even:4", "--c", "1", "--max-level", "3"], 1),
+        (["codes", "check", "--code", "nosuch:4"], 2),
+        (["dual"], 2),
+        (["--help"], 0),
+        # 174,397 bytes: many times the child's stdout buffer
+        (["dual", "--power", "8", "--code", "hamming8", "--H", "0,0,0,0,0,0,0,0",
+          "--level", "5", "--compare", "--format", "tsv"], 0),
+    ], ids=["vir-dims", "corr-ill-defined", "unknown-code", "dual-no-arguments", "help",
+            "dual-tsv-174kb"])
+    def test_child_matches_main(self, capsys, monkeypatch, argv, exit_code):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: --help and usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == exit_code
+        assert child(argv) == (exit_code, out.encode(), err)
+
+    def test_out_writes_the_whole_report_and_prints_nothing(self, capsys, tmp_path):
+        argv = ["corr", "--H1", "1/2,1/2,0,0", "--H2", "1/2,1/2,0,0", "--H3", "0,0,0,0",
+                "--code", "even:4", "--c", "1", "--max-level", "4"]
+        assert main(argv) == 0
+        report = capsys.readouterr().out.encode()
+        target = tmp_path / "report.txt"
+        assert child(argv + ["--out", str(target)]) == (0, b"", "")
+        assert target.read_bytes() == report
+
+    @pytest.mark.parametrize("argv", [
+        ["vir", "dims", "--h", "1/2", "--max-level", "4"],
+        ["codes", "build", "--code", "c16", "--full"],
+        ["--help"],
+        # too large for the buffer: the write in main fails, not the flush
+        ["dual", "--power", "8", "--code", "hamming8", "--H", "0,0,0,0,0,0,0,0",
+         "--level", "5", "--compare", "--format", "tsv"],
+    ], ids=["vir-dims", "codes-build", "help", "dual-tsv-174kb"])
+    def test_closed_stdout_pipe_is_one_error_line(self, argv):
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            code, _, err = child(argv, stdout=writer)
+        finally:
+            os.close(writer)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+    def test_closed_stdout_descriptor_keeps_help_exit_code(self):
+        # With descriptor 1 closed sys.stdout is None; argparse then writes
+        # the help to stderr, and run has no stdout to flush.
+        code, _, err = child(["--help"], stdout=None, preexec_fn=lambda: os.close(1))
+        assert code == 0
+        assert err.startswith("usage: isingforms")
+
+    def test_console_script_exits_through_run(self):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert 'isingforms = "isingforms.cli:run"' in text
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "isingforms", "e8", "weight1"],

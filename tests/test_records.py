@@ -157,3 +157,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 def test_cli_import_does_not_load_pathlib():
     assert cli_import_loads({"pathlib"}) == "[]"
+
+
+def test_cli_import_does_not_load_json():
+    assert cli_import_loads({"json"}) == "[]"

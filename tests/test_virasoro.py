@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isingforms import cli, virasoro
+from isingforms import cli, tensor, virasoro
 from isingforms.intmat import frac_det
 from isingforms.tensor import HVector, TensorVector
 from isingforms.virasoro import (
@@ -370,6 +370,18 @@ class TestIrreducibleBasis:
         out, err = capsys.readouterr()
         assert out == ""
         assert "check failed" in err
+
+    def test_dimensions_form_no_fraction_basis(self, monkeypatch):
+        # A fresh engine cache, and no Fraction basis to be had: vir dims and a
+        # tensor factor read each dimension from the integer bordering.
+        monkeypatch.setattr(virasoro, "_engine", functools.cache(virasoro._Engine))
+        monkeypatch.setattr(virasoro._Engine, "basis",
+                            lambda self, level: pytest.fail("Fraction basis formed"))
+        for h in virasoro.ISING_WEIGHTS:
+            p = ising_params(h)
+            dims = [virasoro.character_dimension(p, level) for level in range(13)]
+            assert graded_dimensions(p, 12) == dims
+            assert [tensor._Factor(h).dim(level) for level in range(13)] == dims
 
     def test_dimensions_match_frozen_oracle_values(self):
         for h, dims in ORACLE_DIMS.items():
