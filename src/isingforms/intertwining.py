@@ -19,8 +19,10 @@ On a tensor product an intertwining operator is the tensor product of the
 factors' operators (Frenkel-Huang-Lepowsky, Mem. AMS 494, 1993, 4.6), so on a
 well-defined triple F on a key is the product of the single-factor recursions
 run up its factors' pivot monomials. A level keeps that F when no row has a
-residual, multiplier - F . vector, and the rows have full rank mod the prime
-_PRIME (so over Q); otherwise _rref runs on all of the level's rows.
+residual, multiplier - F . vector, and lattice_at_level(code, H3, n) has full
+rank; otherwise _rref runs on all of the level's rows. That lattice is the
+Z-span of the level's monomial vectors (lattices module docstring), so their
+rows have full rank over Q exactly when it does, and F is the unique solution.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from operator import mul
 
 from .codes import BinaryCode, RequestError
 from .intmat import _rref
-from .lattices import SpanningMonomial, admissible_weights, spanning_monomials
+from .lattices import SpanningMonomial, admissible_weights, lattice_at_level, spanning_monomials
 from .tensor import (
     HVector,
     TensorVector,
@@ -45,8 +47,6 @@ from .tensor import (
     space,
 )
 from .virasoro import _as_fraction
-
-_PRIME = 2**31 - 1  # word-size: rows independent mod _PRIME are independent over Q
 
 
 class TripleSpec(namedtuple("TripleSpec", "h1 h2 h3 code lowest_coeff")):
@@ -146,10 +146,11 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
 
     Monomials sharing the lowered mode and the rest lower its integer row
     once (tensor.lowered_rows). The product formula F solves them uniquely,
-    every relation value zero, when no row has a residual and the rows have
-    full rank mod _PRIME. Otherwise _rref on all rows [monomial vector |
-    multiplier] gives F and the relation values. Monomials that do not span
-    their level raise ArithmeticError.
+    every relation value zero, when no row has a residual and the level's
+    lattice, the Z-span of its monomial vectors, has full rank; every level's
+    lattice is built before the loop. Otherwise _rref on all rows [monomial
+    vector | multiplier] gives F and the relation values. Monomials that do
+    not span their level raise ArithmeticError.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
@@ -160,6 +161,7 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
     rows, denominators = {SpanningMonomial(()): [1]}, {}  # integer rows, per-level denominators
     moments: dict[SpanningMonomial, list[Fraction]] = {}
     labels, sp = _label_constants(spec), space(spec.h3)
+    full = [lattice_at_level(spec.code, spec.h3, n).full_rank for n in range(max_level + 1)]
     for level in range(max_level + 1):
         mons = spanning_monomials(spec.code, spec.h3, level)
         mults = {mon: Fraction(1) for mon in mons if not mon.ops}
@@ -176,22 +178,25 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
                          for mon in group)
         multipliers[level] = {mon: mults[mon] for mon in mons}
         f, relations[level], level_moments = _solve_level(
-            spec, level, [rows[x] for x in mons], [mults[x] for x in mons], denominators[level])
+            spec, level, [rows[x] for x in mons], [mults[x] for x in mons], denominators[level],
+            full[level])
         functional[level] = dict(zip(sp.keys(level), f))
         moments.update(zip(mons, level_moments))
     return CorrelationFunctional(spec, base_exponent, multipliers, functional, relations,
                                  rows, denominators, moments)
 
 
-def _solve_level(spec, level: int, rows: list[list[int]], mults: list[Fraction], den: int):
+def _solve_level(spec, level: int, rows: list[list[int]], mults: list[Fraction], den: int,
+                 full_rank: bool):
     """(F on the keys, relation values, moments of each row) of the system
-    (row / den) . F = multiplier, as in build_correlation."""
+    (row / den) . F = multiplier, as in build_correlation; full_rank is that
+    of the lattice the rows span over Z, so it holds exactly when theirs does."""
     sp = space(spec.h3)
     ncols = sp.dimension(level)
     f = [prod(map(_factor_value, sp.factors, spec.h1.entries, spec.h2.entries, key),
               start=Fraction(1)) for key in sp.keys(level)]
     moments = _moments(sp, level, rows, den, f)
-    if all(mom[0] == x for mom, x in zip(moments, mults)) and _rank_mod_p(rows, ncols) == ncols:
+    if full_rank and all(mom[0] == x for mom, x in zip(moments, mults)):
         return f, [Fraction(0)] * (len(rows) - ncols), moments
     reduced, pivots = _rref([row + [den * x] for row, x in zip(rows, mults)], ncols)
     if len(pivots) < ncols:
@@ -217,32 +222,6 @@ def _moments(sp, level: int, rows: list[list[int]], den: int, f: list[Fraction])
     fint = [x.numerator * (e // x.denominator) for x in f]
     weights = [fint] + [[x * l[i] for x, l in zip(fint, levels)] for i in range(sp.n)]
     return [[Fraction(sum(map(mul, row, w)), den * e) for w in weights] for row in rows]
-
-
-def _rank_mod_p(rows: list[list[int]], ncols: int) -> int:
-    """Rank mod _PRIME of the rows, taken in order until it reaches ncols.
-    Kept rows are held in reduced echelon form mod p on the free columns, so
-    r is dependent when r - sum_c r[c] * kept[c] vanishes there."""
-    free, pivots = list(range(ncols)), {}
-    for row in rows:
-        if not free:
-            break
-        r = [row[j] for j in free]
-        for c, f in enumerate(row):
-            if f and c in pivots:
-                r = [x - f * y for x, y in zip(r, pivots[c])]
-        k = next((k for k, x in enumerate(r) if x % _PRIME), None)
-        if k is None:
-            continue
-        inv = pow(r[k], -1, _PRIME)
-        new = [x * inv % _PRIME for x in r]
-        for c, prow in pivots.items():
-            if f := prow[k]:
-                prow = pivots[c] = [(x - f * y) % _PRIME for x, y in zip(prow, new)]
-            del prow[k]
-        del new[k]
-        pivots[free.pop(k)] = new
-    return len(pivots)
 
 
 def _label_constants(spec: TripleSpec) -> dict:

@@ -233,6 +233,10 @@ class TestGoldenReports:
         (["corr", "--H1", ",".join(["0"] * 16), "--H2", ",".join(["1/16"] * 16),
           "--H3", ",".join(["1/16"] * 16), "--code", "c16", "--c", "1", "--max-level", "2"], 0,
          "bf36b38fcf9eb79a2a916cd3fa30d7e8fd857a0b37eaa1a4136950f9a9399c24"),
+        # The same triple at level 3: 1088 nearly dense rows on 832 keys.
+        (["corr", "--H1", ",".join(["0"] * 16), "--H2", ",".join(["1/16"] * 16),
+          "--H3", ",".join(["1/16"] * 16), "--code", "c16", "--c", "1", "--max-level", "3"], 0,
+         "22ef90644df430564c187bafd50b99544eb0ce8467080f7a82471e87f0b9c009"),
         (["e8", "weight1"], 0,
          "87d96429f65d2b0a8eb57484000158340e5f835a350ec18dfa2d83542e80f373"),
     ], ids=["form-verify-hamming8-half-pair-5", "form-verify-hamming8-half-pair-6",
@@ -245,6 +249,7 @@ class TestGoldenReports:
             "dual-c16-sixteenth-2", "corr-even4-vacuum-8", "corr-hamming8-half-pair-4",
             "corr-hamming8-half-pair-5", "corr-even4-all-half-5", "corr-even4-second-pair-5",
             "corr-c16-sixteenth-4", "corr-c16-vacuum-to-sixteenth-2",
+            "corr-c16-vacuum-to-sixteenth-3",
             "e8-weight1"])
     def test_stdout_digest(self, capsys, argv, exit_code, digest):
         assert main(argv) == exit_code

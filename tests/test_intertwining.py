@@ -186,6 +186,8 @@ class TestBuildCorrelation:
             return mons[:-1] if level == 2 else mons
 
         monkeypatch.setattr(intertwining, "spanning_monomials", one_short)
+        # the level-2 lattice spans the same products, so it is one row short too
+        monkeypatch.setattr(intertwining, "lattice_at_level", lattice_rows_dropped({2}))
         with pytest.raises(ArithmeticError, match="level 2"):
             build_correlation(main_spec(), 2)
 
@@ -368,6 +370,17 @@ def assert_matches_rref_route(corr):
             assert corr._moments[mon] == moments[mon]
 
 
+def lattice_rows_dropped(levels=None):
+    """lattice_at_level with the last Hermite row dropped at the given levels
+    (every level if None): a lattice short of full rank there."""
+    def short(code, weights, level):
+        entry = lattice_at_level(code, weights, level)
+        if levels is None or level in levels:
+            entry = entry._replace(basis=entry.basis[:-1])
+        return entry
+    return short
+
+
 def rref_spy(monkeypatch) -> list[tuple[int, int]]:
     """(rows, columns) of every _rref call build_correlation makes."""
     calls = []
@@ -405,8 +418,8 @@ class TestAgainstRrefRoute:
         assert_matches_rref_route(build_correlation(spec, max_level))
 
     @pytest.mark.parametrize("spec, max_level", ROUTE_CASES, ids=ROUTE_IDS)
-    def test_rank_short_mod_two_falls_back(self, monkeypatch, spec, max_level):
-        monkeypatch.setattr(intertwining, "_PRIME", 2)
+    def test_lattice_short_of_full_rank_falls_back(self, monkeypatch, spec, max_level):
+        monkeypatch.setattr(intertwining, "lattice_at_level", lattice_rows_dropped())
         calls = rref_spy(monkeypatch)
         corr = build_correlation(spec, max_level)
         assert_matches_rref_route(corr)
@@ -427,6 +440,24 @@ class TestAgainstRrefRoute:
         assert failing == {2, 3, 4, 5}
         for level in failing:
             assert (len(corr.monomials(level)), space(spec.h3).dimension(level)) in calls
+
+
+CERTIFICATE_CASES = ROUTE_CASES + WELL_DEFINED_CASES[2:]
+CERTIFICATE_IDS = ROUTE_IDS + ["c16-sixteenth-to-vacuum-2", "c16-vacuum-to-sixteenth-1"]
+
+
+class TestLatticeCertificate:
+    """build_correlation certifies a level's rows with the full rank of
+    lattice_at_level(code, H3, n), which spans the same products."""
+
+    @pytest.mark.parametrize("spec, max_level", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
+    def test_rows_have_the_rank_of_the_lattice(self, spec, max_level):
+        # at every level, on the ill-defined triples too
+        corr = build_correlation(spec, max_level)
+        for level in range(max_level + 1):
+            rows = [corr._rows[mon] for mon in corr.monomials(level)]
+            _, pivots = _rref(rows, space(spec.h3).dimension(level))
+            assert len(pivots) == lattice_at_level(spec.code, spec.h3, level).rank
 
 
 def closed_form(spec: TripleSpec, key) -> Fraction:
