@@ -19,10 +19,9 @@ On a tensor product an intertwining operator is the tensor product of the
 factors' operators (Frenkel-Huang-Lepowsky, Mem. AMS 494, 1993, 4.6), so on a
 well-defined triple F on a key is the product of the single-factor recursions
 run up its factors' pivot monomials. A level keeps that F when no row has a
-residual, multiplier - F . vector, and lattice_at_level(code, H3, n) has full
-rank; otherwise _rref runs on all of the level's rows. That lattice is the
-Z-span of the level's monomial vectors (lattices module docstring), so their
-rows have full rank over Q exactly when it does, and F is the unique solution.
+residual, multiplier - F . vector; otherwise _rref runs on all of the level's
+rows. The monomial vectors span every level over Q for a code that passes the
+form conditions (lattices module docstring), so F is then the unique solution.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from operator import mul
 
 from .codes import BinaryCode, RequestError
 from .intmat import _rref
-from .lattices import SpanningMonomial, admissible_weights, lattice_at_level, spanning_monomials
+from .lattices import SpanningMonomial, admissible_weights, spanning_monomials
 from .tensor import (
     HVector,
     TensorVector,
@@ -145,12 +144,12 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
     """Propagate the lowest coefficient to every monomial level by level.
 
     Monomials sharing the lowered mode and the rest lower its integer row
-    once (tensor.lowered_rows). The product formula F solves them uniquely,
-    every relation value zero, when no row has a residual and the level's
-    lattice, the Z-span of its monomial vectors, has full rank; every level's
-    lattice is built before the loop. Otherwise _rref on all rows [monomial
-    vector | multiplier] gives F and the relation values. Monomials that do
-    not span their level raise ArithmeticError.
+    once (tensor.lowered_rows). The monomial vectors span each level
+    (lattices module docstring), so the product formula F solves them
+    uniquely, every relation value zero, when no row has a residual.
+    Otherwise _rref on all rows [monomial vector | multiplier] gives F and
+    the relation values. Monomials that do not span their level raise
+    ArithmeticError.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
@@ -161,7 +160,6 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
     rows, denominators = {SpanningMonomial(()): [1]}, {}  # integer rows, per-level denominators
     moments: dict[SpanningMonomial, list[Fraction]] = {}
     labels, sp = _label_constants(spec), space(spec.h3)
-    full = [lattice_at_level(spec.code, spec.h3, n).full_rank for n in range(max_level + 1)]
     for level in range(max_level + 1):
         mons = spanning_monomials(spec.code, spec.h3, level)
         mults = {mon: Fraction(1) for mon in mons if not mon.ops}
@@ -178,25 +176,24 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
                          for mon in group)
         multipliers[level] = {mon: mults[mon] for mon in mons}
         f, relations[level], level_moments = _solve_level(
-            spec, level, [rows[x] for x in mons], [mults[x] for x in mons], denominators[level],
-            full[level])
+            spec, level, [rows[x] for x in mons], [mults[x] for x in mons], denominators[level])
         functional[level] = dict(zip(sp.keys(level), f))
         moments.update(zip(mons, level_moments))
     return CorrelationFunctional(spec, base_exponent, multipliers, functional, relations,
                                  rows, denominators, moments)
 
 
-def _solve_level(spec, level: int, rows: list[list[int]], mults: list[Fraction], den: int,
-                 full_rank: bool):
+def _solve_level(spec, level: int, rows: list[list[int]], mults: list[Fraction], den: int):
     """(F on the keys, relation values, moments of each row) of the system
-    (row / den) . F = multiplier, as in build_correlation; full_rank is that
-    of the lattice the rows span over Z, so it holds exactly when theirs does."""
+    (row / den) . F = multiplier, as in build_correlation: the rows span the
+    level (lattices module docstring), so a product formula F with no
+    residual is the unique solution."""
     sp = space(spec.h3)
     ncols = sp.dimension(level)
     f = [prod(map(_factor_value, sp.factors, spec.h1.entries, spec.h2.entries, key),
               start=Fraction(1)) for key in sp.keys(level)]
     moments = _moments(sp, level, rows, den, f)
-    if full_rank and all(mom[0] == x for mom, x in zip(moments, mults)):
+    if all(mom[0] == x for mom, x in zip(moments, mults)):
         return f, [Fraction(0)] * (len(rows) - ncols), moments
     reduced, pivots = _rref([row + [den * x] for row, x in zip(rows, mults)], ncols)
     if len(pivots) < ncols:

@@ -37,6 +37,18 @@ code's sign lattice, and the rows a of any Z-basis of Lambda_C give the same
 span. The build takes its Hermite basis (codes.sign_basis), whose rows are
 sparser than the sign vectors. The odd-mode pruning is per (m, v) and is
 unaffected.
+
+Every level has full rank for a code that passes the form conditions, as
+_check_inputs requires. The maps chi_i(T) = s_i(T) are characters of the
+group C: nontrivial, as the full set is a codeword, and pairwise distinct,
+as C separates every pair of positions. Distinct characters are linearly
+independent (Artin), so Lambda_C has rank N and each L^(i)(-m) is a rational
+combination of the L_T(-m). The products of L^(i)(-m), m >= min_mode, span
+each graded piece (the factors commute; L(-1) kills a vacuum factor), and
+each is a rational combination of products of the L_T(-m), which straighten
+as above; so the straightened products span every level over Q. This is the
+tensor-product form of Dong-Griess-Hoehn, Framed vertex operator algebras,
+codes and the moonshine module, CMP 193 (1998).
 """
 
 from __future__ import annotations

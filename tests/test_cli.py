@@ -215,6 +215,10 @@ class TestGoldenReports:
           "--H3", "1/2,1/2,0,0,0,0,0,0", "--code", "hamming8", "--c", "1",
           "--max-level", "5"], 0,
          "13b77bd032288c3007f6f9c844bb5d06f076c222ef20954238d672c088e3c164"),
+        (["corr", "--H1", "0,0,0,0,0,0,0,0", "--H2", "1/2,1/2,0,0,0,0,0,0",
+          "--H3", "1/2,1/2,0,0,0,0,0,0", "--code", "hamming8", "--c", "1",
+          "--max-level", "6"], 0,
+         "51b26e28519dc23489587707b86952c022e4284a376a19184ca295bf522a8564"),
         # Ill-defined: the failing levels run through the full elimination.
         (["corr", "--H1", "1/2,1/2,0,0", "--H2", "1/2,1/2,0,0", "--H3", "1/2,1/2,1/2,1/2",
           "--code", "even:4", "--c", "1", "--max-level", "5"], 1,
@@ -247,7 +251,8 @@ class TestGoldenReports:
             "dual-hamming8-vacuum-4", "dual-hamming8-vacuum-5-json",
             "dual-hamming8-vacuum-4-tsv", "dual-hamming8-vacuum-6",
             "dual-c16-sixteenth-2", "corr-even4-vacuum-8", "corr-hamming8-half-pair-4",
-            "corr-hamming8-half-pair-5", "corr-even4-all-half-5", "corr-even4-second-pair-5",
+            "corr-hamming8-half-pair-5", "corr-hamming8-half-pair-6",
+            "corr-even4-all-half-5", "corr-even4-second-pair-5",
             "corr-c16-sixteenth-4", "corr-c16-vacuum-to-sixteenth-2",
             "corr-c16-vacuum-to-sixteenth-3",
             "e8-weight1"])

@@ -1,12 +1,22 @@
 """Forced coefficient systems: recursion values, consistency, integrality."""
 
 import functools
+import random
 from fractions import Fraction
 
 import pytest
 
 from isingforms import intertwining
-from isingforms.codes import RequestError, Word, c16, even_code, hamming8
+from isingforms.codes import (
+    BinaryCode,
+    RequestError,
+    Word,
+    c16,
+    even_code,
+    goodform_conditions,
+    hamming8,
+    sign_basis,
+)
 from isingforms.intertwining import (
     TripleSpec,
     build_correlation,
@@ -186,8 +196,8 @@ class TestBuildCorrelation:
             return mons[:-1] if level == 2 else mons
 
         monkeypatch.setattr(intertwining, "spanning_monomials", one_short)
-        # the level-2 lattice spans the same products, so it is one row short too
-        monkeypatch.setattr(intertwining, "lattice_at_level", lattice_rows_dropped({2}))
+        # the three rows left fit the true F, so only a wrong one reaches _rref
+        wrong_product_formula(monkeypatch)
         with pytest.raises(ArithmeticError, match="level 2"):
             build_correlation(main_spec(), 2)
 
@@ -370,15 +380,12 @@ def assert_matches_rref_route(corr):
             assert corr._moments[mon] == moments[mon]
 
 
-def lattice_rows_dropped(levels=None):
-    """lattice_at_level with the last Hermite row dropped at the given levels
-    (every level if None): a lattice short of full rank there."""
-    def short(code, weights, level):
-        entry = lattice_at_level(code, weights, level)
-        if levels is None or level in levels:
-            entry = entry._replace(basis=entry.basis[:-1])
-        return entry
-    return short
+def wrong_product_formula(monkeypatch):
+    """Add 1 to every single-factor value, so the product formula leaves a
+    residual on every level that has rows. Doubling F would not: on the
+    hamming8 half-pair triple F is 0 above level 0."""
+    orig = intertwining._factor_value
+    monkeypatch.setattr(intertwining, "_factor_value", lambda *a: orig(*a) + 1)
 
 
 def rref_spy(monkeypatch) -> list[tuple[int, int]]:
@@ -418,8 +425,8 @@ class TestAgainstRrefRoute:
         assert_matches_rref_route(build_correlation(spec, max_level))
 
     @pytest.mark.parametrize("spec, max_level", ROUTE_CASES, ids=ROUTE_IDS)
-    def test_lattice_short_of_full_rank_falls_back(self, monkeypatch, spec, max_level):
-        monkeypatch.setattr(intertwining, "lattice_at_level", lattice_rows_dropped())
+    def test_wrong_product_formula_falls_back(self, monkeypatch, spec, max_level):
+        wrong_product_formula(monkeypatch)
         calls = rref_spy(monkeypatch)
         corr = build_correlation(spec, max_level)
         assert_matches_rref_route(corr)
@@ -446,9 +453,41 @@ CERTIFICATE_CASES = ROUTE_CASES + WELL_DEFINED_CASES[2:]
 CERTIFICATE_IDS = ROUTE_IDS + ["c16-sixteenth-to-vacuum-2", "c16-vacuum-to-sixteenth-1"]
 
 
+def random_good_codes(draws: int, seed: int) -> list[BinaryCode]:
+    """The codes among `draws` seeded draws that pass the form conditions:
+    the full set and two to five random even words on 4, 8 or 12 points."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(draws):
+        n = rng.choice((4, 8, 12))
+        words = [rng.getrandbits(n) for _ in range(rng.randint(2, 5))]
+        code = BinaryCode(n, [Word((1 << n) - 1, n)]
+                          + [Word(w ^ w.bit_count() % 2, n) for w in words])
+        if goodform_conditions(code).passed:
+            out.append(code)
+    return out
+
+
 class TestLatticeCertificate:
-    """build_correlation certifies a level's rows with the full rank of
-    lattice_at_level(code, H3, n), which spans the same products."""
+    """build_correlation keeps the product formula's F on a level with no
+    residual, as the unique solution, because the monomial rows span every
+    level. The proof (lattices module docstring): a code passing the form
+    conditions contains the full set and separates every pair of positions,
+    so its sign vectors are N distinct nontrivial characters of C, linearly
+    independent by Artin's lemma; each L^(i)(-m) is then a rational
+    combination of the L_T(-m), and the straightened products span each
+    level over Q. The first test checks the hypothesis, the second the
+    conclusion on the build's own rows."""
+
+    @pytest.mark.parametrize("code", [even_code(4), even_code(8), even_code(12), hamming8(),
+                                      c16()], ids=["even4", "even8", "even12", "hamming8", "c16"])
+    def test_sign_vectors_have_full_rank(self, code):
+        assert len(sign_basis(code)) == code.n
+
+    def test_random_codes_sign_vectors_have_full_rank(self):
+        codes = random_good_codes(200, seed=0)
+        assert codes  # 57 of the 200 draws pass the form conditions
+        assert all(len(sign_basis(code)) == code.n for code in codes)
 
     @pytest.mark.parametrize("spec, max_level", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
     def test_rows_have_the_rank_of_the_lattice(self, spec, max_level):
@@ -456,8 +495,9 @@ class TestLatticeCertificate:
         corr = build_correlation(spec, max_level)
         for level in range(max_level + 1):
             rows = [corr._rows[mon] for mon in corr.monomials(level)]
-            _, pivots = _rref(rows, space(spec.h3).dimension(level))
-            assert len(pivots) == lattice_at_level(spec.code, spec.h3, level).rank
+            ncols = space(spec.h3).dimension(level)
+            _, pivots = _rref(rows, ncols)
+            assert len(pivots) == lattice_at_level(spec.code, spec.h3, level).rank == ncols
 
 
 def closed_form(spec: TripleSpec, key) -> Fraction:
