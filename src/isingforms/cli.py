@@ -272,7 +272,8 @@ def _cmd_dual(args) -> tuple[dict, bool]:
         "dual_contains_lattice": rep.contains_lattice,
         "self_dual": rep.self_dual,
         "dual_basis": [
-            [Fraction(c, rep.dual.denominator) if c else zero for c in row]
+            [Fraction(row[j], rep.dual.denominator) if j in row else zero
+             for j in range(entry.ambient_dim)]
             for row in rep.dual.basis
         ],
     }

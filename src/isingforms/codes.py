@@ -330,9 +330,10 @@ def sign_basis(code: BinaryCode) -> tuple[tuple[int, ...], ...]:
 
     s(T^c) = -s(T), so the representatives span the lattice of every
     codeword's signs. Its rows are sparser than the sign vectors: on hamming8
-    they are (1^8), (0,2,0,2,0,2,0,2), ..., (0^7,8).
+    they are (1^8), (0,2,0,2,0,2,0,2), ..., (0^7,8), dense over the factors.
     """
-    return tuple(map(tuple, hnf([t.signs() for t in complement_reduce(code)])))
+    rows = hnf([dict(enumerate(t.signs())) for t in complement_reduce(code)])
+    return tuple(tuple(row.get(i, 0) for i in range(code.n)) for row in rows)
 
 
 class CodeFileError(RequestError):

@@ -90,7 +90,7 @@ class CorrelationFunctional:
                  multipliers: dict[int, dict[SpanningMonomial, Fraction]],
                  functional: dict[int, dict[tuple[int, ...], Fraction]],
                  relations: dict[int, list[Fraction]],
-                 rows: dict[SpanningMonomial, list[int]],
+                 rows: dict[SpanningMonomial, dict[int, int]],
                  denominators: dict[int, int],
                  moments: dict[SpanningMonomial, list[Fraction]]):
         self.spec = spec
@@ -114,8 +114,8 @@ class CorrelationFunctional:
     def vector(self, mon: SpanningMonomial) -> TensorVector:
         """The monomial applied to the lowest weight vector of the third module."""
         keys, den = space(self.spec.h3).keys(mon.level), self._denominators[mon.level]
-        return TensorVector(self.spec.h3, {k: Fraction(c, den)
-                                           for k, c in zip(keys, self._rows[mon]) if c})
+        return TensorVector(self.spec.h3, {keys[j]: Fraction(c, den)
+                                           for j, c in self._rows[mon].items()})
 
     def value(self, mon: SpanningMonomial) -> Fraction:
         return self.multiplier(mon) * self.spec.lowest_coeff
@@ -157,7 +157,7 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
     multipliers: dict[int, dict[SpanningMonomial, Fraction]] = {}
     functional: dict[int, dict[tuple[int, ...], Fraction]] = {}
     relations: dict[int, list[Fraction]] = {}
-    rows, denominators = {SpanningMonomial(()): [1]}, {}  # integer rows, per-level denominators
+    rows, denominators = {SpanningMonomial(()): {0: 1}}, {}  # integer rows, per-level denominators
     moments: dict[SpanningMonomial, list[Fraction]] = {}
     labels, sp = _label_constants(spec), space(spec.h3)
     for level in range(max_level + 1):
@@ -183,7 +183,7 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
                                  rows, denominators, moments)
 
 
-def _solve_level(spec, level: int, rows: list[list[int]], mults: list[Fraction], den: int):
+def _solve_level(spec, level: int, rows: list[dict[int, int]], mults: list[Fraction], den: int):
     """(F on the keys, relation values, moments of each row) of the system
     (row / den) . F = multiplier, as in build_correlation: the rows span the
     level (lattices module docstring), so a product formula F with no
@@ -195,7 +195,8 @@ def _solve_level(spec, level: int, rows: list[list[int]], mults: list[Fraction],
     moments = _moments(sp, level, rows, den, f)
     if all(mom[0] == x for mom, x in zip(moments, mults)):
         return f, [Fraction(0)] * (len(rows) - ncols), moments
-    reduced, pivots = _rref([row + [den * x] for row, x in zip(rows, mults)], ncols)
+    reduced, pivots = _rref([[row.get(j, 0) for j in range(ncols)] + [den * x]
+                             for row, x in zip(rows, mults)], ncols)
     if len(pivots) < ncols:
         raise ArithmeticError(f"level {level}: monomials span {len(pivots)} of {ncols} dimensions")
     f = [row[-1] for row in reduced[:ncols]]
@@ -213,12 +214,13 @@ def _factor_value(factor, h1: Fraction, h2: Fraction, sid: int) -> Fraction:
     return value
 
 
-def _moments(sp, level: int, rows: list[list[int]], den: int, f: list[Fraction]):
-    """Each row's (F(w), F(N_1 w), ..., F(N_n w)), w = row / den."""
+def _moments(sp, level: int, rows: list[dict[int, int]], den: int, f: list[Fraction]):
+    """Each row's (F(w), F(N_1 w), ..., F(N_n w)), w = row / den, over its nonzeros."""
     e, levels = lcm(*(x.denominator for x in f)), sp.factor_levels(level).values()
     fint = [x.numerator * (e // x.denominator) for x in f]
     weights = [fint] + [[x * l[i] for x, l in zip(fint, levels)] for i in range(sp.n)]
-    return [[Fraction(sum(map(mul, row, w)), den * e) for w in weights] for row in rows]
+    return [[Fraction(sum(map(mul, row.values(), map(w.__getitem__, row))), den * e)
+             for w in weights] for row in rows]
 
 
 def _label_constants(spec: TripleSpec) -> dict:

@@ -1,21 +1,22 @@
 """Exact linear algebra over Q and Z.
 
 One Gauss-Jordan routine, ``_rref``, serves every rational kernel. It takes
-and returns rational rows but eliminates fraction-free on integer rows,
+and returns dense rational rows but eliminates fraction-free on integer rows,
 dividing only at the end. The correlation levels call it on all their rows
-where a level fails the check of the factors' product formula. The integer side
-is the row-style Hermite normal form (echelon shape, positive pivots,
-entries above a pivot reduced into [0, pivot)), the unique canonical basis
-of an integer row lattice, and membership solves over it; every lattice
-index is read off its pivots. ``hnf`` builds it by inserting the rows one
-at a time into the pivot rows held so far, through extended-gcd 2 x 2
-unimodular steps, with size reduction after each change so the entries stay
-small. It holds the rows sparse, so a step costs the nonzero entries it
-touches, and its output does not depend on the order of the rows, only its
-time does: ``lattices`` feeds them latest leading column first. A full-rank
-Hermite basis is square upper triangular, so the graded dual reduces no
-[Gram | basis] block: ``hermite_cofactors`` inverts the basis by integer
-back-substitution.
+where a level fails the check of the factors' product formula. The integer
+side is on the package's one row format, a {column: int} dict with no zero
+entry: the row-style Hermite normal form (echelon shape, positive pivots,
+entries above a pivot reduced into [0, pivot); each row's columns
+increasing, so its first key is its pivot), the unique canonical basis of
+an integer row lattice, and membership solves over it; every lattice index
+is read off its pivots. ``hnf`` builds it by inserting the rows one at a
+time into the pivot rows held so far, through extended-gcd 2 x 2 unimodular
+steps, with size reduction after each change so the entries stay small. A
+step costs the nonzero entries it touches, and the output does not depend
+on the order of the rows, only the time does: ``lattices`` feeds them
+latest leading column first. A full-rank Hermite basis is square upper
+triangular, so the graded dual reduces no [Gram | basis] block:
+``hermite_cofactors`` inverts the basis by integer back-substitution.
 
 Solving a square system, inverting, expressing vectors over a fixed list of
 rows (with their left kernel) and the Bareiss determinants (a rational one
@@ -189,7 +190,7 @@ def _axpy(row: dict, prow: dict, q: int) -> dict:
 def hnf(rows):
     """Canonical row Hermite normal form of integer rows; zero rows dropped.
 
-    Rows go in one at a time and are held sparse, as {column: entry} dicts.
+    Rows go in as {column: entry} dicts of their nonzeros, one at a time.
     Each is reduced against the pivot rows held so far, column by column. A
     column without a pivot row takes the rest as a new one, sign-normalized.
     A pivot a that does not divide the entry b is replaced by the 2 x 2
@@ -199,14 +200,14 @@ def hnf(rows):
     row is size-reduced against the later pivots, and the earlier rows
     against it in its column, which keeps the entries small. A last pass,
     pivot columns in increasing order, reduces every entry above a pivot into
-    [0, pivot), and the rows come out dense. The result is the unique basis
-    of that shape (Cohen, A Course in Computational Algebraic Number Theory,
-    section 2.4), so the order of the rows changes only the time: latest
-    leading column first is fast, as it keeps the pivot rows sparse.
+    [0, pivot), and each row comes out with its columns increasing. The
+    result is the unique basis of that shape (Cohen, A Course in
+    Computational Algebraic Number Theory, section 2.4), so the order of the
+    rows changes only the time: latest leading column first is fast, as it
+    keeps the pivot rows sparse.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     cols: list[int] = []  # the pivot columns, increasing
-    width = 0
 
     def reduce_above(k: int):
         """Reduce the pivot rows before the k-th in its pivot column."""
@@ -229,8 +230,7 @@ def hnf(rows):
         reduce_above(k)
 
     for row in rows:
-        width = len(row)
-        v = {j: int(x) for j, x in enumerate(row) if x}
+        v = dict(row)
         while v:
             c = min(v)
             b = v[c]
@@ -248,13 +248,7 @@ def hnf(rows):
                 _axpy(v, p, q)
     for k in range(len(cols)):
         reduce_above(k)
-    return [[pivot_rows[c].get(j, 0) for j in range(width)] for c in cols]
-
-
-def sparse_rows(rows) -> list[dict[int, int]]:
-    """Integer rows as {column: entry} dicts of their nonzeros, columns
-    increasing, so a nonzero row's first key is its leading column."""
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+    return [dict(sorted(pivot_rows[c].items())) for c in cols]
 
 
 def hermite_cofactors(rows):
@@ -269,7 +263,7 @@ def hermite_cofactors(rows):
     """
     n = len(rows)
     delta = prod(rows[i][i] for i in range(n))
-    sparse = [(list(row), list(row.values())) for row in sparse_rows(rows)]
+    sparse = [(list(row), list(row.values())) for row in rows]
     out = []
     for j in range(n):
         x = [0] * n
@@ -278,17 +272,17 @@ def hermite_cofactors(rows):
             cols, vals = sparse[i]
             k = bisect_right(cols, j)  # x is 0 right of j, and x[i] is still 0
             x[i] = -sum(map(mul, vals[:k], map(x.__getitem__, cols[:k]))) // rows[i][i]
-        out.append(x)
+        out.append({i: c for i, c in enumerate(x) if c})
     return delta, out
 
 
 def hnf_solve(hrows, vector):
     """Integer coefficients over the HNF rows, or None if not in the lattice.
 
-    Rows are sparse_rows dicts and the vector a {column: int} dict. Each
-    row's pivot divides the vector's entry in its leading column exactly, or
-    the vector is outside; the quotient clears that entry, and the rest of
-    the row updates the vector on the row's nonzeros only.
+    Rows are Hermite rows as hnf gives them and the vector a {column: int}
+    dict. Each row's pivot divides the vector's entry in its leading column
+    exactly, or the vector is outside; the quotient clears that entry, and
+    the rest of the row updates the vector on the row's nonzeros only.
     """
     v = dict(vector)
     coeffs = []

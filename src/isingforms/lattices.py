@@ -68,10 +68,11 @@ from .codes import (
     goodform_conditions,
     sign_basis,
 )
-from .intmat import hermite_cofactors, hnf, hnf_solve, sparse_rows
+from .intmat import hermite_cofactors, hnf, hnf_solve
 from .tensor import (
     HVector,
     TensorVector,
+    combine,
     form_map,
     lowered_rows,
     lt0_eigenvalue,
@@ -175,9 +176,14 @@ def evaluate_monomial(mon: SpanningMonomial, weights: HVector) -> TensorVector:
 
 
 class LevelLattice(namedtuple("LevelLattice", "weights code level denominator basis ambient_dim")):
-    """One graded piece: rows/denominator span the lattice in key coordinates."""
+    """One graded piece: basis / denominator spans the lattice in key
+    coordinates; basis holds the {key index: int} Hermite rows of intmat.hnf."""
 
     __slots__ = ()
+
+    def __hash__(self) -> int:
+        # equal lattices agree on every field; the dict rows of basis are left out
+        return hash(self[:4] + self[5:])
 
     @property
     def rank(self) -> int:
@@ -189,7 +195,7 @@ class LevelLattice(namedtuple("LevelLattice", "weights code level denominator ba
 
 
 def _from_rows(weights: HVector, code: BinaryCode | None, level: int,
-               rows: list[list[int]], scale: Fraction = Fraction(1)) -> LevelLattice:
+               rows: list[dict[int, int]], scale: Fraction = Fraction(1)) -> LevelLattice:
     """The lattice spanned by scale times the integer rows, stored as its
     Hermite basis over the least denominator that keeps it integral.
 
@@ -201,21 +207,19 @@ def _from_rows(weights: HVector, code: BinaryCode | None, level: int,
     rows give g = 0: no basis rows, denominator 1. The rows go to hnf latest
     leading column first, its fastest order.
     """
-    g = gcd(*itertools.chain.from_iterable(rows))
+    g = gcd(*itertools.chain.from_iterable(row.values() for row in rows))
     if g > 1:
-        rows = [[c // g for c in row] for row in rows]
-    rows = sorted(rows, key=lambda r: next(itertools.compress(itertools.count(), r), -1),
-                  reverse=True)
-    reduced = hnf(rows)
+        rows = [{j: c // g for j, c in row.items()} for row in rows]
+    reduced = hnf(sorted(rows, key=lambda r: min(r, default=-1), reverse=True))
     content = scale * g
     if content.numerator != 1:
-        reduced = [[c * content.numerator for c in row] for row in reduced]
+        reduced = [{j: c * content.numerator for j, c in row.items()} for row in reduced]
     return LevelLattice(
         weights=weights,
         code=code,
         level=level,
         denominator=content.denominator,
-        basis=tuple(tuple(row) for row in reduced),
+        basis=tuple(reduced),
         ambient_dim=space(weights).dimension(level),
     )
 
@@ -236,7 +240,7 @@ def _level(code: BinaryCode, weights: HVector, n: int) -> LevelLattice:
     every row a of the sign lattice's Hermite basis (codes.sign_basis), as
     big times the generators (tensor.lowered_rows)."""
     if n == 0:
-        return _from_rows(weights, code, 0, [[1]])
+        return _from_rows(weights, code, 0, [{0: 1}])
     signs = sign_basis(code)
     lowers = {m: _level(code, weights, n - m) for m in _generator_modes(_min_mode(weights), n)}
     big, images = lowered_rows(weights, n, [(m, lower.denominator, b, signs)
@@ -271,27 +275,27 @@ def contains(entry: LevelLattice, v: TensorVector) -> bool:
         raise ValueError(f"vector at level {v.level()}, lattice at level {entry.level}")
     if not entry.basis:
         return False
-    scaled = [c * entry.denominator for c in v.coordinates(entry.level)]
-    if any(s.denominator != 1 for s in scaled):
+    index = space(entry.weights).index(entry.level)
+    scaled = {index[k]: c * entry.denominator for k, c in v.terms.items()}
+    if any(s.denominator != 1 for s in scaled.values()):
         return False
-    vector = {j: int(s) for j, s in enumerate(scaled) if s}
-    return hnf_solve(sparse_rows(entry.basis), vector) is not None
+    return hnf_solve(entry.basis, {j: int(s) for j, s in scaled.items()}) is not None
 
 
 def _common_rows(a: LevelLattice, b: LevelLattice):
-    """Both Hermite bases as sparse integer rows over the lcm of their denominators."""
+    """Both Hermite bases as integer rows over the lcm of their denominators."""
     if a.weights != b.weights or a.level != b.level:
         raise ValueError("lattices in different ambient spaces")
     den = lcm(a.denominator, b.denominator)
     return tuple([{j: den // x.denominator * c for j, c in row.items()}
-                  for row in sparse_rows(x.basis)] for x in (a, b))
+                  for row in x.basis] for x in (a, b))
 
 
 CompareReport = namedtuple("CompareReport", "a_in_b b_in_a equal index")
 
 
 def _pivot_product(rows) -> int:
-    """Covolume of echelon sparse integer rows, measured on their pivot columns."""
+    """Covolume of Hermite rows, measured on their pivot columns."""
     return prod(next(iter(row.values())) for row in rows)
 
 
@@ -318,8 +322,8 @@ def _scaled_gram(weights: HVector, level: int, rows) -> tuple[int, list[list[int
     symmetric, so only the entries on and right of the diagonal are formed,
     and the rest mirrored."""
     s, images = form_map(weights, level, rows)
-    upper = [[sum(map(mul, r.values(), map(y.__getitem__, r))) for y in images[i:]]
-             for i, r in enumerate(sparse_rows(rows))]
+    upper = [[sum(map(mul, r.values(), map(y.get, r, itertools.repeat(0)))) for y in images[i:]]
+             for i, r in enumerate(rows)]
     return s, [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(len(upper))]
 
 
@@ -327,9 +331,9 @@ def gram_matrix(weights: HVector, level: int, rows) -> list[list[Fraction]]:
     """Pairwise invariant-form values of the given homogeneous rows.
 
     Rows may be TensorVectors of this module or coordinate sequences in key
-    order, with Fraction, int or str entries; a float raises TypeError. The
-    pairings run on the integer rows r = d * row, d the common denominator:
-    entry (i, j) is r_i . S P r_j / (S d^2).
+    order, with Fraction, int or str entries (a float raises TypeError, a
+    wrong length ValueError). The pairings run on the integer rows r = d *
+    row, d the common denominator: entry (i, j) is r_i . S P r_j / (S d^2).
     """
     rows = list(rows)
     if any(isinstance(r, TensorVector) and r.weights != weights for r in rows):
@@ -337,7 +341,9 @@ def gram_matrix(weights: HVector, level: int, rows) -> list[list[Fraction]]:
     coords = [r.coordinates(level) if isinstance(r, TensorVector)
               else [_as_fraction(c) for c in r] for r in rows]
     d = lcm(*(c.denominator for row in coords for c in row))
-    int_rows = [[c.numerator * (d // c.denominator) for c in row] for row in coords]
+    keys = range(space(weights).dimension(level))
+    int_rows = [{j: c.numerator * (d // c.denominator) for j, c in zip(keys, row, strict=True)
+                 if c} for row in coords]
     s, gram = _scaled_gram(weights, level, int_rows)
     return [[Fraction(g, s * d * d) for g in row] for row in gram]
 
@@ -363,15 +369,15 @@ def graded_dual(entry: LevelLattice) -> DualReport:
     s, gram = _scaled_gram(weights, level, entry.basis)
     delta, cofactors = hermite_cofactors(entry.basis)
     t, dual_rows = form_map(weights, level, cofactors, inverse=True)
-    g1 = [sum(row) for row in gram]
-    if ([sum(map(mul, g1, col)) for col in zip(*dual_rows)]
-            != [s * delta * t * sum(col) for col in zip(*entry.basis)]):
+    g1 = {i: sum(row) for i, row in enumerate(gram)}
+    ones = dict.fromkeys(range(n), -s * delta * t)
+    if any(combine(entry.basis, ones, out=combine(dual_rows, g1)).values()):
         raise ValueError("degenerate Gram matrix")
     dual = _from_rows(weights, entry.code, level, dual_rows, Fraction(den, delta * t))
     q = s * den * den
     integral = all(g % q == 0 for row in gram for g in row)
     index = Fraction(delta * dual.denominator ** n,
-                     _pivot_product(sparse_rows(dual.basis)) * den ** n)
+                     _pivot_product(dual.basis) * den ** n)
     zero = Fraction(0)
     return DualReport(
         lattice=entry,
@@ -431,7 +437,7 @@ def saturate_generated_form(generators: list[TensorVector], max_level: int,
         if any(g.weights != weights for g in generators):
             raise ValueError("generators from different tensor powers")
     ops = [_factor_row(g) for g in generators]
-    state = {0: _from_rows(weights, None, 0, [[1]])}
+    state = {0: _from_rows(weights, None, 0, [{0: 1}])}
     changed = [0]
     rounds = stable_streak = 0
     while rounds < max_rounds and stable_streak < 2:
@@ -450,10 +456,10 @@ def saturate_generated_form(generators: list[TensorVector], max_level: int,
             prev = state.get(level)
             prev_den, prev_rows = (prev.denominator, prev.basis) if prev else (1, ())
             den = lcm(big, prev_den)
-            rows = [[den // big * c for c in row] for [row] in images if any(row)]
+            rows = [{j: den // big * c for j, c in row.items()} for [row] in images if row]
             if not rows:
                 continue
-            rows += [[den // prev_den * c for c in row] for row in prev_rows]
+            rows += [{j: den // prev_den * c for j, c in row.items()} for row in prev_rows]
             new = _from_rows(weights, None, level, rows, Fraction(1, den))
             if new != prev:
                 state[level] = new

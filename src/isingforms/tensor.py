@@ -210,14 +210,14 @@ class TensorSpace:
         return sum(_sid_level(s) for s in key)
 
     @cache
-    def table(self, level: int, pos: int, op) -> tuple[int, list]:
+    def table(self, level: int, pos: int, op) -> tuple[int, list[dict[int, int]]]:
         """(s, rows) for factor pos's integer map on the keys at one level:
         op "form" or "inverse" for the pivot Grams or their inverses
         (_Factor.form_row), an int m for L(m) (_Factor.expansion), whose
         images sit at level - m. s is the lcm of the denominators of the
         images of the factor states these keys use, and rows[i] is key i's
-        image times s as (key index, int) pairs. Every factor map in the
-        package is walked on these tables (_apply), integer or rational."""
+        image times s as a {key index: int} row. Every factor map in the
+        package is walked on these tables (combine), integer or rational."""
         factor, keys = self.factors[pos], self.keys(level)
         form = isinstance(op, str)
         images = {sid: factor.form_row(sid, op == "inverse") if form else factor.expansion(sid, op)
@@ -226,7 +226,7 @@ class TensorSpace:
         scaled = {sid: [(t, x.numerator * (s // x.denominator)) for t, x in pairs]
                   for sid, pairs in images.items()}
         index = self.index(level if form else level - op)
-        return s, [[(index[key[:pos] + (t,) + key[pos + 1:]], c) for t, c in scaled[key[pos]]]
+        return s, [{index[key[:pos] + (t,) + key[pos + 1:]]: c for t, c in scaled[key[pos]]}
                    for key in keys]
 
     def factor_levels(self, level: int) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -262,42 +262,37 @@ class TensorVector(_Combination):
         return f"TensorVector({self.weights}, {len(self.terms)} terms)"
 
 
-def _apply(table: list, vec: dict, scale=1, out=None) -> dict:
-    """out (a new dict by default) plus scale times a table's map on a
-    {key index: coefficient} vector; returns out."""
+def combine(rows, vec: dict, scale=1, out=None) -> dict:
+    """out (a new dict by default) plus scale times vec^T rows: the sum of
+    scale * c * rows[i] over the entries (i, c) of vec, for {column: int}
+    rows. Entries that cancel stay in out as zeros; returns out."""
     out = {} if out is None else out
     for i, c in vec.items():
         c *= scale
-        for j, x in table[i]:
+        for j, x in rows[i].items():
             out[j] = out.get(j, 0) + c * x
     return out
 
 
-def lowered_rows(weights: HVector, n: int, items) -> tuple[int, list[list[list[int]]]]:
+def lowered_rows(weights: HVector, n: int, items) -> tuple[int, list[list[dict[int, int]]]]:
     """(big, images): per item (m, den, row, signs), big L_T(-m) (row / den)
     at level n for the sign vector of each T in signs, as integer rows: big is
     the lcm of every den * s_i, s_i L^(i)(-m) factor i's integer map
     (TensorSpace.table). Each factor image is formed once per item, on
-    the row's nonzeros only.
+    the row's nonzeros only, and each L_T(-m) image combines them.
 
     m may be negative, a raising mode: row then sits above level n. A sign
     row may be any integer vector u, giving sum_i u_i L^(i)(-m) in place of
     L_T(-m); its zero entries add nothing and are skipped."""
     sp = space(weights)
-    width = sp.dimension(n)
     tables = {m: [sp.table(n - m, pos, -m) for pos in range(sp.n)] for m, *_ in items}
     big = lcm(*{s * den for m, den, *_ in items for s, _ in tables[m]})
     out = []
     for m, den, row, signs in items:
         unit = big // den
-        vec = {j: c for j, c in enumerate(row) if c}
-        images = [_apply(table, vec, unit // s) for s, table in tables[m]]
-        out.append([[0] * width for _ in signs])
-        for t, total in zip(signs, out[-1]):
-            for sign, image in zip(t, images):
-                if sign:
-                    for j, c in image.items():
-                        total[j] += sign * c
+        images = [combine(table, row, unit // s) for s, table in tables[m]]
+        totals = [combine(images, {i: x for i, x in enumerate(t) if x}) for t in signs]
+        out.append([{j: c for j, c in total.items() if c} for total in totals])
     return big, out
 
 
@@ -311,7 +306,7 @@ def _factor_mode_sum(u, m: int, v: TensorVector) -> TensorVector:
         for pos, x in enumerate(u):
             if x:
                 s, table = sp.table(level, pos, m)
-                _apply(table, vec, Fraction(x, s), out)
+                combine(table, vec, Fraction(x, s), out)
         keys = sp.keys(level - m)
         terms.update((keys[j], c) for j, c in out.items())
     return TensorVector(v.weights, terms)
@@ -332,7 +327,7 @@ def lt_action(T: Word, m: int, v: TensorVector) -> TensorVector:
 
 
 def form_map(weights: HVector, level: int, rows,
-             inverse: bool = False) -> tuple[int, list[list[int]]]:
+             inverse: bool = False) -> tuple[int, list[dict[int, int]]]:
     """(S, the rows S P r) for integer coordinate rows r at one level, or
     (T, the rows T P^-1 r) with inverse.
 
@@ -342,19 +337,19 @@ def form_map(weights: HVector, level: int, rows,
     positions of the factor Gram maps, and P^-1 that of the factor inverse
     maps. Each factor map is scaled to integers by its own lcm, and S (T) is
     the product of those lcms, so the images are integer rows. Rows go in
-    and come out dense; in between each is a {key index: int} dict on its
-    nonzeros, walked through the cached factor tables (TensorSpace.table).
-    A row of the wrong length raises ValueError.
+    and come out as {key index: int} rows, walked through the cached factor
+    tables (TensorSpace.table). A column outside the level raises ValueError.
     """
     sp = space(weights)
     width = sp.dimension(level)
     tables = [sp.table(level, pos, "inverse" if inverse else "form") for pos in range(sp.n)]
     out = []
     for row in rows:
-        terms = {j: c for j, c in zip(range(width), row, strict=True) if c}
+        if row and not 0 <= min(row) <= max(row) < width:
+            raise ValueError(f"row has a column outside the {width} keys of level {level}")
         for _, table in tables:
-            terms = _apply(table, terms)
-        out.append(list(map(terms.get, range(width), itertools.repeat(0))))
+            row = combine(table, row)
+        out.append({j: c for j, c in row.items() if c})
     return prod(s for s, _ in tables), out
 
 
@@ -471,7 +466,7 @@ def verify_commutator_sweep(code: BinaryCode, weights: HVector,
 
     def act(vec: dict, level: int, i: int, mode: int, out=None, scale=1) -> dict:
         s, table = sp.table(level, i, mode)
-        return _apply(table, vec, Fraction(scale, s), out)
+        return combine(table, vec, Fraction(scale, s), out)
 
     modes = range(-mode_bound, mode_bound + 1)
     for m, n in itertools.product(modes, repeat=2):

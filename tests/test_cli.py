@@ -169,6 +169,10 @@ class TestGoldenReports:
         (["form", "verify", "--code", "hamming8", "--H", "1/2,1/2,0,0,0,0,0,0",
           "--max-level", "6"], 0,
          "2948c1be60afc8f2e9a213fed24c44ba6d85e40de1950cdd2f8964115efa63d7"),
+        # The deepest level build in the suite: 4248 generator rows on 782 keys.
+        (["form", "verify", "--code", "hamming8", "--H", "1/2,1/2,0,0,0,0,0,0",
+          "--max-level", "7"], 0,
+         "8e779634b9d9378bd735cb4740d2f8ca477e54a0453c5656a5c223b2a815aac8"),
         # The codes whose sign lattice bases differ most from their sign vectors.
         (["form", "verify", "--code", "even:8", "--H", "0,0,0,0,0,0,0,0",
           "--max-level", "6"], 0,
@@ -244,6 +248,7 @@ class TestGoldenReports:
         (["e8", "weight1"], 0,
          "87d96429f65d2b0a8eb57484000158340e5f835a350ec18dfa2d83542e80f373"),
     ], ids=["form-verify-hamming8-half-pair-5", "form-verify-hamming8-half-pair-6",
+            "form-verify-hamming8-half-pair-7",
             "form-verify-even8-vacuum-6", "form-verify-c16-sixteenth-2",
             "form-generated-power-8", "form-generated-power-1-level-6",
             "form-generated-power-4-level-8",

@@ -44,6 +44,7 @@ from isingforms.tensor import (
     space,
 )
 from isingforms.virasoro import irreducible_basis, ising_params
+from test_intmat import dense
 from test_lattices import basis_vectors
 
 H_HALF = HVector.parse("1/2,1/2,0,0")
@@ -494,8 +495,8 @@ class TestLatticeCertificate:
         # at every level, on the ill-defined triples too
         corr = build_correlation(spec, max_level)
         for level in range(max_level + 1):
-            rows = [corr._rows[mon] for mon in corr.monomials(level)]
             ncols = space(spec.h3).dimension(level)
+            rows = dense([corr._rows[mon] for mon in corr.monomials(level)], ncols)
             _, pivots = _rref(rows, ncols)
             assert len(pivots) == lattice_at_level(spec.code, spec.h3, level).rank == ncols
 

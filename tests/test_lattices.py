@@ -24,9 +24,7 @@ from isingforms.intmat import (
     det_bareiss,
     frac_det,
     frac_inverse,
-    hnf,
     hnf_solve,
-    sparse_rows,
 )
 from isingforms.lattices import (
     _from_rows,
@@ -52,7 +50,7 @@ from isingforms.tensor import (
     space,
 )
 from isingforms.virasoro import scaling_admissible
-from test_intmat import lattice_coefficients, sweep_hnf
+from test_intmat import dense, dense_hnf, lattice_coefficients, sparse, sweep_hnf
 
 H4_VAC = HVector.vacuum(4)
 H4_HALF = HVector.parse("1/2,1/2,0,0")
@@ -66,15 +64,20 @@ def from_fraction_rows(weights, code, level, rows):
     """The lattice spanned by rational rows (Fractions or ints), cleared to
     integer rows over their common denominator."""
     den = lcm(*(Fraction(c).denominator for row in rows for c in row))
-    return _from_rows(weights, code, level, [[int(c * den) for c in row] for row in rows],
+    return _from_rows(weights, code, level, sparse([[int(c * den) for c in row] for row in rows]),
                       Fraction(1, den))
+
+
+def dense_basis(entry):
+    """The Hermite rows of a lattice as dense integer tuples over its keys."""
+    return tuple(map(tuple, dense(entry.basis, entry.ambient_dim)))
 
 
 def basis_vectors(entry):
     """The Hermite rows of a lattice over its denominator, as TensorVectors."""
     keys = space(entry.weights).keys(entry.level)
-    return [TensorVector(entry.weights, {k: Fraction(c, entry.denominator)
-                                         for k, c in zip(keys, row) if c})
+    return [TensorVector(entry.weights, {keys[j]: Fraction(c, entry.denominator)
+                                         for j, c in row.items()})
             for row in entry.basis]
 
 
@@ -164,7 +167,7 @@ class TestLatticeAtLevel:
         entry = lattice_at_level(even_code(4), H4_VAC, 0)
         assert entry.rank == 1
         assert entry.denominator == 1
-        assert entry.basis == ((1,),)
+        assert dense_basis(entry) == ((1,),)
 
     def test_vacuum_level_two_membership(self):
         entry = lattice_at_level(even_code(4), H4_VAC, 2)
@@ -181,7 +184,7 @@ class TestLatticeAtLevel:
     def test_module_half_pair_level_one(self):
         entry = lattice_at_level(even_code(4), H4_HALF, 1)
         assert entry.denominator == 1
-        assert entry.basis == ((1, 1), (0, 2))
+        assert dense_basis(entry) == ((1, 1), (0, 2))
 
     def test_module_half_pair_full_rank(self):
         for level in range(4):
@@ -221,16 +224,17 @@ class TestLatticeAtLevel:
 class TestFromRows:
     def test_zero_or_no_rows_give_the_zero_lattice(self):
         for rows in ([], [[0, 0, 0, 0]]):
-            entry = _from_rows(H4_VAC, None, 2, rows, Fraction(3, 7))
+            entry = _from_rows(H4_VAC, None, 2, sparse(rows), Fraction(3, 7))
             assert (entry.denominator, entry.basis, entry.rank) == (1, (), 0)
 
     def test_content_and_scale_give_the_least_denominator(self):
         # content 2 times scale 1/4 is 1/2 over the primitive rows (3, 0), (0, 2)
-        entry = _from_rows(H4_VAC, None, 2, [[0, 4, 0, 0], [6, 0, 0, 0]], Fraction(1, 4))
+        rows = sparse([[0, 4, 0, 0], [6, 0, 0, 0]])
+        entry = _from_rows(H4_VAC, None, 2, rows, Fraction(1, 4))
         assert entry.denominator == 2
-        assert entry.basis == ((3, 0, 0, 0), (0, 2, 0, 0))
-        entry = _from_rows(H4_VAC, None, 2, [[0, 4, 0, 0], [6, 0, 0, 0]], Fraction(3))
-        assert (entry.denominator, entry.basis) == (1, ((18, 0, 0, 0), (0, 12, 0, 0)))
+        assert dense_basis(entry) == ((3, 0, 0, 0), (0, 2, 0, 0))
+        entry = _from_rows(H4_VAC, None, 2, rows, Fraction(3))
+        assert (entry.denominator, dense_basis(entry)) == (1, ((18, 0, 0, 0), (0, 12, 0, 0)))
 
 
 def monomial_route(code, weights, level):
@@ -296,7 +300,7 @@ class TestSignBasis:
     def test_hermite_basis_of_every_codewords_signs(self, code, rank):
         basis = [list(row) for row in sign_basis(code)]
         signs = [t.signs() for t in code.words()]
-        assert hnf(basis) == basis == sweep_hnf(signs) == hnf(signs[::-1])
+        assert dense_hnf(basis) == basis == sweep_hnf(signs) == dense_hnf(signs[::-1])
         assert len(basis) == rank == RowSpanSolver(signs).rank
         pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
         assert pivots == sorted(set(pivots))
@@ -394,6 +398,11 @@ class TestGram:
         with pytest.raises(TypeError):
             gram_matrix(H4_HALF, 1, [[0.5, 0]])
 
+    @pytest.mark.parametrize("row", [[1], [1, 0, 0]], ids=["short", "long"])
+    def test_coordinate_row_of_the_wrong_length_rejected(self, row):
+        with pytest.raises(ValueError):
+            gram_matrix(H4_HALF, 1, [[0, 1], row])
+
     def test_vector_of_another_module_rejected(self):
         """A level 2 vector of W_(0,1/2) has the norm 1/4 there; paired under
         (1/2, 0) its coordinates would read 9/4."""
@@ -461,10 +470,11 @@ class TestFactorwiseForm:
             keys = space(weights).keys(level)
             inv = frac_inverse(dense_key_gram(weights, level))
             xs = [[rng.randint(-5, 5) for _ in keys] for _ in range(3)]
-            s, images = form_map(weights, level, xs)
-            t, preimages = form_map(weights, level, xs, inverse=True)
+            s, images = form_map(weights, level, sparse(xs))
+            t, preimages = form_map(weights, level, sparse(xs), inverse=True)
             _, round_trips = form_map(weights, level, images, inverse=True)
-            for x, preimage, back in zip(xs, preimages, round_trips, strict=True):
+            for x, preimage, back in zip(xs, dense(preimages, len(keys)),
+                                         dense(round_trips, len(keys)), strict=True):
                 expected = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in inv]
                 assert [Fraction(c, t) for c in preimage] == expected
                 assert back == [s * t * c for c in x]
@@ -501,7 +511,7 @@ class TestFactorwiseForm:
 
 def dense_dual(entry):
     """The dual as the dense product frac_inverse(G) B, with index |det G|."""
-    rows = [[Fraction(c, entry.denominator) for c in row] for row in entry.basis]
+    rows = [[Fraction(c, entry.denominator) for c in row] for row in dense_basis(entry)]
     gram = gram_matrix(entry.weights, entry.level, rows)
     inv = frac_inverse(gram)
     dual_rows = [[sum((inv[i][k] * rows[k][j] for k in range(len(rows))), Fraction(0))
@@ -555,7 +565,7 @@ class TestDual:
 
         def zero_images(weights, level, rows, inverse=False):
             scale, images = real(weights, level, rows, inverse)
-            return scale, images if inverse else [[0] * len(row) for row in images]
+            return scale, images if inverse else [{} for _ in images]
 
         monkeypatch.setattr(lattices, "form_map", zero_images)
         with pytest.raises(ValueError, match="degenerate Gram matrix"):
@@ -569,7 +579,8 @@ class TestDual:
 
         def doubled_preimages(weights, level, rows, inverse=False):
             scale, images = real(weights, level, rows, inverse)
-            return scale, [[2 * c for c in row] for row in images] if inverse else images
+            return scale, ([{j: 2 * c for j, c in row.items()} for row in images]
+                           if inverse else images)
 
         monkeypatch.setattr(lattices, "form_map", doubled_preimages)
         with pytest.raises(ValueError, match="degenerate Gram matrix"):
@@ -591,7 +602,7 @@ class TestCompare:
     def test_doubled_sublattice(self):
         a = lattice_at_level(even_code(4), H4_VAC, 2)
         doubled = a._replace(
-            basis=tuple(tuple(2 * c for c in row) for row in a.basis))
+            basis=tuple({j: 2 * c for j, c in row.items()} for row in a.basis))
         report = compare(doubled, a)
         assert report.a_in_b and not report.b_in_a
         assert report.index == 2 ** a.rank
@@ -626,13 +637,14 @@ class TestCompare:
         mix = data.draw(st.lists(st.lists(st.integers(min_value=-3, max_value=3),
                                           min_size=r, max_size=r), min_size=r, max_size=r))
         small = from_fraction_rows(H4_VAC, None, 2, [
-            [sum((Fraction(m * row[j], big.denominator) for m, row in zip(coeffs, big.basis)),
-                 Fraction(0)) for j in range(4)]
+            [sum((Fraction(m * row[j], big.denominator)
+                  for m, row in zip(coeffs, dense_basis(big))), Fraction(0)) for j in range(4)]
             for coeffs in mix])
         common = lcm(small.denominator, big.denominator)
-        scaled = [[common // small.denominator * c for c in row] for row in small.basis]
-        over = [[common // big.denominator * c for c in row] for row in big.basis]
-        transition = [hnf_solve(sparse_rows(over), row) for row in sparse_rows(scaled)]
+        scaled = [{j: common // small.denominator * c for j, c in row.items()}
+                  for row in small.basis]
+        over = [{j: common // big.denominator * c for j, c in row.items()} for row in big.basis]
+        transition = [hnf_solve(over, row) for row in scaled]
         expected = abs(det_bareiss(transition)) if small.rank == r else None
         a, b = (small, big) if data.draw(st.booleans()) else (big, small)
         report = compare(a, b)
@@ -648,7 +660,7 @@ def in_span(rows, over) -> tuple[bool, list]:
 
 
 def rational_rows(entry):
-    return [[Fraction(c, entry.denominator) for c in row] for row in entry.basis]
+    return [[Fraction(c, entry.denominator) for c in row] for row in dense_basis(entry)]
 
 
 @st.composite
@@ -751,7 +763,7 @@ class TestSaturation:
         report = saturate_generated_form([], 4, 2)
         assert report.stabilized
         assert set(report.per_level) == {0}
-        assert report.per_level[0].basis == ((1,),)
+        assert dense_basis(report.per_level[0]) == ((1,),)
 
     def test_doubled_conformal_vector(self):
         gen = 2 * omega_total(1)
@@ -761,7 +773,7 @@ class TestSaturation:
         level2 = report.per_level[2]
         assert contains(level2, gen)
         assert not contains(level2, omega_total(1))
-        assert level2.basis == ((2,),)
+        assert dense_basis(level2) == ((2,),)
 
     def test_plain_conformal_vector_diverges(self):
         # L(2)L(-2)1 = (1/4)1, so the omega closure keeps dividing by 4;
@@ -844,7 +856,7 @@ def tensor_vector_saturation(generators, max_level, mode_budget, max_rounds=8):
             return False
         prev = state.get(level)
         if prev is not None:
-            rows = [[Fraction(c, prev.denominator) for c in row] for row in prev.basis] + rows
+            rows = rational_rows(prev) + rows
         new = from_fraction_rows(weights, None, level, rows)
         if prev is not None and (prev.denominator, prev.basis) == (new.denominator, new.basis):
             return False
@@ -927,23 +939,23 @@ class TestHermiteProperties:
     def test_shuffle_invariance(self, rows, rng):
         shuffled = list(rows)
         rng.shuffle(shuffled)
-        assert hnf(rows) == hnf(shuffled)
+        assert dense_hnf(rows) == dense_hnf(shuffled)
 
     @given(small_matrices)
     @settings(max_examples=60, deadline=None)
     def test_idempotent(self, rows):
-        h = hnf(rows)
-        assert hnf(h) == h
+        h = dense_hnf(rows)
+        assert dense_hnf(h) == h
 
     @given(small_matrices, st.lists(st.integers(min_value=-4, max_value=4),
                                     min_size=5, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_membership_roundtrip(self, rows, coeffs):
-        h = hnf(rows)
+        h = dense_hnf(rows)
         vec = [0, 0, 0]
         for c, row in zip(coeffs, rows):
             vec = [a + c * b for a, b in zip(vec, row)]
-        sol = hnf_solve(sparse_rows(h), {j: x for j, x in enumerate(vec) if x})
+        sol = hnf_solve(sparse(h), {j: x for j, x in enumerate(vec) if x})
         assert sol is not None
         rebuilt = [0, 0, 0]
         for c, row in zip(sol, h):
@@ -957,4 +969,4 @@ class TestHermiteProperties:
         assert all(c.denominator == 1 for row in rows for c in row)
         shuffled = list(ints)
         random.Random(7).shuffle(shuffled)
-        assert hnf(ints) == hnf(shuffled)
+        assert dense_hnf(ints) == dense_hnf(shuffled)

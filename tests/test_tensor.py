@@ -27,6 +27,7 @@ from isingforms.tensor import (
     weight1_count_e8,
 )
 from isingforms.virasoro import ISING_WEIGHTS, irreducible_basis
+from test_intmat import dense, sparse
 
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
@@ -290,7 +291,7 @@ class TestLtActions:
         assume(not v.is_zero())
         words, n, level = code.words(), v.weights.n, v.level()
         den = lcm(*(c.denominator for c in v.terms.values()))
-        row = [c.numerator * (den // c.denominator) for c in v.coordinates(level)]
+        row = sparse([[c.numerator * (den // c.denominator) for c in v.coordinates(level)]])[0]
         u = list(range(1, n + 1))
         signs = [[-1 if t.contains(i) else 1 for i in range(1, n + 1)] for t in words] + [u]
         for m in range(-4, 5):
@@ -302,7 +303,8 @@ class TestLtActions:
                 assert all(w.is_zero() for w in expected)
                 continue
             big, [images] = tensor.lowered_rows(v.weights, level - m, [(-m, den, row, signs)])
-            assert ([[Fraction(c, big) for c in image] for image in images]
+            width = space(v.weights).dimension(level - m)
+            assert ([[Fraction(c, big) for c in image] for image in dense(images, width)]
                     == [w.coordinates(level - m) for w in expected])
 
     def test_vector_across_levels_matches_the_tuple_walk(self):
@@ -477,7 +479,7 @@ class TestSweep:
         # the last fault test: TestTableScale below finds a table it leaves behind
         sp = space(H4_HALF)
         raised = sp.index(1)[(tensor._sid(1, 0),) + (tensor._sid(0, 0),) * 3]
-        assert sp.table(0, 0, -1) == (1, [[(raised, 2)]])
+        assert sp.table(0, 0, -1) == (1, [{raised: 2}])
 
 
 def factor_image(factor, sid: int, op) -> list:
@@ -513,8 +515,8 @@ class TestTableScale:
                     coeffs = []
                     for key, row in zip(keys, rows, strict=True):
                         image = factor_image(factor, key[pos], op)
-                        assert row == [(index[key[:pos] + (t,) + key[pos + 1:]], s * c)
-                                       for t, c in image]
+                        assert list(row.items()) == [
+                            (index[key[:pos] + (t,) + key[pos + 1:]], s * c) for t, c in image]
                         coeffs += [c for _, c in image]
                     for p in prime_factors(s):
                         assert any((s // p * c).denominator != 1 for c in coeffs)
@@ -582,7 +584,8 @@ TABLE_WEIGHTS = [H4_VAC, H4_HALF, HVector.sixteenth(4), HVector.vacuum(8)]
 
 class TestFactorTables:
     """form_map and lowered_rows on the cached factor tables against the
-    tuple walk, on random integer rows at levels 0-4."""
+    tuple walk, on random integer rows at levels 0-4. The rows are drawn
+    dense, as the walk reads them, and go to the package as sparse rows."""
 
     @staticmethod
     def random_rows(rng, width, count):
@@ -595,8 +598,9 @@ class TestFactorTables:
         for level in range(5):
             rows = self.random_rows(rng, space(weights).dimension(level), 3)
             for inverse in (False, True):
-                s, images = tensor.form_map(weights, level, rows, inverse)
-                assert ([[Fraction(x, s) for x in row] for row in images]
+                s, images = tensor.form_map(weights, level, sparse(rows), inverse)
+                width = space(weights).dimension(level)
+                assert ([[Fraction(x, s) for x in row] for row in dense(images, width)]
                         == walked_form_map(weights, level, rows, inverse))
 
     @pytest.mark.parametrize("weights", TABLE_WEIGHTS, ids=str)
@@ -611,15 +615,18 @@ class TestFactorTables:
             items = [(m, rng.randint(1, 4),
                       self.random_rows(rng, space(weights).dimension(n - m), 1)[0], signs)
                      for m in range(-2, n + 1)]
-            big, images = tensor.lowered_rows(weights, n, items)
-            assert ([[[Fraction(x, big) for x in row] for row in item] for item in images]
+            big, images = tensor.lowered_rows(
+                weights, n, [(m, den, sparse([row])[0], u) for m, den, row, u in items])
+            width = space(weights).dimension(n)
+            assert ([[[Fraction(x, big) for x in row] for row in dense(item, width)]
+                     for item in images]
                     == walked_lowered_rows(weights, n, items))
 
-    @pytest.mark.parametrize("extra", [-1, 1])
-    def test_form_map_rejects_a_row_of_the_wrong_length(self, extra):
+    @pytest.mark.parametrize("before", [True, False], ids=["before-the-first", "past-the-last"])
+    def test_form_map_rejects_a_column_outside_the_level(self, before):
         width = space(H4_HALF).dimension(3)
         with pytest.raises(ValueError):
-            tensor.form_map(H4_HALF, 3, [[1] * (width + extra)])
+            tensor.form_map(H4_HALF, 3, [{0: 1, -1 if before else width: 1}])
 
 
 class TestWeightOne:
