@@ -43,11 +43,7 @@ class Word(namedtuple("Word", "bits n")):
     def from_string(cls, text: str) -> "Word":
         if not text or any(ch not in "01" for ch in text):
             raise RequestError(f"not a bitstring: {text!r}")
-        bits = 0
-        for pos, ch in enumerate(text, start=1):
-            if ch == "1":
-                bits |= 1 << (pos - 1)
-        return cls(bits, len(text))
+        return cls(int(text[::-1], 2), len(text))
 
     @classmethod
     def from_set(cls, elements, n: int) -> "Word":
@@ -67,8 +63,7 @@ class Word(namedtuple("Word", "bits n")):
         return cls((1 << n) - 1, n)
 
     def to_string(self) -> str:
-        return "".join("1" if self.bits >> (pos - 1) & 1 else "0"
-                       for pos in range(1, self.n + 1))
+        return format(self.bits, f"0{self.n}b")[::-1]  # position 1, the lowest bit, first
 
     def elements(self) -> tuple[int, ...]:
         return tuple(pos for pos in range(1, self.n + 1) if self.bits >> (pos - 1) & 1)

@@ -13,7 +13,8 @@ vanishing on all linear relations) and decide whether they are integral.
 Every key is an L_T(0) eigenvector: L^(i)(0) = h_i + N_i on W_{H3}, N_i its
 factor-i level. So F(L_T(0) w) = lt0_eigenvalue(T, H3) F(w) + sum_i s_i(T)
 F(N_i w), s_i(T) = -1 on T and +1 off it, and a peel needs of w only its
-moments (F(w), F(N_1 w), ..., F(N_n w)), kept once per stored monomial.
+moments (F(w), F(N_1 w), ..., F(N_n w)) = M / q: per stored monomial its
+integers M, over one denominator q per level, so a peel builds one Fraction.
 
 On a tensor product an intertwining operator is the tensor product of the
 factors' operators (Frenkel-Huang-Lepowsky, Mem. AMS 494, 1993, 4.6), so on a
@@ -80,10 +81,11 @@ class CorrelationFunctional:
     enumeration order), one functional value per state key (the factors'
     product formula, or _rref where it fails), and the value each linear relation
     among the monomial vectors takes on the multipliers, and each monomial's
-    vector and moments. Dropping the first or the second operator of an
-    enumerated monomial leaves an enumerated monomial, because modes stay weakly
-    decreasing and labels within a run of equal modes stay weakly increasing;
-    so every rest and every swapped operand of check_well_defined is stored.
+    vector and integer moments (q, M) (_moments). Dropping the first or the
+    second operator of an enumerated monomial leaves an enumerated monomial,
+    because modes stay weakly decreasing and labels within a run of equal modes
+    stay weakly increasing; so every rest and every swapped operand of
+    check_well_defined is stored, and its peels read the kept _label_constants.
     """
 
     def __init__(self, spec: TripleSpec, base_exponent: Fraction,
@@ -92,14 +94,12 @@ class CorrelationFunctional:
                  relations: dict[int, list[Fraction]],
                  rows: dict[SpanningMonomial, dict[int, int]],
                  denominators: dict[int, int],
-                 moments: dict[SpanningMonomial, list[Fraction]]):
+                 moments: dict[SpanningMonomial, tuple[int, list[int]]], labels: dict):
         self.spec = spec
         self.base_exponent = base_exponent
-        self._multipliers = multipliers
-        self._functional = functional
-        self._relations = relations
+        self._multipliers, self._functional, self._relations = multipliers, functional, relations
         self._rows, self._denominators = rows, denominators
-        self._moments = moments
+        self._moments, self._labels = moments, labels
 
     @property
     def max_level(self) -> int:
@@ -158,7 +158,7 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
     functional: dict[int, dict[tuple[int, ...], Fraction]] = {}
     relations: dict[int, list[Fraction]] = {}
     rows, denominators = {SpanningMonomial(()): {0: 1}}, {}  # integer rows, per-level denominators
-    moments: dict[SpanningMonomial, list[Fraction]] = {}
+    moments: dict[SpanningMonomial, tuple[int, list[int]]] = {}
     labels, sp = _label_constants(spec), space(spec.h3)
     for level in range(max_level + 1):
         mons = spanning_monomials(spec.code, spec.h3, level)
@@ -175,26 +175,28 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
             mults.update((mon, _peel_multiplier(labels[mon.ops[0][1]], m, moments[rest]))
                          for mon in group)
         multipliers[level] = {mon: mults[mon] for mon in mons}
-        f, relations[level], level_moments = _solve_level(
+        f, relations[level], (q, level_moments) = _solve_level(
             spec, level, [rows[x] for x in mons], [mults[x] for x in mons], denominators[level])
         functional[level] = dict(zip(sp.keys(level), f))
-        moments.update(zip(mons, level_moments))
+        moments.update((mon, (q, mom)) for mon, mom in zip(mons, level_moments))
     return CorrelationFunctional(spec, base_exponent, multipliers, functional, relations,
-                                 rows, denominators, moments)
+                                 rows, denominators, moments, labels)
 
 
 def _solve_level(spec, level: int, rows: list[dict[int, int]], mults: list[Fraction], den: int):
-    """(F on the keys, relation values, moments of each row) of the system
+    """(F on the keys, relation values, _moments of the rows) of the system
     (row / den) . F = multiplier, as in build_correlation: the rows span the
     level (lattices module docstring), so a product formula F with no
     residual is the unique solution."""
     sp = space(spec.h3)
-    ncols = sp.dimension(level)
-    f = [prod(map(_factor_value, sp.factors, spec.h1.entries, spec.h2.entries, key),
-              start=Fraction(1)) for key in sp.keys(level)]
-    moments = _moments(sp, level, rows, den, f)
-    if all(mom[0] == x for mom, x in zip(moments, mults)):
-        return f, [Fraction(0)] * (len(rows) - ncols), moments
+    keys, ncols = sp.keys(level), sp.dimension(level)
+    values = [{sid: _factor_value(*fixed, sid) for sid in set(column)}  # per factor position
+              for *fixed, column in zip(sp.factors, spec.h1.entries, spec.h2.entries, zip(*keys))]
+    f = [Fraction(prod(x.numerator for x in xs), prod(x.denominator for x in xs))
+         for xs in (list(map(dict.__getitem__, values, key)) for key in keys)]
+    q, moments = _moments(sp, level, rows, den, f)
+    if all(mom[0] * x.denominator == x.numerator * q for mom, x in zip(moments, mults)):
+        return f, [Fraction(0)] * (len(rows) - ncols), (q, moments)
     reduced, pivots = _rref([[row.get(j, 0) for j in range(ncols)] + [den * x]
                              for row, x in zip(rows, mults)], ncols)
     if len(pivots) < ncols:
@@ -215,27 +217,29 @@ def _factor_value(factor, h1: Fraction, h2: Fraction, sid: int) -> Fraction:
 
 
 def _moments(sp, level: int, rows: list[dict[int, int]], den: int, f: list[Fraction]):
-    """Each row's (F(w), F(N_1 w), ..., F(N_n w)), w = row / den, over its nonzeros."""
+    """(q, each row's integers M): w = row / den has (F(w), F(N_1 w), ...,
+    F(N_n w)) = M / q, q = den * lcm(F's denominators), over its nonzeros."""
     e, levels = lcm(*(x.denominator for x in f)), sp.factor_levels(level).values()
     fint = [x.numerator * (e // x.denominator) for x in f]
     weights = [fint] + [[x * l[i] for x, l in zip(fint, levels)] for i in range(sp.n)]
-    return [[Fraction(sum(map(mul, row.values(), map(w.__getitem__, row))), den * e)
-             for w in weights] for row in rows]
+    return den * e, [[sum(map(mul, row.values(), map(w.__getitem__, row))) for w in weights]
+                     for row in rows]
 
 
 def _label_constants(spec: TripleSpec) -> dict:
-    """Per codeword T: its signs s_i(T), and L_T(0) on the lowest H1, H2, H3."""
-    return {t: (t.signs(), *(lt0_eigenvalue(t, h) for h in (spec.h1, spec.h2, spec.h3)))
-            for t in spec.code.words()}
+    """Per codeword T: (s(T), k, k a1, k a2, k a3), a_j = lt0_eigenvalue(T, H_j)
+    and k the lcm of the denominators of every a_j."""
+    a = {t: [lt0_eigenvalue(t, h) for h in spec[:3]] for t in spec.code.words()}
+    k = lcm(*(x.denominator for xs in a.values() for x in xs))
+    return {t: (t.signs(), k, *(int(x * k) for x in xs)) for t, xs in a.items()}
 
 
-def _peel_multiplier(label, m: int, moments: list[Fraction]) -> Fraction:
-    """The recursion step lowering by m a stored vector w with the given
-    moments: F(L_T(0) w) = lt0_eigenvalue(T, H3) F(w) + sum_i s_i(T) F(N_i w),
-    s_i(T) = -1 on T and +1 off it, as L^(i)(0) = h_i + N_i on W_{H3}."""
-    signs, a1, a2, a3 = label
-    f_lt0_w = a3 * moments[0] + sum(x if s > 0 else -x for s, x in zip(signs, moments[1:]) if x)
-    return cross_bracket_step(m, f_lt0_w, moments[0], a1, a2)
+def _peel_multiplier(label, m: int, moments: tuple[int, list[int]]) -> Fraction:
+    """cross_bracket_step lowering by m a stored w with moments M / q, label
+    (s, k, A1, A2, A3): F(L_T(0) w) = (A3 M_0 + k sum_i s_i M_i) / (k q), as
+    L^(i)(0) = h_i + N_i on W_{H3} and s_i(T) = -1 on T, +1 off it."""
+    (signs, k, a1, a2, a3), (q, mom) = label, moments
+    return Fraction((a3 + m * a1 - a2) * mom[0] + k * sum(map(mul, signs, mom[1:])), k * q)
 
 
 WellDefinedReport = namedtuple("WellDefinedReport", "well_defined order_checks order_failures "
@@ -253,7 +257,7 @@ def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
     quotient from formal products to module vectors.
     """
     spec, max_level = corr.spec, corr.max_level
-    labels, moments = _label_constants(spec), corr._moments
+    labels, moments = corr._labels, corr._moments
     order_failures: list[str] = []
     order_checks = 0
     for level in range(max_level + 1):
@@ -269,7 +273,8 @@ def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
             swapped = _peel_multiplier(labels[t2], m2, swapped_inner)
             terms = commutator_symbolic(t1, t2, -m1, -m2)
             bracket = _peel_multiplier(labels[terms.word], m1 + m2, tail)
-            rewritten = swapped + terms.linear * bracket + terms.central * tail[0]
+            q, tail_moments = tail
+            rewritten = swapped + terms.linear * bracket + terms.central * tail_moments[0] / q
             order_checks += 1
             if direct != rewritten:
                 order_failures.append(mon.label())

@@ -33,6 +33,13 @@ class TestWord:
         assert w.to_string() == "1010"
         assert Word.from_string(w.to_string()) == w
 
+    @pytest.mark.parametrize("code", [c16(), even_code(8)], ids=["c16", "even8"])
+    def test_every_codeword_round_trips(self, code):
+        for w in code.words():
+            text = w.to_string()
+            assert Word.from_string(text) == w
+            assert text == "".join("1" if w.contains(pos) else "0" for pos in range(1, w.n + 1))
+
     def test_position_one_is_leftmost(self):
         w = Word.from_string("1000")
         assert w.contains(1)

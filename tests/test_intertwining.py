@@ -1,10 +1,14 @@
 """Forced coefficient systems: recursion values, consistency, integrality."""
 
 import functools
+import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isingforms import intertwining
 from isingforms.codes import (
@@ -148,6 +152,41 @@ class TestCrossBracketStep:
         for m in range(1, 4):
             assert cross_bracket_step(m, Fraction(2), Fraction(3), Fraction(7), Fraction(5)) \
                 == base + m * 7 * 3
+
+
+# the fields _label_constants reads, without TripleSpec's admissibility check:
+# every admissible triple has integral zero-mode eigenvalues, so k = 1 there
+LabelSpec = namedtuple("LabelSpec", "h1 h2 h3 code")
+C16_WORDS = c16().words()
+weight_vectors = st.lists(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 16)]),
+                          min_size=16, max_size=16).map(lambda xs: HVector(tuple(xs)))
+
+
+class TestIntegerPeel:
+    """The build's peel on integer moments M over q against fraction_peel
+    (cross_bracket_step) on the moments M / q, for every c16 codeword, with
+    weights over {0, 1/2, 1/16} so that k runs up to 16."""
+
+    @given(hs=st.tuples(weight_vectors, weight_vectors, weight_vectors),
+           m=st.integers(min_value=1, max_value=12),
+           moments=st.lists(st.integers(min_value=-10**6, max_value=10**6),
+                            min_size=17, max_size=17),
+           q=st.integers(min_value=1, max_value=10**4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_cross_bracket_step(self, hs, m, moments, q):
+        spec = LabelSpec(*hs, c16())
+        labels = intertwining._label_constants(spec)
+        assert labels[C16_WORDS[0]][1] == functools.reduce(
+            math.lcm, (lt0_eigenvalue(t, h).denominator for t in C16_WORDS for h in hs))
+        rational = [Fraction(x, q) for x in moments]
+        for t in C16_WORDS:
+            assert intertwining._peel_multiplier(labels[t], m, (q, moments)) == \
+                fraction_peel(spec, t, m, rational)
+
+    def test_k_reaches_sixteen(self):
+        h = HVector((Fraction(1, 16),) + (Fraction(0),) * 15)
+        labels = intertwining._label_constants(LabelSpec(h, h, h, c16()))
+        assert {label[1] for label in labels.values()} == {16}
 
 
 class TestBuildCorrelation:
@@ -327,14 +366,24 @@ class TestAgainstRowSpanRoute:
         )
 
 
+def fraction_peel(spec, t, m: int, moments: list[Fraction]) -> Fraction:
+    """The peel of a vector w with Fraction moments (F(w), F(N_1 w), ...):
+    F(L_T(0) w) = lt0_eigenvalue(T, H3) F(w) + sum_i s_i(T) F(N_i w), then
+    cross_bracket_step, all in Fractions."""
+    f_lt0_w = lt0_eigenvalue(t, spec.h3) * moments[0] + dot(t.signs(), moments[1:])
+    return cross_bracket_step(m, f_lt0_w, moments[0], lt0_eigenvalue(t, spec.h1),
+                              lt0_eigenvalue(t, spec.h2))
+
+
 @functools.cache
 def rref_route(spec: TripleSpec, max_level: int):
     """The former build: each monomial vector as a TensorVector through
     lt_action, and per level one _rref over the dense Fraction coordinates
-    of every monomial, each with its multiplier as an extra column. Returns,
-    per level, (multipliers, functional on the keys, relation values), and
-    every monomial's vector and moments, the moments summed in Fractions."""
-    labels, sp = intertwining._label_constants(spec), space(spec.h3)
+    of every monomial, each with its multiplier as an extra column; every
+    peel through fraction_peel. Returns, per level, (multipliers, functional
+    on the keys, relation values), and every monomial's vector and moments,
+    the moments summed in Fractions."""
+    sp = space(spec.h3)
     vectors = {SpanningMonomial(()): TensorVector.lowest(spec.h3)}
     moments, levels = {}, {}
     for level in range(max_level + 1):
@@ -347,7 +396,7 @@ def rref_route(spec: TripleSpec, max_level: int):
         for (m, rest), group in groups.items():
             words = [mon.ops[0][1] for mon in group]
             vectors.update((mon, lt_action(t, -m, vectors[rest])) for mon, t in zip(group, words))
-            mults.update((mon, intertwining._peel_multiplier(labels[t], m, moments[rest]))
+            mults.update((mon, fraction_peel(spec, t, m, moments[rest]))
                          for mon, t in zip(group, words))
         keys = sp.keys(level)
         reduced, pivots = _rref(
@@ -366,8 +415,8 @@ def rref_route(spec: TripleSpec, max_level: int):
 
 
 def assert_matches_rref_route(corr):
-    """Multipliers, functional, relation values (in order), moments and
-    vector() of corr equal those of rref_route."""
+    """Multipliers, functional, relation values (in order), moments (as
+    rationals M / q) and vector() of corr equal those of rref_route."""
     levels, vectors, moments = rref_route(corr.spec, corr.max_level)
     assert sorted(levels) == list(range(corr.max_level + 1))
     for level, (mults, f, relations) in levels.items():
@@ -378,7 +427,8 @@ def assert_matches_rref_route(corr):
         assert corr.relation_values(level) == relations
         for mon in mons:
             assert corr.vector(mon) == vectors[mon]
-            assert corr._moments[mon] == moments[mon]
+            q, integer_moments = corr._moments[mon]
+            assert [Fraction(x, q) for x in integer_moments] == moments[mon]
 
 
 def wrong_product_formula(monkeypatch):
