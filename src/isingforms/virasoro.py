@@ -13,8 +13,17 @@ Conventions used throughout the package:
     maximal proper submodule, so graded dimensions of the irreducible quotient
     are ranks of the per-level Gram matrices.
 
-Coefficients leave the module as fractions.Fraction; inside, _Engine runs on
-ints over powers of one denominator per module. Nothing here touches floats.
+Each level's pivot monomials come from one of two scans. At central charge
+1/2 and the three Ising weights the irreducible module is a parity half of a
+free-fermion Fock space, whose contravariant form is positive definite, so
+the Gram rank of a set of monomials is the rank of their Fock images: _Fock
+scans those images and forms no pairing, and the Gram block on its pivots is
+bordered afterwards as a cross-check. Any other CentralParams, and
+shapovalov_gram, pair monomials in the Verma module (_Engine).
+
+Coefficients leave the module as fractions.Fraction; inside, _Engine and
+_Fock run on ints over powers of one denominator per module. Nothing here
+touches floats.
 """
 
 from __future__ import annotations
@@ -105,12 +114,13 @@ def bracket(m: int, n: int) -> tuple[int, Fraction]:
     return m - n, central
 
 
-def partitions(level: int) -> list[Monomial]:
+@cache
+def partitions(level: int) -> tuple[Monomial, ...]:
     """All PBW monomials of the given level, in descending lexicographic order."""
     if level < 0:
-        return []
+        return ()
     if level == 0:
-        return [()]
+        return ((),)
     out = []
 
     def rec(remaining, cap, prefix):
@@ -123,7 +133,7 @@ def partitions(level: int) -> list[Monomial]:
             prefix.pop()
 
     rec(level, level, [])
-    return out
+    return tuple(out)
 
 
 class VermaVector(_Combination):
@@ -163,11 +173,14 @@ class GradedBasis(namedtuple("GradedBasis", "params level pivots gram inverse de
     """Pivot monomials of one graded piece of an irreducible quotient.
 
     pivots are chosen greedily in descending lexicographic order: a monomial
-    is kept when its Schur complement against the Gram block of the monomials
-    already kept is nonzero, which keeps that block invertible. At c = 1/2 and
-    the three Ising weights the free-fermion character (character_dimension)
-    bounds the dimension from above, the kept pivots bound it from below, and
-    the scan stops where the two meet; elsewhere it runs over every partition.
+    is kept when it is independent of the monomials already kept. Away from
+    the Ising weights that is read off the Shapovalov form: the Schur
+    complement against the Gram block of the kept monomials is nonzero,
+    which keeps that block invertible. At c = 1/2 and the three Ising weights
+    it is read off the free-fermion Fock images (_Fock), and the scan stops
+    at the character (character_dimension). The Fock form is positive
+    definite, so the Gram block of a set of monomials is invertible exactly
+    when their images are independent, and both rules keep the same pivots.
     gram is the block on the final pivots, inverse its inverse and det its
     determinant, the product of the kept Schur complements.
     """
@@ -179,13 +192,152 @@ class GradedBasis(namedtuple("GradedBasis", "params level pivots gram inverse de
         return len(self.pivots)
 
 
+def _flip(mask: int, d: int) -> tuple[int, int]:
+    """psi(d/2) or psi(-d/2) on a Fock basis state whose bit d is set or
+    clear: (sign, new state), the sign that of passing the modes above d.
+    For d = 0 it is psi(0), short of the 1/2 it takes on u1."""
+    return -1 if (mask >> (d + 1)).bit_count() % 2 else 1, mask ^ (1 << d)
+
+
+class _Fock:
+    """Free-fermion Fock images of the PBW monomials of one Ising weight.
+
+    L(1/2, 0) and L(1/2, 1/2) are the even and odd halves of the
+    Neveu-Schwarz Fock space of one real fermion psi(r), r in Z + 1/2, and
+    L(1/2, 1/16) is the even half of the Ramond space, r in Z, built on u0
+    and u1 with psi(0) u0 = u1 and psi(0) u1 = u0 / 2 (Kac and Raina, Bombay
+    Lectures, 1987). The basis state psi(-r1) ... psi(-rk) u, r1 > ... > rk
+    > 0, is the bitmask of the doubled modes 2 ri, odd in NS; in Ramond bit
+    0 labels u1 = psi(0) u0. The highest weight state is u0, |0> or, for
+    h = 1/2, psi(-1/2)|0>. For n > 0
+
+        L(-n) = sum over r > -n/2 of (r + n/2) psi(-n-r) psi(r)
+
+    takes a basis state to an integer combination over one scale, 2 in NS
+    and 4 in Ramond (the 1/2 of psi(0) u1), so a monomial's image is an
+    integer combination over scale^len; each is cached and extends its
+    suffix by one mode. The basis states are orthogonal with norms 1, or 1/2
+    when bit 0 is set, and L(n) is adjoint to L(-n), so the Shapovalov Gram
+    of a set of monomials is V N V^T for their images V and N the positive
+    norms: it is invertible exactly when V has full rank.
+    """
+
+    def __init__(self, params: CentralParams):
+        self.params = params
+        self.ramond = params.h == ISING_WEIGHTS[2]
+        self.scale = 4 if self.ramond else 2
+        self.top = 2 if params.h == ISING_WEIGHTS[1] else 0
+
+    @cache
+    def lower(self, n: int, mask: int) -> dict[int, int]:
+        """scale L(-n) on the basis state mask, n > 0, as {state: int}."""
+        unit = self.scale // 2  # every coefficient is a multiple of 1/2
+        steps = []  # (coefficient, state after psi(r), doubled mode psi(-n-r) creates)
+        for d in range(1, mask.bit_length()):  # r = d/2 > 0 annihilates a mode
+            if mask >> d & 1:
+                sign, m = _flip(mask, d)
+                steps.append((sign * unit * (d + n), m, d + 2 * n))
+        for e in range(2 if self.ramond else 1, n, 2):  # r = -e/2 creates one
+            if not mask >> e & 1:
+                sign, m = _flip(mask, e)
+                steps.append((sign * unit * (n - e), m, 2 * n - e))
+        if self.ramond:  # r = 0: (n/2) psi(-n) psi(0), with psi(0) u1 = u0 / 2
+            sign, m = _flip(mask, 0)
+            steps.append((sign * (unit >> (mask & 1)) * n, m, 2 * n))
+        out: dict[int, int] = {}
+        for c, m, d in steps:
+            if not m >> d & 1:
+                sign, m = _flip(m, d)
+                out[m] = out.get(m, 0) + sign * c
+        return {m: c for m, c in out.items() if c}
+
+    @cache
+    def image(self, mono: Monomial) -> dict[int, int]:
+        """mono on the highest weight state, times scale^len(mono)."""
+        if not mono:
+            return {self.top: 1}
+        out: dict[int, int] = {}
+        for state, c in self.image(mono[1:]).items():
+            for m, x in self.lower(mono[0], state).items():
+                out[m] = out.get(m, 0) + c * x
+        return {m: c for m, c in out.items() if c}
+
+    @cache
+    def states(self, level: int) -> tuple[int, ...]:
+        """The basis states of the level piece, increasing: the doubled modes
+        are distinct and sum to 2 level, plus 1 for h = 1/2, odd in NS and
+        even in Ramond, where bit 0 makes the count of modes even."""
+        total, first = 2 * level + self.top // 2, 2 if self.ramond else 1
+        out = []
+
+        def rec(remaining, d, mask):
+            if not remaining:
+                out.append(mask | mask.bit_count() % 2 if self.ramond else mask)
+            for e in range(d, remaining + 1, 2):
+                rec(remaining - e, e + 2, mask | 1 << e)
+
+        rec(total, first, 0)
+        return tuple(sorted(out))
+
+    @cache
+    def pivots(self, level: int) -> tuple[Monomial, ...]:
+        """Greedy scan of partitions(level) on the Fock images.
+
+        A monomial is kept when its image does not reduce to zero against
+        the kept images, held as primitive integer rows keyed by their
+        leading state in states(level). A monomial (n,) + tail whose tail is
+        no pivot at its level is skipped without its image: the tail's image
+        is a combination of those of the pivots p before it in the scan
+        order, and L(-n) p straightens into monomials that come before
+        (n,) + tail: (n,) + p when p's first part is at most n, else
+        monomials whose first part exceeds n. Each of those is kept or has
+        its image in the span of the kept. The scan stops at
+        character_dimension, the dimension of the Fock level piece, and
+        raises ValueError when it runs out of candidates short of it.
+        """
+        cap = character_dimension(self.params, level)
+        column = {m: j for j, m in enumerate(self.states(level))}
+        echelon: list[list[int] | None] = [None] * len(column)
+        kept: list[Monomial] = []
+        below = {n: set(self.pivots(level - n)) for n in range(1, level + 1)}
+        for mono in partitions(level):
+            if len(kept) == cap:
+                break
+            if mono and mono[1:] not in below[mono[0]]:
+                continue
+            v = [0] * len(column)
+            for m, c in self.image(mono).items():
+                v[column[m]] = c
+            for j, row in enumerate(echelon):
+                if not v[j]:
+                    continue
+                if row is None:
+                    g = math.gcd(*v)
+                    echelon[j] = [c // g for c in v]
+                    kept.append(mono)
+                    break
+                g = math.gcd(row[j], v[j])
+                a, b = row[j] // g, v[j] // g
+                v[j:] = [a * x - b * y for x, y in zip(v[j:], row[j:])]
+                g = math.gcd(*v)
+                if g > 1:
+                    v = [c // g for c in v]
+        if len(kept) < cap:
+            raise ValueError(
+                f"weight {self.params.h}: the pivot scan found {len(kept)} states at "
+                f"level {level}, the character gives {cap}")
+        return tuple(kept)
+
+
 class _Engine:
     """Straightening and pairing cache for one CentralParams, on integers.
 
     With den = lcm(den(h), den(ell/2)), the coefficient of mono in L(n) on
     modes is the int apply_monomial returns over den^(len(modes) + 1 -
     len(mono)), as each factor of h or ell uses up one operator, and a
-    pairing <a, b> is an int over den^(len(a) + len(b)).
+    pairing <a, b> is an int over den^(len(a) + len(b)). At the three Ising
+    weights fock holds the Fock images that choose the pivots; elsewhere it
+    is None and the pairings choose them.
     """
 
     def __init__(self, params: CentralParams):
@@ -193,6 +345,8 @@ class _Engine:
         self.den = den = math.lcm(params.h.denominator, (params.ell / 2).denominator)
         # (n^3 - n)/12 ell = (n^3 - n)/6 (ell/2), and (n^3 - n)/6 is an integer.
         self.h, self.central = int(den * params.h), int(den * params.ell / 2) * den
+        ising = params.ell == ISING_ELL and params.h in ISING_WEIGHTS
+        self.fock = _Fock(params) if ising else None
 
     @cache
     def apply_monomial(self, n: int, modes: Monomial) -> dict[Monomial, int]:
@@ -251,31 +405,34 @@ class _Engine:
     def bordering(self, level: int) -> tuple[tuple[Monomial, ...], list, list, int]:
         """Greedy pivot scan of one level on integers: (pivots, rows, adj, det').
 
-        The scan stops once the kept count reaches character_dimension, an
-        upper bound; each kept pivot is a nonzero principal minor, so the
-        count is also a lower bound, and a scan that runs out of candidates
-        short of the character raises ValueError. It borders K' = S K S with
-        S = diag(den^len(pivot)), the integer pairings (rows[i][j] for j <= i),
-        as an integer adjugate adj and determinant det'. A congruence keeps
+        It borders K' = S K S with S = diag(den^len(pivot)), the integer
+        pairings (rows[i][j] for j <= i), as an integer adjugate adj and
+        determinant det', keeping a candidate when its bordered determinant
+        (det' times its Schur complement) is nonzero. A congruence keeps
         every bordered minor nonzero where it was, so the pivots are those of
-        the Gram block K. Callers that need only the dimension stop here.
+        the Gram block K. Away from the Ising weights the candidates are every
+        partition. At the Ising weights they are the Fock pivots alone, k(k+1)/2
+        pairings for k pivots; each must have a nonzero Schur complement, so
+        a zero one, a disagreement between the Fock and the Verma
+        constructions, raises ValueError.
         """
-        monos = partitions(level)
-        cap = character_dimension(self.params, level)
-        kept: list[int] = []
+        candidates = self.fock.pivots(level) if self.fock else partitions(level)
+        kept: list[Monomial] = []
         rows: list[list[int]] = []  # rows[i][j] = K'[kept i, kept j] for j <= i
         det, adj = 1, []  # det(K') and det * K'^-1, both integer
-        for idx, mono in enumerate(monos):
-            if len(kept) == cap:
-                break
-            g = [self._pairing_same_level(monos[j], mono) for j in kept]
+        for mono in candidates:
+            g = [self._pairing_same_level(k, mono) for k in kept]
             d = self._pairing_same_level(mono, mono)
             u = [sum(a * b for a, b in zip(row, g) if b) for row in adj]
-            # det(K' bordered by idx) = det * d - g^T adj g, and the block on
-            # kept is invertible, so the principal minor rule keeps idx exactly
-            # when this bordered determinant s is nonzero.
+            # det(K' bordered by mono) = det * d - g^T adj g, and the block on
+            # kept is invertible, so the principal minor rule keeps mono
+            # exactly when this bordered determinant s is nonzero.
             s = det * d - sum(a * b for a, b in zip(g, u) if a)
             if not s:
+                if self.fock:
+                    raise ValueError(
+                        f"weight {self.params.h}: Fock pivot {mono} at level {level} "
+                        "has a zero Schur complement")
                 continue
             # Sylvester's identity makes the division exact (Bareiss):
             # adj' = [[(s adj + u u^T) / det, -u], [-u^T, det]], det' = s.
@@ -285,13 +442,9 @@ class _Engine:
                 row.append(-ui)
             adj.append([-x for x in u] + [det])
             det = s
-            kept.append(idx)
+            kept.append(mono)
             rows.append(g + [d])
-        if cap is not None and len(kept) < cap:
-            raise ValueError(
-                f"weight {self.params.h}: the pivot scan found {len(kept)} states at "
-                f"level {level}, the character gives {cap}")
-        return tuple(monos[i] for i in kept), rows, adj, det
+        return tuple(kept), rows, adj, det
 
     @cache
     def basis(self, level: int) -> GradedBasis:
@@ -358,8 +511,10 @@ def reduce_vector(v: VermaVector, basis: GradedBasis) -> list[Fraction]:
 
 def _pivot_count(params: CentralParams, level: int) -> int:
     """Dimension of the level piece of the irreducible quotient, read from the
-    integer bordering: no Fraction of the basis is formed."""
-    return len(_engine(params).bordering(level)[0])
+    pivot scan: no Fraction of the basis is formed, and at the Ising weights,
+    where the Fock scan chooses the pivots, no pairing either."""
+    eng = _engine(params)
+    return len(eng.fock.pivots(level) if eng.fock else eng.bordering(level)[0])
 
 
 def graded_dimensions(params: CentralParams, max_level: int) -> list[int]:

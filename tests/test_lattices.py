@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from isingforms import intertwining, lattices, tensor
 from isingforms.codes import (
+    BinaryCode,
     RequestError,
     Word,
     c16,
     complement_reduce,
     even_code,
+    goodform_conditions,
     hamming8,
     sign_basis,
     trivial_code,
@@ -337,6 +339,67 @@ class TestSignBasisRoute:
         for level, want in enumerate(per_codeword_levels(monkeypatch, code, weights, top)):
             got = lattice_at_level(code, weights, level)
             assert (got.denominator, got.basis) == (want.denominator, want.basis)
+
+
+def in_lattice(entry, big, row) -> bool:
+    """Whether the integer row over big lies in the lattice: first the
+    denominator, then the Hermite solve."""
+    scaled = {j: c * entry.denominator for j, c in row.items()}
+    if any(c % big for c in scaled.values()):
+        return False
+    return hnf_solve(entry.basis, {j: c // big for j, c in scaled.items()}) is not None
+
+
+def closure_failures(code, weights, top):
+    """The (n, k) with n + k <= top, in order of n and then k, at which some
+    Hermite row of level n + k leaves level n under sum_i s_i L^(i)(k), for
+    the signs s of some complement-reduced codeword. Levels come from
+    lattices._level, which skips the form conditions lattice_at_level
+    checks; the signs are every representative's own, not the sign basis the
+    build combines, so the check shares no basis with it."""
+    signs = [t.signs() for t in complement_reduce(code)]
+    failures = []
+    for n in range(top + 1):
+        target = lattices._level(code, weights, n)
+        for k in range(top - n + 1):
+            source = lattices._level(code, weights, n + k)
+            items = [(-k, source.denominator, b, signs) for b in source.basis]
+            big, images = tensor.lowered_rows(weights, n, items)
+            if not all(in_lattice(target, big, row) for rows in images for row in rows):
+                failures.append((n, k))
+    return failures
+
+
+class TestModeClosure:
+    """An integral form is closed under the modes of Y(omega_T, x), k >= 0
+    included: each level lattice maps into the lower ones under L_T(k). The
+    build only lowers, so this is a property of the lattices, not of their
+    construction. The form conditions do their work at k = 2, where
+    [L_S(2), L_T(-2)] carries the central term (N - 2|S+T|)/4: that is
+    integral for every S and T exactly when 4 divides N and every codeword
+    is even."""
+
+    @pytest.mark.parametrize("code, weights, top", [
+        (even_code(4), H4_VAC, 8),
+        (hamming8(), HVector.parse("1/2,1/2,0,0,0,0,0,0"), 5),
+        (c16(), HVector.vacuum(16), 4),
+        (c16(), HVector.sixteenth(16), 2),
+        (even_code(4), HVector.parse("1/2,1/2,1/2,1/2"), 6),
+    ], ids=["even4-vacuum", "hamming8-half-pair", "c16-vacuum", "c16-sixteenth",
+            "even4-all-half"])
+    def test_levels_are_closed_under_every_mode(self, code, weights, top):
+        assert closure_failures(code, weights, top) == []
+
+    @pytest.mark.parametrize("code", [
+        even_code(6),
+        BinaryCode(8, hamming8().basis() + [Word.from_string("10000000")]),
+    ], ids=["even6", "hamming8-plus-10000000"])
+    def test_a_failed_form_condition_fails_first_at_level_0_mode_2(self, code):
+        report = goodform_conditions(code)
+        failed = [name for name in ("n_multiple_of_4", "inside_even_code", "contains_full_set",
+                                    "separating") if not getattr(report, name)]
+        assert failed == (["n_multiple_of_4"] if code.n == 6 else ["inside_even_code"])
+        assert closure_failures(code, HVector.vacuum(code.n), 2)[0] == (0, 2)
 
 
 class TestRecursionAgainstMonomials:

@@ -215,7 +215,7 @@ class TestShapovalov:
 
     def test_vacuum_level_two(self):
         p = ising_params(0)
-        assert partitions(2) == [(2,), (1, 1)]
+        assert partitions(2) == ((2,), (1, 1))
         assert shapovalov_gram(p, 2) == [[F(1, 4), 0], [0, 0]]
 
     def test_symmetry(self):
@@ -463,6 +463,87 @@ class TestIrreducibleBasis:
         p = ising_params(0)
         with pytest.raises(ValueError):
             reduce_vector(VermaVector.monomial(p, (3,)), irreducible_basis(p, 2))
+
+
+# The Fock construction restated for the tests: the scale of each weight's
+# integer images (the 1/2 in every L(-n) coefficient, and in Ramond also the
+# 1/2 of psi(0) u1) and the norm of a basis state (1/2 when the Ramond bit 0,
+# u1 = psi(0) u0, is set).
+FOCK_SCALE = {F(0): 2, F(1, 2): 2, F(1, 16): 4}
+FOCK_TOPS = {F(0): 14, F(1, 2): 14, F(1, 16): 16}
+FOCK_IDS = ["h0", "h1_2", "h1_16"]
+
+
+def fock_norm(h, state):
+    return F(1, 2) if h == F(1, 16) and state & 1 else F(1)
+
+
+def fresh_fock(h):
+    return virasoro._Engine(ising_params(h)).fock
+
+
+class TestFockRoute:
+    """The free-fermion scan of _Fock against the Verma routes above."""
+
+    @pytest.mark.parametrize("h", FOCK_TOPS, ids=FOCK_IDS)
+    def test_pivots_match_principal_minor_rule(self, h):
+        fock = fresh_fock(h)
+        for level in range(FOCK_TOPS[h] + 1):
+            want = principal_minor_basis(ising_params(h), level)[0]
+            assert fock.pivots(level) == want, (h, level)
+
+    @pytest.mark.parametrize("h", FOCK_TOPS, ids=FOCK_IDS)
+    def test_pivots_match_full_scan(self, h):
+        fock = fresh_fock(h)
+        for level in range(FOCK_TOPS[h] + 1):
+            assert fock.pivots(level) == full_scan_basis(ising_params(h), level)[0], (h, level)
+
+    def test_fock_gram_is_the_shapovalov_gram(self):
+        # <a v, b v> = sum over basis states s of norm(s) a(s) b(s), with the
+        # integer images taken over scale^len.
+        for h, scale in FOCK_SCALE.items():
+            p, fock = ising_params(h), fresh_fock(h)
+            for level in range(8):
+                monos = partitions(level)
+                gram = shapovalov_gram(p, level)
+                for a, row in zip(monos, gram):
+                    for b, want in zip(monos, row):
+                        ia, ib = fock.image(a), fock.image(b)
+                        got = sum((fock_norm(h, s) * c * ib.get(s, 0) for s, c in ia.items()),
+                                  F(0)) / F(scale) ** (len(a) + len(b))
+                        assert got == want, (h, a, b)
+
+    def test_level_pieces_have_the_character_dimension(self):
+        top = 20
+        ns = fermion_product(range(1, 2 * top + 2, 2), 2 * top + 2)
+        ramond = fermion_product(range(1, top + 1), top + 1)
+        for h, dims in zip(virasoro.ISING_WEIGHTS, (ns[0::2], ns[1::2], ramond)):
+            fock = fresh_fock(h)
+            assert [len(fock.states(level)) for level in range(top + 1)] == dims
+            for level in range(9):
+                images = [fock.image(m) for m in partitions(level)]
+                assert set().union(*images) <= set(fock.states(level))
+
+    def test_dimensions_form_no_pairing(self, monkeypatch, capsys):
+        # A fresh engine cache, and no Shapovalov pairing to be had: vir dims
+        # and a tensor factor read each dimension from the Fock scan.
+        monkeypatch.setattr(virasoro, "_engine", functools.cache(virasoro._Engine))
+        monkeypatch.setattr(virasoro._Engine, "_pairing_same_level",
+                            lambda self, a, b: pytest.fail("Shapovalov pairing formed"))
+        for h in virasoro.ISING_WEIGHTS:
+            p = ising_params(h)
+            dims = [virasoro.character_dimension(p, level) for level in range(17)]
+            assert graded_dimensions(p, 16) == dims
+            assert [tensor._Factor(h).dim(level) for level in range(17)] == dims
+        assert cli.main(["vir", "dims", "--h", "1/16", "--max-level", "19"]) == 0
+        assert "check failed" not in capsys.readouterr().err
+
+    def test_bordering_rejects_a_dependent_fock_pivot(self, monkeypatch):
+        # L(-1) v is null in the vacuum module: as a Fock pivot it has a zero
+        # Schur complement, and the bordering reports the disagreement.
+        monkeypatch.setattr(virasoro._Fock, "pivots", lambda self, level: ((1,),))
+        with pytest.raises(ValueError, match="zero Schur complement"):
+            virasoro._Engine(ising_params(0)).bordering(1)
 
 
 class TestMinimalModels:
