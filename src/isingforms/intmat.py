@@ -18,10 +18,11 @@ latest leading column first. A full-rank Hermite basis is square upper
 triangular, so the graded dual reduces no [Gram | basis] block:
 ``hermite_cofactors`` inverts the basis by integer back-substitution.
 
-Solving a square system, inverting, expressing vectors over a fixed list of
-rows (with their left kernel) and the Bareiss determinants (a rational one
-clears denominators first) have no caller in the package: the tests keep
-them as independent routes, and the benchmark's span tracer wraps them.
+``virasoro`` takes the inverse and determinant of its pivot Gram blocks from
+``frac_inverse`` and ``frac_det`` (Bareiss after clearing denominators).
+``frac_solve`` and ``RowSpanSolver`` (row-span solves, left kernels) have no
+caller in the package: the tests keep them as independent routes, and the
+benchmark's span tracer wraps them.
 
 Everything here is deterministic: the pivot is always the first usable row,
 so repeated runs on equal input produce identical output.

@@ -17,9 +17,9 @@ Each level's pivot monomials come from one of two scans. At central charge
 1/2 and the three Ising weights the irreducible module is a parity half of a
 free-fermion Fock space, whose contravariant form is positive definite, so
 the Gram rank of a set of monomials is the rank of their Fock images: _Fock
-scans those images and forms no pairing, and the Gram block on its pivots is
-bordered afterwards as a cross-check. Any other CentralParams, and
-shapovalov_gram, pair monomials in the Verma module (_Engine).
+scans those images and forms no pairing. Any other CentralParams, and
+shapovalov_gram, pair monomials in the Verma module (_Engine). intmat's
+elimination inverts the Gram block on the pivots.
 
 Coefficients leave the module as fractions.Fraction; inside, _Engine and
 _Fock run on ints over powers of one denominator per module. Nothing here
@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 
 from .codes import RequestError
+from .intmat import frac_det, frac_inverse
 
 Monomial = tuple[int, ...]
 
@@ -174,15 +175,13 @@ class GradedBasis(namedtuple("GradedBasis", "params level pivots gram inverse de
 
     pivots are chosen greedily in descending lexicographic order: a monomial
     is kept when it is independent of the monomials already kept. Away from
-    the Ising weights that is read off the Shapovalov form: the Schur
-    complement against the Gram block of the kept monomials is nonzero,
-    which keeps that block invertible. At c = 1/2 and the three Ising weights
-    it is read off the free-fermion Fock images (_Fock), and the scan stops
-    at the character (character_dimension). The Fock form is positive
-    definite, so the Gram block of a set of monomials is invertible exactly
-    when their images are independent, and both rules keep the same pivots.
-    gram is the block on the final pivots, inverse its inverse and det its
-    determinant, the product of the kept Schur complements.
+    the Ising weights that is read off the Shapovalov form, by the principal
+    minor rule. At c = 1/2 and the three Ising weights it is read off the
+    free-fermion Fock images (_Fock), and the scan stops at the character
+    (character_dimension). The Fock form is positive definite, so the Gram
+    block of a set of monomials is invertible exactly when their images are
+    independent, and both rules keep the same pivots. gram is the block on
+    the final pivots, inverse its inverse and det its determinant.
     """
 
     __slots__ = ()
@@ -337,7 +336,7 @@ class _Engine:
     len(mono)), as each factor of h or ell uses up one operator, and a
     pairing <a, b> is an int over den^(len(a) + len(b)). At the three Ising
     weights fock holds the Fock images that choose the pivots; elsewhere it
-    is None and the pairings choose them.
+    is None and pivots chooses them from the pairings.
     """
 
     def __init__(self, params: CentralParams):
@@ -402,66 +401,34 @@ class _Engine:
         return current.get((), 0)
 
     @cache
-    def bordering(self, level: int) -> tuple[tuple[Monomial, ...], list, list, int]:
-        """Greedy pivot scan of one level on integers: (pivots, rows, adj, det').
-
-        It borders K' = S K S with S = diag(den^len(pivot)), the integer
-        pairings (rows[i][j] for j <= i), as an integer adjugate adj and
-        determinant det', keeping a candidate when its bordered determinant
-        (det' times its Schur complement) is nonzero. A congruence keeps
-        every bordered minor nonzero where it was, so the pivots are those of
-        the Gram block K. Away from the Ising weights the candidates are every
-        partition. At the Ising weights they are the Fock pivots alone, k(k+1)/2
-        pairings for k pivots; each must have a nonzero Schur complement, so
-        a zero one, a disagreement between the Fock and the Verma
-        constructions, raises ValueError.
-        """
-        candidates = self.fock.pivots(level) if self.fock else partitions(level)
+    def pivots(self, level: int) -> tuple[Monomial, ...]:
+        """The Fock pivots at the Ising weights; elsewhere the principal minor
+        rule over partitions(level): a monomial is kept when the Gram block
+        on the kept monomials and it has nonzero determinant."""
+        if self.fock:
+            return self.fock.pivots(level)
         kept: list[Monomial] = []
-        rows: list[list[int]] = []  # rows[i][j] = K'[kept i, kept j] for j <= i
-        det, adj = 1, []  # det(K') and det * K'^-1, both integer
-        for mono in candidates:
-            g = [self._pairing_same_level(k, mono) for k in kept]
-            d = self._pairing_same_level(mono, mono)
-            u = [sum(a * b for a, b in zip(row, g) if b) for row in adj]
-            # det(K' bordered by mono) = det * d - g^T adj g, and the block on
-            # kept is invertible, so the principal minor rule keeps mono
-            # exactly when this bordered determinant s is nonzero.
-            s = det * d - sum(a * b for a, b in zip(g, u) if a)
-            if not s:
-                if self.fock:
-                    raise ValueError(
-                        f"weight {self.params.h}: Fock pivot {mono} at level {level} "
-                        "has a zero Schur complement")
-                continue
-            # Sylvester's identity makes the division exact (Bareiss):
-            # adj' = [[(s adj + u u^T) / det, -u], [-u^T, det]], det' = s.
-            for row, ui in zip(adj, u):
-                for j, uj in enumerate(u):
-                    row[j] = (s * row[j] + ui * uj) // det
-                row.append(-ui)
-            adj.append([-x for x in u] + [det])
-            det = s
-            kept.append(mono)
-            rows.append(g + [d])
-        return tuple(kept), rows, adj, det
+        for mono in partitions(level):
+            if frac_det(self.gram(kept + [mono])):
+                kept.append(mono)
+        return tuple(kept)
+
+    def gram(self, monos: Sequence[Monomial]) -> tuple[tuple[Fraction, ...], ...]:
+        """The Gram block on same-level monos: k(k+1)/2 pairings, mirrored."""
+        return tuple(tuple(self.pairing_monomials(monos[min(i, j)], monos[max(i, j)])
+                           for j in range(len(monos))) for i in range(len(monos)))
 
     @cache
     def basis(self, level: int) -> GradedBasis:
-        """The bordering as Fractions: K^-1 = S adj S / det' and
-        det(K) = det' / prod den^(2 len)."""
-        pivots, rows, adj, det = self.bordering(level)
-        scale = [self.den ** len(mono) for mono in pivots]
-        return GradedBasis(
-            params=self.params,
-            level=level,
-            pivots=pivots,
-            gram=tuple(tuple(Fraction(rows[max(i, j)][min(i, j)], si * sj)
-                             for j, sj in enumerate(scale)) for i, si in enumerate(scale)),
-            inverse=tuple(tuple(Fraction(si * a * sj, det) for a, sj in zip(row, scale))
-                          for row, si in zip(adj, scale)),
-            det=Fraction(det, math.prod(scale) ** 2),
-        )
+        """The Gram block on the pivots, its inverse and determinant. A singular
+        block on the Fock pivots, where Fock and Verma disagree, raises ValueError."""
+        pivots = self.pivots(level)
+        gram = self.gram(pivots)
+        inverse = frac_inverse(gram)
+        if inverse is None:
+            raise ValueError(f"weight {self.params.h}: singular Fock pivot Gram at level {level}")
+        return GradedBasis(self.params, level, pivots, gram,
+                           tuple(map(tuple, inverse)), frac_det(gram))
 
 
 @cache
@@ -510,11 +477,8 @@ def reduce_vector(v: VermaVector, basis: GradedBasis) -> list[Fraction]:
 
 
 def _pivot_count(params: CentralParams, level: int) -> int:
-    """Dimension of the level piece of the irreducible quotient, read from the
-    pivot scan: no Fraction of the basis is formed, and at the Ising weights,
-    where the Fock scan chooses the pivots, no pairing either."""
-    eng = _engine(params)
-    return len(eng.fock.pivots(level) if eng.fock else eng.bordering(level)[0])
+    """Dimension of a level piece: the pivot count, with no basis formed."""
+    return len(_engine(params).pivots(level))
 
 
 def graded_dimensions(params: CentralParams, max_level: int) -> list[int]:

@@ -3,7 +3,7 @@
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +113,24 @@ def dense_rank(mat):
         if r == len(mat):
             break
     return r
+
+
+def fraction_det(mat):
+    """Plain rational elimination determinant; deliberately independent of intmat."""
+    mat = [[F(x) for x in row] for row in mat]
+    det = F(1)
+    for c in range(len(mat)):
+        piv = next((i for i in range(c, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            return F(0)
+        if piv != c:
+            mat[c], mat[piv] = mat[piv], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, len(mat)):
+            f = mat[i][c] / mat[c][c]
+            mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
+    return det
 
 
 class TestBracket:
@@ -250,6 +268,15 @@ def fermion_product(exponents, length):
     return coeffs
 
 
+def boson_product(exponents, length):
+    """Coefficients of prod 1 / (1 - t^e) over the exponents, for t^0 .. t^(length-1)."""
+    coeffs = [1] + [0] * (length - 1)
+    for e in exponents:
+        for k in range(e, length):
+            coeffs[k] += coeffs[k - e]
+    return coeffs
+
+
 def minimal_model_data(p, q):
     """Central charge and sorted distinct highest weights of the (p, q) minimal model.
 
@@ -317,6 +344,32 @@ def principal_minor_basis(params, level):
             tuple(tuple(full[i][j] for j in kept) for i in kept))
 
 
+# The Fock construction restated for the tests: the scale of each weight's
+# integer images (the 1/2 in every L(-n) coefficient, and in Ramond also the
+# 1/2 of psi(0) u1) and the norm of a basis state (1/2 when the Ramond bit 0,
+# u1 = psi(0) u0, is set).
+FOCK_SCALE = {F(0): 2, F(1, 2): 2, F(1, 16): 4}
+FOCK_TOPS = {F(0): 14, F(1, 2): 14, F(1, 16): 16}
+FOCK_IDS = ["h0", "h1_2", "h1_16"]
+
+
+def fock_norm(h, state):
+    return F(1, 2) if h == F(1, 16) and state & 1 else F(1)
+
+
+def fresh_fock(h):
+    return virasoro._Engine(ising_params(h)).fock
+
+
+def fock_gram(fock, h, monos):
+    """<a v, b v> for a, b in monos: the sum over basis states s of
+    norm(s) a(s) b(s) on the integer images, over scale^(len a + len b)."""
+    scale = F(FOCK_SCALE[h])
+    return [[sum((fock_norm(h, s) * c * fock.image(b).get(s, 0)
+                  for s, c in fock.image(a).items()), F(0)) / scale ** (len(a) + len(b))
+             for b in monos] for a in monos]
+
+
 class TestIrreducibleBasis:
     def test_dimensions_match_free_fermion_characters(self):
         # chi_0 + chi_{1/2} ~ prod_{r in N - 1/2} (1 + q^r); with t = q^{1/2} the
@@ -337,8 +390,8 @@ class TestIrreducibleBasis:
 
     def test_matches_full_scan_without_early_stop(self):
         # A character that undercounts would stop the scan short of a pivot.
-        # The full scan pairs on the Fraction route, so this also checks the
-        # integer bordering of K' = S K S end to end.
+        # The full scan pairs on the Fraction route and borders its own
+        # inverse, a second route for the basis's Gram, inverse and det.
         for p in ISING_PARAMS:
             for level in range(13):
                 basis = irreducible_basis(p, level)
@@ -346,10 +399,17 @@ class TestIrreducibleBasis:
                         == full_scan_basis(p, level))
 
     def test_det_is_the_pivot_gram_determinant(self):
-        for p in ISING_PARAMS:
-            for level in range(13):
-                basis = irreducible_basis(p, level)
-                assert basis.det == frac_det(basis.gram)
+        # gram = V N V^T over scale^(len a + len b), V the pivots' integer
+        # Fock images on the states of the level, square as the pivots
+        # reach the character: det = det(V)^2 prod N / prod scale^(2 len).
+        for h, top in FOCK_TOPS.items():
+            fock, scale = fresh_fock(h), FOCK_SCALE[h]
+            for level in range(top + 1):
+                basis = irreducible_basis(ising_params(h), level)
+                states = fock.states(level)
+                v = [[fock.image(m).get(s, 0) for s in states] for m in basis.pivots]
+                want = fraction_det(v) ** 2 * prod(fock_norm(h, s) for s in states)
+                assert basis.det == want / prod(F(scale) ** (2 * len(m)) for m in basis.pivots)
 
     def test_overcounting_character_fails_the_check(self, monkeypatch, capsys):
         # A fresh engine cache, so no basis built before the patch is reused.
@@ -373,7 +433,7 @@ class TestIrreducibleBasis:
 
     def test_dimensions_form_no_fraction_basis(self, monkeypatch):
         # A fresh engine cache, and no Fraction basis to be had: vir dims and a
-        # tensor factor read each dimension from the integer bordering.
+        # tensor factor read each dimension from the pivot scan alone.
         monkeypatch.setattr(virasoro, "_engine", functools.cache(virasoro._Engine))
         monkeypatch.setattr(virasoro._Engine, "basis",
                             lambda self, level: pytest.fail("Fraction basis formed"))
@@ -465,23 +525,6 @@ class TestIrreducibleBasis:
             reduce_vector(VermaVector.monomial(p, (3,)), irreducible_basis(p, 2))
 
 
-# The Fock construction restated for the tests: the scale of each weight's
-# integer images (the 1/2 in every L(-n) coefficient, and in Ramond also the
-# 1/2 of psi(0) u1) and the norm of a basis state (1/2 when the Ramond bit 0,
-# u1 = psi(0) u0, is set).
-FOCK_SCALE = {F(0): 2, F(1, 2): 2, F(1, 16): 4}
-FOCK_TOPS = {F(0): 14, F(1, 2): 14, F(1, 16): 16}
-FOCK_IDS = ["h0", "h1_2", "h1_16"]
-
-
-def fock_norm(h, state):
-    return F(1, 2) if h == F(1, 16) and state & 1 else F(1)
-
-
-def fresh_fock(h):
-    return virasoro._Engine(ising_params(h)).fock
-
-
 class TestFockRoute:
     """The free-fermion scan of _Fock against the Verma routes above."""
 
@@ -499,19 +542,22 @@ class TestFockRoute:
             assert fock.pivots(level) == full_scan_basis(ising_params(h), level)[0], (h, level)
 
     def test_fock_gram_is_the_shapovalov_gram(self):
-        # <a v, b v> = sum over basis states s of norm(s) a(s) b(s), with the
-        # integer images taken over scale^len.
-        for h, scale in FOCK_SCALE.items():
+        for h in FOCK_SCALE:
             p, fock = ising_params(h), fresh_fock(h)
             for level in range(8):
-                monos = partitions(level)
-                gram = shapovalov_gram(p, level)
-                for a, row in zip(monos, gram):
-                    for b, want in zip(monos, row):
-                        ia, ib = fock.image(a), fock.image(b)
-                        got = sum((fock_norm(h, s) * c * ib.get(s, 0) for s, c in ia.items()),
-                                  F(0)) / F(scale) ** (len(a) + len(b))
-                        assert got == want, (h, a, b)
+                want = shapovalov_gram(p, level)
+                assert fock_gram(fock, h, partitions(level)) == want, (h, level)
+
+    @pytest.mark.parametrize("h", FOCK_TOPS, ids=FOCK_IDS)
+    def test_basis_gram_and_inverse_match_the_fock_gram(self, h):
+        fock = fresh_fock(h)
+        for level in range(FOCK_TOPS[h] + 1):
+            basis = irreducible_basis(ising_params(h), level)
+            assert [list(row) for row in basis.gram] == fock_gram(fock, h, basis.pivots)
+            d = basis.dimension
+            product = [[sum(basis.inverse[i][k] * basis.gram[k][j] for k in range(d))
+                        for j in range(d)] for i in range(d)]
+            assert product == [[int(i == j) for j in range(d)] for i in range(d)], (h, level)
 
     def test_level_pieces_have_the_character_dimension(self):
         top = 20
@@ -539,11 +585,11 @@ class TestFockRoute:
         assert "check failed" not in capsys.readouterr().err
 
     def test_bordering_rejects_a_dependent_fock_pivot(self, monkeypatch):
-        # L(-1) v is null in the vacuum module: as a Fock pivot it has a zero
-        # Schur complement, and the bordering reports the disagreement.
+        # L(-1) v is null in the vacuum module: as a Fock pivot it gives a
+        # singular Gram block, and the basis reports the disagreement.
         monkeypatch.setattr(virasoro._Fock, "pivots", lambda self, level: ((1,),))
-        with pytest.raises(ValueError, match="zero Schur complement"):
-            virasoro._Engine(ising_params(0)).bordering(1)
+        with pytest.raises(ValueError, match="singular Fock pivot Gram at level 1"):
+            virasoro._Engine(ising_params(0)).basis(1)
 
 
 class TestMinimalModels:
@@ -583,19 +629,33 @@ class TestNonIsingWeights:
     # p(n) partitions, and the denominators (5, 20, ...) are not powers of 2.
     PARAMS = [CentralParams(minimal_model_data(3, 5)[0], h)
               for h in minimal_model_data(3, 5)[1]]
+    # The Lee-Yang point (2, 5): c = -22/5, h in {-1/5, 0}.
+    LEE_YANG = [CentralParams(minimal_model_data(2, 5)[0], h)
+                for h in minimal_model_data(2, 5)[1]]
 
     def test_no_character_cap(self):
         for p in self.PARAMS:
             assert virasoro.character_dimension(p, 4) is None
 
     def test_matches_principal_minor_rule_and_dense_rank(self):
-        for p in self.PARAMS:
-            for level in range(7):
+        for params, top in ((self.PARAMS, 6), (self.LEE_YANG, 8)):
+            for p, level in itertools.product(params, range(top + 1)):
                 basis = irreducible_basis(p, level)
                 assert (basis.pivots, basis.gram) == principal_minor_basis(p, level)
                 assert basis.dimension == dense_rank(shapovalov_gram(p, level))
-                assert basis.inverse == full_scan_basis(p, level)[2]
-                assert basis.det == frac_det(basis.gram)
+                assert ((basis.pivots, basis.gram, basis.inverse, basis.det)
+                        == full_scan_basis(p, level))
+
+    def test_lee_yang_dimensions_are_rogers_ramanujan_products(self):
+        # chi_{-1/5} ~ prod over n = +-1 mod 5 of 1 / (1 - q^n), and chi_0 the
+        # same over n = +-2 mod 5.
+        top = 12
+        fifth, vacuum = (boson_product([n for n in range(1, top + 1) if n % 5 in residues],
+                                       top + 1) for residues in ((1, 4), (2, 3)))
+        assert fifth[:9] == [1, 1, 1, 1, 2, 2, 3, 3, 4]
+        assert vacuum[:9] == [1, 0, 1, 1, 1, 1, 2, 2, 3]
+        assert [p.h for p in self.LEE_YANG] == [F(-1, 5), 0]
+        assert [graded_dimensions(p, top) for p in self.LEE_YANG] == [fifth, vacuum]
 
 
 class TestScalingAdmissible:
