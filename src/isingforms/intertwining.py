@@ -41,7 +41,6 @@ from .tensor import (
     HVector,
     TensorVector,
     commutator_symbolic,
-    form_nondegenerate,
     lowered_rows,
     lt0_eigenvalue,
     space,
@@ -243,7 +242,7 @@ def _peel_multiplier(label, m: int, moments: tuple[int, list[int]]) -> Fraction:
 
 
 WellDefinedReport = namedtuple("WellDefinedReport", "well_defined order_checks order_failures "
-                               "relation_checks relation_failures nondegenerate_levels")
+                               "relation_checks relation_failures")
 
 
 def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
@@ -252,11 +251,11 @@ def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
     (a) For every monomial with at least two operators, peeling the second
     operator first and correcting with the symbolic commutator must give the
     stored value. (b) Every rational relation among the monomial coordinate
-    rows must kill the stored values; since the factorwise form is checked
-    nondegenerate per level, the relations are the whole kernel of the
-    quotient from formal products to module vectors.
+    rows must kill the stored values; the form is nondegenerate by
+    construction, so the relations are the whole kernel of the quotient
+    from formal products to module vectors.
     """
-    spec, max_level = corr.spec, corr.max_level
+    max_level = corr.max_level
     labels, moments = corr._labels, corr._moments
     order_failures: list[str] = []
     order_checks = 0
@@ -278,18 +277,14 @@ def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
             order_checks += 1
             if direct != rewritten:
                 order_failures.append(mon.label())
-    levels = range(max_level + 1)
-    nondegenerate = {level: form_nondegenerate(spec.h3, level) for level in levels}
-    values = [(level, x) for level in levels for x in corr.relation_values(level)]
+    values = [(level, x) for level in range(max_level + 1) for x in corr.relation_values(level)]
     relation_failures = [level for level, x in values if x]
     return WellDefinedReport(
-        well_defined=not order_failures and not relation_failures
-        and all(nondegenerate.values()),
+        well_defined=not order_failures and not relation_failures,
         order_checks=order_checks,
         order_failures=tuple(order_failures),
         relation_checks=len(values),
         relation_failures=tuple(relation_failures),
-        nondegenerate_levels=nondegenerate,
     )
 
 

@@ -18,8 +18,9 @@ latest leading column first. A full-rank Hermite basis is square upper
 triangular, so the graded dual reduces no [Gram | basis] block:
 ``hermite_cofactors`` inverts the basis by integer back-substitution.
 
-``virasoro`` takes the inverse and determinant of its pivot Gram blocks from
-``frac_inverse`` and ``frac_det`` (Bareiss after clearing denominators).
+``virasoro`` inverts its pivot Gram blocks with ``frac_inverse``, and its
+principal minor rule away from the Ising weights reads ``frac_det`` (Bareiss
+after clearing denominators).
 ``frac_solve`` and ``RowSpanSolver`` (row-span solves, left kernels) have no
 caller in the package: the tests keep them as independent routes, and the
 benchmark's span tracer wraps them.

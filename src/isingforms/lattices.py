@@ -359,8 +359,9 @@ def graded_dual(entry: LevelLattice) -> DualReport:
     and also D = den B_int^-T P^-1 = den / (delta T) * C (T P^-1), with
     (delta, C) = hermite_cofactors(B_int) and T P^-1 from form_map. G is
     B_int S P B_int^T / (S den^2), S P from form_map too. The two routes are
-    tied by (G 1)^T D = 1^T B, checked on integers; a mismatch (which a
-    singular G would give) raises "degenerate Gram matrix". The index
+    tied by (G 1)^T D = 1^T B, checked on integers; G is invertible by
+    construction, so a mismatch means the routes disagree and raises
+    "degenerate Gram matrix". The index
     |det G| = covol(B) / covol(D) is read off the two Hermite bases.
     """
     if not entry.full_rank:

@@ -9,7 +9,9 @@ diagonal operator is
     L_T(m) = sum over i not in T of L^(i)(m)  minus  sum over i in T,
 
 acting on factor i only. These and the invariant form, the product of the
-factors' Shapovalov forms, all act through one per-factor map.
+factors' Shapovalov forms, all act through one per-factor map. The form's
+Gram P is a direct sum of Kronecker products of invertible factor pivot
+Grams, which form_map(..., inverse=True) relies on.
 """
 
 from __future__ import annotations
@@ -351,22 +353,6 @@ def form_map(weights: HVector, level: int, rows,
             row = combine(table, row)
         out.append({j: c for j, c in row.items() if c})
     return prod(s for s, _ in tables), out
-
-
-def form_nondegenerate(weights: HVector, level: int) -> bool:
-    """Whether the invariant form on one graded piece is nondegenerate.
-
-    The key Gram P is a direct sum of Kronecker products of factor pivot
-    Grams; a direct sum has the product of its blocks' determinants and
-    det(A x B) = det A^(dim B) det B^(dim A), so det P != 0 exactly when
-    every factor Gram that a key at this level uses has nonzero determinant,
-    which each factor's pivot scan already holds.
-    """
-    sp = space(weights)
-    used = dict.fromkeys(
-        (sp.factors[pos], _sid_level(sid))
-        for key in sp.keys(level) for pos, sid in enumerate(key))
-    return all(factor.basis(l).det != 0 for factor, l in used)
 
 
 def omega_component(power: int, i: int) -> TensorVector:

@@ -170,7 +170,7 @@ class VermaVector(_Combination):
         return " + ".join(bits)
 
 
-class GradedBasis(namedtuple("GradedBasis", "params level pivots gram inverse det")):
+class GradedBasis(namedtuple("GradedBasis", "params level pivots gram inverse")):
     """Pivot monomials of one graded piece of an irreducible quotient.
 
     pivots are chosen greedily in descending lexicographic order: a monomial
@@ -181,7 +181,7 @@ class GradedBasis(namedtuple("GradedBasis", "params level pivots gram inverse de
     (character_dimension). The Fock form is positive definite, so the Gram
     block of a set of monomials is invertible exactly when their images are
     independent, and both rules keep the same pivots. gram is the block on
-    the final pivots, inverse its inverse and det its determinant.
+    the final pivots and inverse its inverse, which exists by construction.
     """
 
     __slots__ = ()
@@ -420,15 +420,14 @@ class _Engine:
 
     @cache
     def basis(self, level: int) -> GradedBasis:
-        """The Gram block on the pivots, its inverse and determinant. A singular
-        block on the Fock pivots, where Fock and Verma disagree, raises ValueError."""
+        """The Gram block on the pivots and its inverse, which establishes the
+        form's nondegeneracy: a singular Fock pivot block raises ValueError."""
         pivots = self.pivots(level)
         gram = self.gram(pivots)
         inverse = frac_inverse(gram)
         if inverse is None:
             raise ValueError(f"weight {self.params.h}: singular Fock pivot Gram at level {level}")
-        return GradedBasis(self.params, level, pivots, gram,
-                           tuple(map(tuple, inverse)), frac_det(gram))
+        return GradedBasis(self.params, level, pivots, gram, tuple(map(tuple, inverse)))
 
 
 @cache

@@ -109,6 +109,18 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
 
 
+    @pytest.mark.parametrize("argv", [
+        ["codes", "check", "--code", "even:26"],
+        ["form", "verify", "--code", "even:28", "--H", ",".join(["0"] * 28), "--max-level", "2"],
+    ], ids=["codes-check-even26", "form-verify-even28"])
+    def test_code_too_large_to_list_is_one_error_line(self, capsys, argv):
+        # BinaryCode.words refuses a code of dimension above 24
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: refusing to materialize 2^")
+        assert captured.err.count("\n") == 1
+
     def test_non_utf8_code_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "code.txt"
         path.write_bytes(b"n=4\n\xff\xfe\n")

@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isingforms import intertwining, lattices, tensor
+from isingforms import lattices, tensor
 from isingforms.codes import (
     BinaryCode,
     RequestError,
@@ -45,13 +45,12 @@ from isingforms.tensor import (
     TensorVector,
     apply_factor_mode,
     form_map,
-    form_nondegenerate,
     lt_action,
     omega_component,
     omega_total,
     space,
 )
-from isingforms.virasoro import scaling_admissible
+from isingforms.virasoro import irreducible_basis, ising_params, scaling_admissible
 from test_intmat import dense, dense_hnf, lattice_coefficients, sparse, sweep_hnf
 
 H4_VAC = HVector.vacuum(4)
@@ -476,6 +475,16 @@ class TestGram:
             gram_matrix(HVector.parse("1/2,0"), 2, [v])
 
 
+def level_patterns(level, parts):
+    """Every tuple of parts factor levels, each >= 0, that sum to level."""
+    if parts == 1:
+        yield (level,)
+        return
+    for k in range(level + 1):
+        for rest in level_patterns(level - k, parts - 1):
+            yield (k, *rest)
+
+
 def dense_key_gram(weights, level):
     """The invariant form on the state keys as one dense matrix: entry
     (k1, k2) is the product over factors of the pivot Gram entries, zero
@@ -516,10 +525,21 @@ class TestFactorwiseForm:
             assert gram_matrix(weights, level, coords) == expected
 
     @pytest.mark.parametrize("code, weights, top", CASES, ids=CASE_IDS)
-    def test_nondegeneracy_matches_dense_determinant(self, code, weights, top):
+    def test_dense_determinant_is_the_kronecker_product_of_factor_grams(
+            self, code, weights, top):
+        """P is a direct sum, over factor-level patterns, of Kronecker
+        products of the factors' pivot Grams, so det P is the product over
+        patterns of prod_i det(G_i)^(prod_{j != i} dim_j), and it is nonzero.
+        The patterns are enumerated here, not read off the space's keys."""
         for level in range(top + 1):
-            p = dense_key_gram(weights, level)
-            assert form_nondegenerate(weights, level) == (not p or frac_det(p) != 0)
+            want = Fraction(1)
+            for pattern in level_patterns(level, weights.n):
+                grams = [irreducible_basis(ising_params(h), k).gram
+                         for h, k in zip(weights.entries, pattern)]
+                for i, g in enumerate(grams):
+                    want *= frac_det(g) ** prod(len(o) for j, o in enumerate(grams) if j != i)
+            got = frac_det(dense_key_gram(weights, level))
+            assert got == want and got != 0
 
     def test_preimage_matches_dense_inverse(self):
         """T P^-1 from the factors' stored inverses against frac_inverse of
@@ -541,35 +561,6 @@ class TestFactorwiseForm:
                 expected = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in inv]
                 assert [Fraction(c, t) for c in preimage] == expected
                 assert back == [s * t * c for c in x]
-
-    @pytest.mark.parametrize("factor_level", [0, 2, 3, 4])
-    def test_singular_factor_gram_is_degenerate(self, monkeypatch, factor_level):
-        """Zeroing the vacuum factor's pivot Gram at one factor level makes
-        exactly the levels whose keys use it degenerate, in the dense oracle,
-        in form_nondegenerate and in check_well_defined."""
-        spec = intertwining.TripleSpec(H4_HALF, H4_HALF, H4_VAC, even_code(4), Fraction(1))
-        corr = intertwining.build_correlation(spec, 5)
-        # the order checks reuse these expansions; the patch below must not reach them
-        assert intertwining.check_well_defined(corr).well_defined
-        real_basis = tensor._Factor.basis
-
-        def singular_basis(self, level):
-            b = real_basis(self, level)
-            if self.h == 0 and level == factor_level:
-                return b._replace(
-                    gram=tuple((Fraction(0),) * len(row) for row in b.gram),
-                    det=Fraction(0))
-            return b
-
-        monkeypatch.setattr(tensor._Factor, "basis", singular_basis)
-        report = intertwining.check_well_defined(corr)
-        expected = {level: frac_det(dense_key_gram(H4_VAC, level)) != 0
-                    for level in range(6)}
-        assert report.nondegenerate_levels == expected
-        assert {level: form_nondegenerate(H4_VAC, level) for level in range(6)} == expected
-        assert not all(expected.values())
-        assert not report.well_defined
-        assert report.order_failures == () and report.relation_failures == ()
 
 
 def dense_dual(entry):

@@ -89,7 +89,7 @@ class TestImmutability:
         (ising_params(0), "h"),
         (H_VAC, "entries"),
         (TripleSpec(H_HALF, H_HALF, H_VAC, even_code(4), 1), "lowest_coeff"),
-        (irreducible_basis(ising_params(0), 2), "det"),
+        (irreducible_basis(ising_params(0), 2), "inverse"),
         (lattice_at_level(even_code(4), H_VAC, 2), "basis"),
     ])
     def test_assigning_a_field_raises(self, record, field):
