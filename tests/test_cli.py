@@ -239,6 +239,10 @@ class TestGoldenReports:
         (["corr", "--H1", "1/2,1/2,0,0", "--H2", "1/2,1/2,0,0", "--H3", "1/2,1/2,1/2,1/2",
           "--code", "even:4", "--c", "1", "--max-level", "5"], 1,
          "5e84d68c6d29b50d1f386df8ab5e873b1c258cbf11f7353572fa55b21eff8e09"),
+        # The same triple at level 3, whose digest the CI console run pins too.
+        (["corr", "--H1", "1/2,1/2,0,0", "--H2", "1/2,1/2,0,0", "--H3", "1/2,1/2,1/2,1/2",
+          "--code", "even:4", "--c", "1", "--max-level", "3"], 1,
+         "5c7201f4efa1e5e82fd52df607554fbcf4a3ae02b9953a8c5c9f49fb7322b708"),
         # Both routes in one report: levels 0-1 keep the product formula, and
         # levels 2-5 fail its check and run the full elimination.
         (["corr", "--H1", "1/2,1/2,0,0", "--H2", "1/2,1/2,0,0", "--H3", "0,0,1/2,1/2",
@@ -269,7 +273,8 @@ class TestGoldenReports:
             "dual-hamming8-vacuum-4-tsv", "dual-hamming8-vacuum-6",
             "dual-c16-sixteenth-2", "corr-even4-vacuum-8", "corr-hamming8-half-pair-4",
             "corr-hamming8-half-pair-5", "corr-hamming8-half-pair-6",
-            "corr-even4-all-half-5", "corr-even4-second-pair-5",
+            "corr-even4-all-half-5", "corr-even4-all-half-3",
+            "corr-even4-second-pair-5",
             "corr-c16-sixteenth-4", "corr-c16-vacuum-to-sixteenth-2",
             "corr-c16-vacuum-to-sixteenth-3",
             "e8-weight1"])

@@ -1,5 +1,6 @@
 """Spanning lattices, Hermite bases, Gram matrices, duals, saturation."""
 
+import functools
 import random
 from fractions import Fraction
 from math import lcm, prod
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isingforms import lattices, tensor
+from isingforms import intertwining, lattices, tensor, virasoro
 from isingforms.codes import (
     BinaryCode,
     RequestError,
@@ -561,6 +562,36 @@ class TestFactorwiseForm:
                 expected = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in inv]
                 assert [Fraction(c, t) for c in preimage] == expected
                 assert back == [s * t * c for c in x]
+
+    @pytest.mark.parametrize("factor_level", [2, 3, 4])
+    def test_singular_factor_gram_stops_the_first_level_that_uses_it(
+            self, monkeypatch, factor_level):
+        """A null monomial L(-1)^k put first among the vacuum Fock pivots at
+        factor level k makes that pivot Gram singular. The correlation builds
+        and checks through level k - 1, and from level k on the build raises
+        where the factor block is inverted."""
+        # Fresh caches, so no factor basis built before the patch is reused.
+        monkeypatch.setattr(virasoro, "_engine", functools.cache(virasoro._Engine))
+        monkeypatch.setattr(tensor, "_factor", functools.cache(tensor._Factor))
+        fresh_space = functools.cache(tensor.TensorSpace)
+        for module in (tensor, lattices, intertwining):
+            monkeypatch.setattr(module, "space", fresh_space)
+        real_pivots = virasoro._Fock.pivots
+
+        def null_first(self, level):
+            pivots = real_pivots(self, level)
+            if self.params.h == 0 and level == factor_level:
+                return ((1,) * level,) + pivots[1:]
+            return pivots
+
+        monkeypatch.setattr(virasoro._Fock, "pivots", null_first)
+        spec = intertwining.TripleSpec(H4_HALF, H4_HALF, H4_VAC, even_code(4), Fraction(1))
+        below = intertwining.build_correlation(spec, factor_level - 1)
+        assert intertwining.check_well_defined(below).well_defined
+        for top in (factor_level, 5):
+            with pytest.raises(ValueError,
+                               match=f"singular Fock pivot Gram at level {factor_level}"):
+                intertwining.check_well_defined(intertwining.build_correlation(spec, top))
 
 
 def dense_dual(entry):
