@@ -17,12 +17,14 @@ moments (F(w), F(N_1 w), ..., F(N_n w)) = M / q: per stored monomial its
 integers M, over one denominator q per level, so a peel builds one Fraction.
 
 On a tensor product an intertwining operator is the tensor product of the
-factors' operators (Frenkel-Huang-Lepowsky, Mem. AMS 494, 1993, 4.6), so on a
-well-defined triple F on a key is the product of the single-factor recursions
-run up its factors' pivot monomials. A level keeps that F when no row has a
-residual, multiplier - F . vector; otherwise _rref runs on all of the level's
-rows. The monomial vectors span every level over Q for a code that passes the
-form conditions (lattices module docstring), so F is then the unique solution.
+factors' operators (Frenkel-Huang-Lepowsky, Mem. AMS 494, 1993, 4.6). So a
+triple is well-defined only if each factor's recursion is consistent on
+L(1/2, h3_i), the Ising fusion rule (W. Wang, IMRN 1993; _factor_failure), and
+F on a key is then the product of the single-factor recursions run up its
+factors' pivot monomials. A level keeps that F when no row has a residual,
+multiplier - F . vector; otherwise _rref runs on all of the level's rows. The
+monomial vectors span every level over Q for a code that passes the form
+conditions (lattices module docstring), so F is then the unique solution.
 """
 
 from __future__ import annotations
@@ -215,6 +217,18 @@ def _factor_value(factor, h1: Fraction, h2: Fraction, sid: int) -> Fraction:
     return value
 
 
+@cache
+def _factor_failure(factor, h1: Fraction, h2: Fraction, top: int) -> tuple[int, int] | None:
+    """The first (factor level l, m), l + m <= top, m = 1, 2 (which generate),
+    where f(L(-m) p) = (h3 + l + m h1 - h2) f(p) fails for a pivot p; f = _factor_value."""
+    for level, m in itertools.product(range(top), (1, 2)):
+        for sid in factor.sids(level) if level + m <= top else ():
+            image = sum(c * _factor_value(factor, h1, h2, t) for t, c in factor.expansion(sid, -m))
+            if image != (factor.h + level + m * h1 - h2) * _factor_value(factor, h1, h2, sid):
+                return level, m
+    return None
+
+
 def _moments(sp, level: int, rows: list[dict[int, int]], den: int, f: list[Fraction]):
     """(q, each row's integers M): w = row / den has (F(w), F(N_1 w), ...,
     F(N_n w)) = M / q, q = den * lcm(F's denominators), over its nonzeros."""
@@ -242,7 +256,7 @@ def _peel_multiplier(label, m: int, moments: tuple[int, list[int]]) -> Fraction:
 
 
 WellDefinedReport = namedtuple("WellDefinedReport", "well_defined order_checks order_failures "
-                               "relation_checks relation_failures")
+                               "relation_checks relation_failures factor_failures")
 
 
 def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
@@ -253,10 +267,14 @@ def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
     stored value. (b) Every rational relation among the monomial coordinate
     rows must kill the stored values; the form is nondegenerate by
     construction, so the relations are the whole kernel of the quotient
-    from formal products to module vectors.
+    from formal products to module vectors. (c) Every factor recursion must
+    be consistent; factor_failures lists (position, *_factor_failure).
     """
-    max_level = corr.max_level
+    max_level, spec = corr.max_level, corr.spec
     labels, moments = corr._labels, corr._moments
+    failures = map(_factor_failure, space(spec.h3).factors, spec.h1.entries, spec.h2.entries,
+                   itertools.repeat(max_level))
+    factor_failures = tuple((i, *failure) for i, failure in enumerate(failures) if failure)
     order_failures: list[str] = []
     order_checks = 0
     for level in range(max_level + 1):
@@ -280,11 +298,12 @@ def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
     values = [(level, x) for level in range(max_level + 1) for x in corr.relation_values(level)]
     relation_failures = [level for level, x in values if x]
     return WellDefinedReport(
-        well_defined=not order_failures and not relation_failures,
+        well_defined=not order_failures and not relation_failures and not factor_failures,
         order_checks=order_checks,
         order_failures=tuple(order_failures),
         relation_checks=len(values),
         relation_failures=tuple(relation_failures),
+        factor_failures=factor_failures,
     )
 
 

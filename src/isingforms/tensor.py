@@ -142,6 +142,9 @@ class _Factor:
                 f"factor states are limited to {_SID_STRIDE} per level")
         return dim
 
+    def sids(self, level: int) -> range:
+        return range(_sid(level, 0), _sid(level, self.dim(level)))
+
     def pivot(self, sid: int) -> tuple[int, ...]:
         """The PBW monomial of factor state sid."""
         return self.basis(_sid_level(sid)).pivots[sid % _SID_STRIDE]

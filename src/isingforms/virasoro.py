@@ -177,8 +177,8 @@ class GradedBasis(namedtuple("GradedBasis", "params level pivots gram inverse"))
     is kept when it is independent of the monomials already kept. Away from
     the Ising weights that is read off the Shapovalov form, by the principal
     minor rule. At c = 1/2 and the three Ising weights it is read off the
-    free-fermion Fock images (_Fock), and the scan stops at the character
-    (character_dimension). The Fock form is positive definite, so the Gram
+    free-fermion Fock images (_Fock), and the scan stops when the pivots fill
+    the Fock level piece. The Fock form is positive definite, so the Gram
     block of a set of monomials is invertible exactly when their images are
     independent, and both rules keep the same pivots. gram is the block on
     the final pivots and inverse its inverse, which exists by construction.
@@ -290,13 +290,13 @@ class _Fock:
         order, and L(-n) p straightens into monomials that come before
         (n,) + tail: (n,) + p when p's first part is at most n, else
         monomials whose first part exceeds n. Each of those is kept or has
-        its image in the span of the kept. The scan stops at
-        character_dimension, the dimension of the Fock level piece, and
-        raises ValueError when it runs out of candidates short of it.
+        its image in the span of the kept. The scan stops once the pivots
+        fill the level piece, len(states(level)), and raises ValueError if it
+        runs out of candidates first.
         """
-        cap = character_dimension(self.params, level)
         column = {m: j for j, m in enumerate(self.states(level))}
-        echelon: list[list[int] | None] = [None] * len(column)
+        cap = len(column)
+        echelon: list[list[int] | None] = [None] * cap
         kept: list[Monomial] = []
         below = {n: set(self.pivots(level - n)) for n in range(1, level + 1)}
         for mono in partitions(level):
@@ -304,7 +304,7 @@ class _Fock:
                 break
             if mono and mono[1:] not in below[mono[0]]:
                 continue
-            v = [0] * len(column)
+            v = [0] * cap
             for m, c in self.image(mono).items():
                 v[column[m]] = c
             for j, row in enumerate(echelon):
@@ -324,7 +324,7 @@ class _Fock:
         if len(kept) < cap:
             raise ValueError(
                 f"weight {self.params.h}: the pivot scan found {len(kept)} states at "
-                f"level {level}, the character gives {cap}")
+                f"level {level}, the Fock piece has {cap}")
         return tuple(kept)
 
 
@@ -507,26 +507,3 @@ def ising_params(h) -> CentralParams:
         raise RequestError(f"weight {hf} is not one of {allowed}")
     return CentralParams(ISING_ELL, hf)
 
-
-def character_dimension(params: CentralParams, level: int) -> int | None:
-    """Dimension of the level piece of L(1/2, h) from its free-fermion character.
-
-    With t = q^(1/2), h = 0 and h = 1/2 take the coefficients of t^(2 level)
-    and t^(2 level + 1) in prod over odd k of (1 + t^k), and h = 1/16 that of
-    q^level in prod over k >= 1 of (1 + q^k) (Kac and Raina, Bombay Lectures,
-    1987). None away from central charge 1/2 and the three Ising weights.
-    """
-    if params.ell != ISING_ELL or params.h not in ISING_WEIGHTS:
-        return None
-    if level < 0:
-        return 0
-    if params.h == ISING_WEIGHTS[2]:
-        degree, parts = level, range(1, level + 1)
-    else:
-        degree = 2 * level + (params.h == ISING_WEIGHTS[1])
-        parts = range(1, degree + 1, 2)
-    coeffs = [1] + [0] * degree
-    for e in parts:
-        for k in range(degree, e - 1, -1):
-            coeffs[k] += coeffs[k - e]
-    return coeffs[degree]

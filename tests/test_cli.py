@@ -261,6 +261,27 @@ class TestGoldenReports:
         (["corr", "--H1", ",".join(["0"] * 16), "--H2", ",".join(["1/16"] * 16),
           "--H3", ",".join(["1/16"] * 16), "--code", "c16", "--c", "1", "--max-level", "3"], 0,
          "22ef90644df430564c187bafd50b99544eb0ce8467080f7a82471e87f0b9c009"),
+        # A nontrivial triple: a 1/2 pair fused with another into a 1/2 quad.
+        (["corr", "--H1", "0,0,0,0,1/2,1/2,0,0", "--H2", "0,0,0,0,0,0,1/2,1/2",
+          "--H3", "0,0,0,0,1/2,1/2,1/2,1/2", "--code", "hamming8", "--c", "1",
+          "--max-level", "5"], 0,
+         "7911b41556c9faba5e2ace02652dfb46cdd9c02c43afc86213dadf5b192d659c"),
+        (["corr", "--H1", ",".join(["1/16"] * 16), "--H2", ",".join(["1/16"] * 16),
+          "--H3", ",".join(["0"] * 16), "--code", "c16", "--c", "1", "--max-level", "6"], 0,
+         "7736b7160a505e5ed34c6db5f22371fbc3b6eb837db08cd0fdd8aa25e777206d"),
+        # Vacuum targets that no operator reaches: the factor check fails them
+        # and the order and relation checks see nothing, so each report is the
+        # one that once passed with well_defined.passed false. The last makes
+        # 0 order and 0 relation checks.
+        (["corr", "--H1", "0,0,0,0", "--H2", "0,0,1/2,1/2", "--H3", "0,0,0,0",
+          "--code", "even:4", "--c", "1", "--max-level", "4"], 1,
+         "1b34c23bbbde1a4ef771b2bfa266d54610e7791bcee5f86b9d4081daa73ce260"),
+        (["corr", "--H1", "0,0,0,0,0,0,0,0", "--H2", "1/2,1/2,0,0,0,0,0,0",
+          "--H3", "0,0,0,0,0,0,0,0", "--code", "hamming8", "--c", "1", "--max-level", "4"], 1,
+         "755d5547f89504b8c97f9617fb5541fa81e9fe253ead37529da0b9d968f47362"),
+        (["corr", "--H1", "1/2,1/2,0,0", "--H2", "0,0,0,0", "--H3", "0,0,0,0",
+          "--code", "even:4", "--c", "1", "--max-level", "3"], 1,
+         "58c53e21370e3dd267cf8aa9c6743b6080f612b6edaf41407d4c075358f9ea69"),
         (["e8", "weight1"], 0,
          "87d96429f65d2b0a8eb57484000158340e5f835a350ec18dfa2d83542e80f373"),
     ], ids=["form-verify-hamming8-half-pair-5", "form-verify-hamming8-half-pair-6",
@@ -276,7 +297,9 @@ class TestGoldenReports:
             "corr-even4-all-half-5", "corr-even4-all-half-3",
             "corr-even4-second-pair-5",
             "corr-c16-sixteenth-4", "corr-c16-vacuum-to-sixteenth-2",
-            "corr-c16-vacuum-to-sixteenth-3",
+            "corr-c16-vacuum-to-sixteenth-3", "corr-hamming8-pair-into-quad-5",
+            "corr-c16-sixteenth-pair-to-vacuum-6", "corr-even4-vacuum-target-4",
+            "corr-hamming8-vacuum-target-4", "corr-even4-vacuum-target-no-checks-3",
             "e8-weight1"])
     def test_stdout_digest(self, capsys, argv, exit_code, digest):
         assert main(argv) == exit_code

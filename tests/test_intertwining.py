@@ -1,9 +1,10 @@
 """Forced coefficient systems: recursion values, consistency, integrality."""
 
 import functools
+import itertools
 import math
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 import pytest
@@ -41,13 +42,14 @@ from isingforms.lattices import (
 from isingforms.tensor import (
     _SID_STRIDE,
     HVector,
+    _factor,
     TensorVector,
     commutator_symbolic,
     lt0_eigenvalue,
     lt_action,
     space,
 )
-from isingforms.virasoro import irreducible_basis, ising_params
+from isingforms.virasoro import ISING_WEIGHTS, irreducible_basis, ising_params
 from test_intmat import dense
 from test_lattices import basis_vectors
 
@@ -363,6 +365,77 @@ class TestAgainstRowSpanRoute:
             for level, (_, mults, solver) in row_span_route(spec, 4).items()
             for k in solver.kernel() if dot(k, mults)
         )
+
+
+ZERO, HALF, SIXTEENTH = ISING_WEIGHTS
+# The Ising fusion rules, 0 the unit, 1/2 x 1/2 = 0, 1/2 x 1/16 = 1/16 and
+# 1/16 x 1/16 = 0 + 1/2 (W. Wang, IMRN 1993), as the triples (h1, h2, h3)
+# with an intertwining operator of type (h3; h1, h2).
+FUSION = ({(ZERO, h, h) for h in ISING_WEIGHTS} | {(h, ZERO, h) for h in ISING_WEIGHTS}
+          | {(HALF, HALF, ZERO), (HALF, SIXTEENTH, SIXTEENTH), (SIXTEENTH, HALF, SIXTEENTH),
+             (SIXTEENTH, SIXTEENTH, ZERO), (SIXTEENTH, SIXTEENTH, HALF)})
+
+
+def sampled_triples(code: BinaryCode, count: int, seed: int) -> list[TripleSpec]:
+    """count triples of weight vectors over {0, 1/2} with integral totals.
+    H1 and H2 are drawn at random; H3 is in turn drawn at random, fused from
+    H1 and H2 (h1 + h2 mod 1 per factor), and the vacuum power twice, the
+    first time with H2 = H1. So every kind of triple below is met."""
+    rng, vectors, vacuum = random.Random(seed), framed_summands(code.n), HVector.vacuum(code.n)
+    out = []
+    for kind in itertools.islice(itertools.cycle(range(4)), count):
+        h1, h2, h3 = rng.choice(vectors), rng.choice(vectors), rng.choice(vectors)
+        if kind == 1:
+            h3 = HVector(tuple((a + b) % 1 for a, b in zip(h1.entries, h2.entries)))
+        elif kind > 1:
+            h2, h3 = h1 if kind == 2 else h2, vacuum
+        out.append(TripleSpec(h1, h2, h3, code, Fraction(1)))
+    return out
+
+
+class TestFactorwiseFusion:
+    """check_well_defined's factor check against the fusion rules, and
+    against its order and relation checks on the code module triples."""
+
+    def test_factor_check_is_the_fusion_table(self):
+        for h1, h2, h3 in itertools.product(ISING_WEIGHTS, repeat=3):
+            want = None if (h1, h2, h3) in FUSION else (0, 1) if h3 == ZERO else (1, 1)
+            assert intertwining._factor_failure(_factor(h3), h1, h2, 6) == want, (h1, h2, h3)
+
+    @pytest.mark.parametrize("code, max_level, seed", [(even_code(4), 4, 1), (hamming8(), 3, 2)],
+                             ids=["even4", "hamming8"])
+    def test_sample_matches_the_order_and_relation_checks(self, code, max_level, seed):
+        seen = Counter()
+        for spec in sampled_triples(code, 20, seed):
+            report = check_well_defined(build_correlation(spec, max_level))
+            fixed = zip(spec.h1.entries, spec.h2.entries, spec.h3.entries)
+            assert [i for i, *_ in report.factor_failures] == [
+                i for i, triple in enumerate(fixed) if triple not in FUSION]
+            vacuum = spec.h3 == HVector.vacuum(code.n)
+            if vacuum:
+                assert report.well_defined == (spec.h1 == spec.h2)
+            else:
+                assert (report.factor_failures == ()) == (
+                    report.order_failures == report.relation_failures == ())
+            seen[vacuum, report.well_defined] += 1
+        assert len(seen) == 4, seen  # both verdicts, with and without a vacuum H3
+
+    @pytest.mark.parametrize("h1, h2, h3, code, max_level, failures", [
+        ("0,0,0,0", "0,0,1/2,1/2", "0,0,0,0", even_code(4), 4, ((2, 0, 1), (3, 0, 1))),
+        ("0,0,0,0,0,0,0,0", "1/2,1/2,0,0,0,0,0,0", "0,0,0,0,0,0,0,0", hamming8(), 4,
+         ((0, 0, 1), (1, 0, 1))),
+        ("1/2,1/2,0,0", "0,0,0,0", "0,0,0,0", even_code(4), 3, ((0, 0, 1), (1, 0, 1))),
+    ], ids=["even4", "hamming8", "even4-no-checks"])
+    def test_vacuum_target_fails_only_factor_by_factor(self, h1, h2, h3, code, max_level,
+                                                      failures):
+        # L(-1) kills the vacuum, yet the recursion forces F(L(-1) v) = h1 - h2;
+        # no spanning monomial of a vacuum power takes mode 1, so the order and
+        # relation checks cannot see it.
+        spec = TripleSpec(*map(HVector.parse, (h1, h2, h3)), code, Fraction(1))
+        report = check_well_defined(build_correlation(spec, max_level))
+        assert report.factor_failures == failures
+        assert report.order_failures == report.relation_failures == ()
+        assert not report.well_defined
 
 
 def fraction_peel(spec, t, m: int, moments: list[Fraction]) -> Fraction:

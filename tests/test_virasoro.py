@@ -268,6 +268,16 @@ def fermion_product(exponents, length):
     return coeffs
 
 
+def character_dimensions(top):
+    """{h: dimensions at levels 0..top} from the free-fermion characters
+    (Kac and Raina, Bombay Lectures, 1987): with t = q^(1/2), h = 0 and 1/2
+    take t^(2 level) and t^(2 level + 1) in prod over odd k of (1 + t^k), and
+    h = 1/16 takes q^level in prod over k >= 1 of (1 + q^k)."""
+    ns = fermion_product(range(1, 2 * top + 2, 2), 2 * top + 2)
+    ramond = fermion_product(range(1, top + 1), top + 1)
+    return dict(zip(virasoro.ISING_WEIGHTS, (ns[0::2], ns[1::2], ramond)))
+
+
 def boson_product(exponents, length):
     """Coefficients of prod 1 / (1 - t^e) over the exponents, for t^0 .. t^(length-1)."""
     coeffs = [1] + [0] * (length - 1)
@@ -375,12 +385,8 @@ class TestIrreducibleBasis:
         # chi_0 + chi_{1/2} ~ prod_{r in N - 1/2} (1 + q^r); with t = q^{1/2} the
         # even and odd powers of t, 1/2 (prod (1 + q^r) +- prod (1 - q^r)), give
         # h = 0 and h = 1/2. chi_{1/16} ~ prod_{n >= 1} (1 + q^n).
-        top = 12
-        ns = fermion_product(range(1, 2 * top + 2, 2), 2 * top + 2)
-        assert graded_dimensions(ising_params(0), top) == ns[0::2]
-        assert graded_dimensions(ising_params(F(1, 2)), top) == ns[1::2]
-        ramond = fermion_product(range(1, top + 1), top + 1)
-        assert graded_dimensions(ising_params(F(1, 16)), top) == ramond
+        for h, dims in character_dimensions(12).items():
+            assert graded_dimensions(ising_params(h), 12) == dims
 
     def test_pivots_and_gram_match_principal_minor_rule(self):
         for p in ISING_PARAMS:
@@ -389,7 +395,7 @@ class TestIrreducibleBasis:
                 assert (basis.pivots, basis.gram) == principal_minor_basis(p, level)
 
     def test_matches_full_scan_without_early_stop(self):
-        # A character that undercounts would stop the scan short of a pivot.
+        # A state count that undercounts would stop the scan short of a pivot.
         # The full scan pairs on the Fraction route and borders its own
         # inverse, a second route for the basis's Gram, inverse and det.
         for p in ISING_PARAMS:
@@ -401,7 +407,7 @@ class TestIrreducibleBasis:
     def test_det_is_the_pivot_gram_determinant(self):
         # gram = V N V^T over scale^(len a + len b), V the pivots' integer
         # Fock images on the states of the level, square as the pivots
-        # reach the character: det = det(V)^2 prod N / prod scale^(2 len).
+        # fill the level piece: det = det(V)^2 prod N / prod scale^(2 len).
         for h, top in FOCK_TOPS.items():
             fock, scale = fresh_fock(h), FOCK_SCALE[h]
             for level in range(top + 1):
@@ -413,15 +419,16 @@ class TestIrreducibleBasis:
                     F(scale) ** (2 * len(m)) for m in basis.pivots)
 
     def test_overcounting_character_fails_the_check(self, monkeypatch, capsys):
-        # A fresh engine cache, so no basis built before the patch is reused.
+        # A fresh engine cache, so no basis built before the patch is reused,
+        # and a phantom basis state at level 5 that no monomial reaches.
         monkeypatch.setattr(virasoro, "_engine", functools.cache(virasoro._Engine))
-        true_dimension = virasoro.character_dimension
+        true_states = virasoro._Fock.states
 
-        def overcount(params, level):
-            dim = true_dimension(params, level)
-            return dim + 1 if level == 5 and dim is not None else dim
+        def overcount(self, level):
+            states = true_states(self, level)
+            return states + (1 << 60,) if level == 5 else states
 
-        monkeypatch.setattr(virasoro, "character_dimension", overcount)
+        monkeypatch.setattr(virasoro._Fock, "states", overcount)
         p = ising_params(F(1, 16))
         assert irreducible_basis(p, 4).dimension == 2
         with pytest.raises(ValueError, match="level 5"):
@@ -438,9 +445,8 @@ class TestIrreducibleBasis:
         monkeypatch.setattr(virasoro, "_engine", functools.cache(virasoro._Engine))
         monkeypatch.setattr(virasoro._Engine, "basis",
                             lambda self, level: pytest.fail("Fraction basis formed"))
-        for h in virasoro.ISING_WEIGHTS:
+        for h, dims in character_dimensions(12).items():
             p = ising_params(h)
-            dims = [virasoro.character_dimension(p, level) for level in range(13)]
             assert graded_dimensions(p, 12) == dims
             assert [tensor._Factor(h).dim(level) for level in range(13)] == dims
 
@@ -562,9 +568,7 @@ class TestFockRoute:
 
     def test_level_pieces_have_the_character_dimension(self):
         top = 20
-        ns = fermion_product(range(1, 2 * top + 2, 2), 2 * top + 2)
-        ramond = fermion_product(range(1, top + 1), top + 1)
-        for h, dims in zip(virasoro.ISING_WEIGHTS, (ns[0::2], ns[1::2], ramond)):
+        for h, dims in character_dimensions(top).items():
             fock = fresh_fock(h)
             assert [len(fock.states(level)) for level in range(top + 1)] == dims
             for level in range(9):
@@ -577,9 +581,8 @@ class TestFockRoute:
         monkeypatch.setattr(virasoro, "_engine", functools.cache(virasoro._Engine))
         monkeypatch.setattr(virasoro._Engine, "_pairing_same_level",
                             lambda self, a, b: pytest.fail("Shapovalov pairing formed"))
-        for h in virasoro.ISING_WEIGHTS:
+        for h, dims in character_dimensions(16).items():
             p = ising_params(h)
-            dims = [virasoro.character_dimension(p, level) for level in range(17)]
             assert graded_dimensions(p, 16) == dims
             assert [tensor._Factor(h).dim(level) for level in range(17)] == dims
         assert cli.main(["vir", "dims", "--h", "1/16", "--max-level", "19"]) == 0
@@ -626,7 +629,7 @@ class TestMinimalModels:
 
 
 class TestNonIsingWeights:
-    # No character is known to the engine here, so the scan runs over all
+    # No Fock space is known to the engine here, so the scan runs over all
     # p(n) partitions, and the denominators (5, 20, ...) are not powers of 2.
     PARAMS = [CentralParams(minimal_model_data(3, 5)[0], h)
               for h in minimal_model_data(3, 5)[1]]
@@ -635,8 +638,9 @@ class TestNonIsingWeights:
                 for h in minimal_model_data(2, 5)[1]]
 
     def test_no_character_cap(self):
-        for p in self.PARAMS:
-            assert virasoro.character_dimension(p, 4) is None
+        # Away from the Ising weights there is no Fock scan to stop early.
+        for p in self.PARAMS + self.LEE_YANG:
+            assert virasoro._Engine(p).fock is None
 
     def test_matches_principal_minor_rule_and_dense_rank(self):
         for params, top in ((self.PARAMS, 6), (self.LEE_YANG, 8)):
