@@ -7,7 +7,7 @@ scalar c attached to the lowest weight vectors, the cross-bracket recursion
 
 with a1, a2 the zero-mode eigenvalues on the first two modules, forces a
 unique value on every spanning monomial of the third module. The checks
-here certify that these forced values are consistent (order-independent and
+here certify that these forced values are consistent (factor by factor, and
 vanishing on all linear relations) and decide whether they are integral.
 
 Every key is an L_T(0) eigenvector: L^(i)(0) = h_i + N_i on W_{H3}, N_i its
@@ -39,14 +39,7 @@ from operator import mul
 from .codes import BinaryCode, RequestError
 from .intmat import _rref
 from .lattices import SpanningMonomial, admissible_weights, spanning_monomials
-from .tensor import (
-    HVector,
-    TensorVector,
-    commutator_symbolic,
-    lowered_rows,
-    lt0_eigenvalue,
-    space,
-)
+from .tensor import HVector, TensorVector, lowered_rows, lt0_eigenvalue, space
 from .virasoro import _as_fraction
 
 
@@ -80,13 +73,10 @@ class CorrelationFunctional:
     c is structural. The attached x-exponent of a level-k monomial is
     base_exponent + k. Per level it keeps the multiplier of each monomial (in
     enumeration order), one functional value per state key (the factors'
-    product formula, or _rref where it fails), and the value each linear relation
+    product formula, or _rref where it fails), the value each linear relation
     among the monomial vectors takes on the multipliers, and each monomial's
-    vector and integer moments (q, M) (_moments). Dropping the first or the
-    second operator of an enumerated monomial leaves an enumerated monomial,
-    because modes stay weakly decreasing and labels within a run of equal modes
-    stay weakly increasing; so every rest and every swapped operand of
-    check_well_defined is stored, and its peels read the kept _label_constants.
+    vector. Dropping the first operator of an enumerated monomial leaves an
+    enumerated monomial, so every rest the build peels from is stored.
     """
 
     def __init__(self, spec: TripleSpec, base_exponent: Fraction,
@@ -94,13 +84,11 @@ class CorrelationFunctional:
                  functional: dict[int, dict[tuple[int, ...], Fraction]],
                  relations: dict[int, list[Fraction]],
                  rows: dict[SpanningMonomial, dict[int, int]],
-                 denominators: dict[int, int],
-                 moments: dict[SpanningMonomial, tuple[int, list[int]]], labels: dict):
+                 denominators: dict[int, int]):
         self.spec = spec
         self.base_exponent = base_exponent
         self._multipliers, self._functional, self._relations = multipliers, functional, relations
         self._rows, self._denominators = rows, denominators
-        self._moments, self._labels = moments, labels
 
     @property
     def max_level(self) -> int:
@@ -181,7 +169,7 @@ def build_correlation(spec: TripleSpec, max_level: int) -> CorrelationFunctional
         functional[level] = dict(zip(sp.keys(level), f))
         moments.update((mon, (q, mom)) for mon, mom in zip(mons, level_moments))
     return CorrelationFunctional(spec, base_exponent, multipliers, functional, relations,
-                                 rows, denominators, moments, labels)
+                                 rows, denominators)
 
 
 def _solve_level(spec, level: int, rows: list[dict[int, int]], mults: list[Fraction], den: int):
@@ -255,54 +243,36 @@ def _peel_multiplier(label, m: int, moments: tuple[int, list[int]]) -> Fraction:
     return Fraction((a3 + m * a1 - a2) * mom[0] + k * sum(map(mul, signs, mom[1:])), k * q)
 
 
-WellDefinedReport = namedtuple("WellDefinedReport", "well_defined order_checks order_failures "
+WellDefinedReport = namedtuple("WellDefinedReport", "well_defined order_checks "
                                "relation_checks relation_failures factor_failures")
 
 
 def check_well_defined(corr: CorrelationFunctional) -> WellDefinedReport:
     """Certify the forced values are a single linear functional.
 
-    (a) For every monomial with at least two operators, peeling the second
-    operator first and correcting with the symbolic commutator must give the
-    stored value. (b) Every rational relation among the monomial coordinate
-    rows must kill the stored values; the form is nondegenerate by
-    construction, so the relations are the whole kernel of the quotient
-    from formal products to module vectors. (c) Every factor recursion must
-    be consistent; factor_failures lists (position, *_factor_failure).
+    (a) Every factor recursion must be consistent; factor_failures lists
+    (position, *_factor_failure). An intertwining operator on the tensor
+    product is the product of the factors' operators, so this decides the
+    order of the operators too: order_checks only counts the monomials with
+    at least two operators. (b) Every rational relation among the monomial
+    coordinate rows must kill the stored values; the form is nondegenerate by
+    construction, so the relations are the whole kernel of the quotient from
+    formal products to module vectors. A nonzero relation value also flags a
+    wrong row or a wrong peel in the build.
     """
     max_level, spec = corr.max_level, corr.spec
-    labels, moments = corr._labels, corr._moments
     failures = map(_factor_failure, space(spec.h3).factors, spec.h1.entries, spec.h2.entries,
                    itertools.repeat(max_level))
     factor_failures = tuple((i, *failure) for i, failure in enumerate(failures) if failure)
-    order_failures: list[str] = []
-    order_checks = 0
-    for level in range(max_level + 1):
-        for mon in corr.monomials(level):
-            if len(mon.ops) < 2:
-                continue
-            (m1, t1), (m2, t2) = mon.ops[0], mon.ops[1]
-            tail = moments[SpanningMonomial(mon.ops[2:])]
-            # route one: the stored leftmost peel
-            direct = corr.multiplier(mon)
-            # route two: swap the first two operators, add the commutator
-            swapped_inner = moments[SpanningMonomial(mon.ops[:1] + mon.ops[2:])]
-            swapped = _peel_multiplier(labels[t2], m2, swapped_inner)
-            terms = commutator_symbolic(t1, t2, -m1, -m2)
-            bracket = _peel_multiplier(labels[terms.word], m1 + m2, tail)
-            q, tail_moments = tail
-            rewritten = swapped + terms.linear * bracket + terms.central * tail_moments[0] / q
-            order_checks += 1
-            if direct != rewritten:
-                order_failures.append(mon.label())
+    order_checks = sum(len(mon.ops) > 1 for level in range(max_level + 1)
+                       for mon in corr.monomials(level))
     values = [(level, x) for level in range(max_level + 1) for x in corr.relation_values(level)]
-    relation_failures = [level for level, x in values if x]
+    relation_failures = tuple(level for level, x in values if x)
     return WellDefinedReport(
-        well_defined=not order_failures and not relation_failures and not factor_failures,
+        well_defined=not factor_failures and not relation_failures,
         order_checks=order_checks,
-        order_failures=tuple(order_failures),
         relation_checks=len(values),
-        relation_failures=tuple(relation_failures),
+        relation_failures=relation_failures,
         factor_failures=factor_failures,
     )
 

@@ -232,7 +232,7 @@ def test_09_correlation_integrality():
     spec1 = TripleSpec(half_pair, half_pair, vac, code, Fraction(1))
     corr1 = build_correlation(spec1, 4)
     wd = check_well_defined(corr1)
-    ok = wd.well_defined and not wd.order_failures and not wd.relation_failures
+    ok = wd.well_defined and not wd.factor_failures and not wd.relation_failures
     verdict1 = integrality_verdict(corr1)
     ok = ok and verdict1.integral and verdict1.witness is None
     spec2 = TripleSpec(half_pair, half_pair, vac, code, Fraction(1, 2))

@@ -71,6 +71,31 @@ class TestExitCodes:
     def test_bad_h_for_dims(self, capsys):
         assert main(["vir", "dims", "--h", "1/3"]) == 2
 
+    @pytest.mark.parametrize("level", ["33", "99999999999"])
+    def test_vir_dims_refuses_a_level_above_its_limit(self, capsys, monkeypatch, level):
+        def no_scan(*args):
+            raise AssertionError("graded_dimensions ran")
+
+        monkeypatch.setattr(virasoro, "graded_dimensions", no_scan)
+        assert main(["vir", "dims", "--h", "1/16", "--max-level", level]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --max-level {level} is above vir dims' limit of 32\n"
+
+    def test_vir_dims_runs_at_its_limit(self, capsys, monkeypatch):
+        calls = []
+
+        def stub(params, max_level):
+            calls.append(max_level)
+            return [1] * (max_level + 1)
+
+        monkeypatch.setattr(virasoro, "graded_dimensions", stub)
+        assert cli.VIR_DIMS_MAX_LEVEL == 32
+        code, data = run_json(capsys, ["vir", "dims", "--h", "1/16", "--max-level", "32"])
+        assert code == 0
+        assert calls == [32]
+        assert data["dims"] == [1] * 33
+
     @pytest.mark.parametrize("argv", [
         ["vir", "dims", "--h", "0"],
         ["form", "verify", "--code", "even:4", "--H", "0,0,0,0"],

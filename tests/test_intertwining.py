@@ -112,8 +112,11 @@ def lt_action_peel(corr, t, m: int, w: TensorVector) -> Fraction:
 
 
 def lt_action_order_checks(corr) -> tuple[int, tuple[str, ...]]:
-    """check_well_defined's order checks with every peel through
-    lt_action_peel: (checks, labels of the failing monomials)."""
+    """The order check on every monomial with two or more operators: peeling
+    the second operator first and adding the symbolic commutator must give
+    the stored multiplier, every peel through lt_action_peel. Returns
+    (checks, labels of the failing monomials); check_well_defined counts the
+    same checks, and its factor check decides them."""
     checks, failures = 0, []
     for level in range(corr.max_level + 1):
         for mon in corr.monomials(level):
@@ -262,10 +265,11 @@ class TestBuildCorrelation:
 
 class TestWellDefined:
     def test_main_triple_through_level_four(self):
-        report = check_well_defined(build_correlation(main_spec(), 4))
+        corr = build_correlation(main_spec(), 4)
+        report = check_well_defined(corr)
         assert report.well_defined
         assert report.order_checks == 10  # the ten (2,2)-shaped monomials
-        assert report.order_failures == ()
+        assert lt_action_order_checks(corr) == (10, ())
         assert report.relation_checks == 0  # monomial rows independent so far
 
     def test_main_triple_through_level_six_has_relations(self):
@@ -358,8 +362,8 @@ class TestAgainstRowSpanRoute:
         report = check_well_defined(corr)
         checks, order_failures = lt_action_order_checks(corr)
         assert report.order_checks == checks == 147
-        assert report.order_failures == order_failures
         assert len(order_failures) == failures
+        assert report.factor_failures and not report.well_defined
         assert report.relation_failures == tuple(
             level
             for level, (_, mults, solver) in row_span_route(spec, 4).items()
@@ -407,7 +411,8 @@ class TestFactorwiseFusion:
     def test_sample_matches_the_order_and_relation_checks(self, code, max_level, seed):
         seen = Counter()
         for spec in sampled_triples(code, 20, seed):
-            report = check_well_defined(build_correlation(spec, max_level))
+            corr = build_correlation(spec, max_level)
+            report = check_well_defined(corr)
             fixed = zip(spec.h1.entries, spec.h2.entries, spec.h3.entries)
             assert [i for i, *_ in report.factor_failures] == [
                 i for i, triple in enumerate(fixed) if triple not in FUSION]
@@ -415,8 +420,10 @@ class TestFactorwiseFusion:
             if vacuum:
                 assert report.well_defined == (spec.h1 == spec.h2)
             else:
+                checks, order_failures = lt_action_order_checks(corr)
+                assert checks == report.order_checks
                 assert (report.factor_failures == ()) == (
-                    report.order_failures == report.relation_failures == ())
+                    order_failures == report.relation_failures == ())
             seen[vacuum, report.well_defined] += 1
         assert len(seen) == 4, seen  # both verdicts, with and without a vacuum H3
 
@@ -432,10 +439,25 @@ class TestFactorwiseFusion:
         # no spanning monomial of a vacuum power takes mode 1, so the order and
         # relation checks cannot see it.
         spec = TripleSpec(*map(HVector.parse, (h1, h2, h3)), code, Fraction(1))
-        report = check_well_defined(build_correlation(spec, max_level))
+        corr = build_correlation(spec, max_level)
+        report = check_well_defined(corr)
         assert report.factor_failures == failures
-        assert report.order_failures == report.relation_failures == ()
+        assert lt_action_order_checks(corr) == (report.order_checks, ())
+        assert report.relation_failures == ()
         assert not report.well_defined
+
+    @pytest.mark.parametrize("h1, h2, h3, checks, fails", [
+        ("S", "S", "0", 0, False), ("0", "S", "S", 136, False),
+        ("S", "0", "S", 136, False), ("S", "S", "S", 136, True),
+    ], ids=["SS0", "0SS", "S0S", "SSS"])
+    def test_sixteenth_modules_pass_the_order_checks(self, h1, h2, h3, checks, fails):
+        # the {0, 1/2} samples never reach h = 1/16; S = (1/16)^16 on c16 to level 2
+        weights = {"S": HVector.sixteenth(16), "0": HVector.vacuum(16)}
+        spec = TripleSpec(weights[h1], weights[h2], weights[h3], c16(), Fraction(1))
+        corr = build_correlation(spec, 2)
+        report = check_well_defined(corr)
+        assert lt_action_order_checks(corr) == (report.order_checks, ()) == (checks, ())
+        assert bool(report.factor_failures) == fails == (not report.well_defined)
 
 
 def fraction_peel(spec, t, m: int, moments: list[Fraction]) -> Fraction:
@@ -487,19 +509,23 @@ def rref_route(spec: TripleSpec, max_level: int):
 
 
 def assert_matches_rref_route(corr):
-    """Multipliers, functional, relation values (in order), moments (as
-    rationals M / q) and vector() of corr equal those of rref_route."""
+    """Multipliers, functional, relation values (in order), vector() and the
+    build's moments (intertwining._moments on its stored rows, as rationals
+    M / q) of corr equal those of rref_route."""
     levels, vectors, moments = rref_route(corr.spec, corr.max_level)
     assert sorted(levels) == list(range(corr.max_level + 1))
+    sp = space(corr.spec.h3)
     for level, (mults, f, relations) in levels.items():
         mons = corr.monomials(level)
         assert [corr.multiplier(mon) for mon in mons] == mults
         assert {k: corr.vector_multiplier(TensorVector(corr.spec.h3, {k: Fraction(1)}))
                 for k in f} == f
         assert corr.relation_values(level) == relations
-        for mon in mons:
+        q, level_moments = intertwining._moments(
+            sp, level, [corr._rows[mon] for mon in mons], corr._denominators[level],
+            [corr._functional[level][k] for k in sp.keys(level)])
+        for mon, integer_moments in zip(mons, level_moments):
             assert corr.vector(mon) == vectors[mon]
-            q, integer_moments = corr._moments[mon]
             assert [Fraction(x, q) for x in integer_moments] == moments[mon]
 
 
